@@ -14,7 +14,7 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::{self, drive, ChannelMut, RoundStats, RunOptions, Session};
+use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::types::{NodeId, QueryReport};
@@ -111,24 +111,6 @@ pub fn estimate_p(e_real: usize, b: usize, n: usize) -> f64 {
 impl ThresholdQuerier for Abns {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn run_with_options(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        options: RunOptions,
-    ) -> QueryReport {
-        drive(
-            nodes,
-            t,
-            ChannelMut::Single(channel),
-            rng,
-            options,
-            self.policy(t),
-        )
     }
 
     fn run_with_profile(

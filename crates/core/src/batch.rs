@@ -1,10 +1,9 @@
 //! Batch-native execution: pooled engine buffers and the [`BatchRunner`].
 //!
 //! `engine::drive` allocates a handful of vectors per query (candidate
-//! set, scratch, trace, eliminated pool, paired-chunk boundaries). At one
-//! query a time that is noise; at service throughput it is the dominant
-//! steady-state cost (`ROADMAP` item 5, `tcast-experiments trace` phase
-//! breakdown). This module pools those buffers in an [`EngineScratch`]
+//! set, scratch, trace, eliminated pool). At one query a time that is
+//! noise; at service throughput it is the dominant steady-state cost
+//! (`ROADMAP` item 5, `tcast-experiments trace` phase breakdown). This module pools those buffers in an [`EngineScratch`]
 //! owned by a worker (or bench loop) and reuses them across queries:
 //!
 //! * [`BatchRunner::run`] — run any [`ThresholdQuerier`] over the pooled
@@ -44,8 +43,6 @@ pub struct EngineScratch {
     pub(crate) trace: Vec<RoundTrace>,
     /// Silently-eliminated pool for verified-silence confirmation.
     pub(crate) eliminated: Vec<NodeId>,
-    /// Paired-executor chunk boundaries.
-    pub(crate) ranges: Vec<(usize, usize)>,
     /// Pooled population buffer for [`EngineScratch::take_population`].
     population: Vec<NodeId>,
 }
@@ -65,7 +62,6 @@ impl EngineScratch {
             scratch: Vec::with_capacity(n),
             trace: Vec::with_capacity(32),
             eliminated: Vec::with_capacity(n),
-            ranges: Vec::with_capacity(n),
             population: Vec::with_capacity(n),
         }
     }

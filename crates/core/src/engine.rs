@@ -5,16 +5,17 @@
 //! how many bins they request per round:
 //!
 //! 1. randomly partition the candidate set `n` into `b` equal-sized bins;
-//! 2. query bins one by one; a silent bin eliminates its members;
+//! 2. query bins one by one (or two per exchange on a paired channel); a
+//!    silent bin eliminates its members;
 //! 3. terminate **true** as soon as the accumulated evidence (non-empty
 //!    bins, plus nodes identified by 2+ captures) reaches `t`;
 //! 4. terminate **false** as soon as even an all-positive remainder could
 //!    not reach `t`.
 //!
-//! Bins that received zero member nodes during partitioning (possible when
-//! `|n| < b`) are skipped at no query cost — the paper's "empty bins are
-//! arranged at the end and never occupy a time slot" accounting (see
-//! DESIGN.md §3.3).
+//! The bin count is clamped to `[1, |n|]`, so every bin has members:
+//! requesting more bins than candidates costs nothing extra — the paper's
+//! "empty bins are arranged at the end and never occupy a time slot"
+//! accounting (see DESIGN.md §3.3).
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -54,9 +55,6 @@ pub struct Session {
     defense_queries: u64,
     /// Observations an honest channel could not have produced.
     anomalies: u64,
-    /// Scratch buffer for the paired executor's chunk boundaries, reused
-    /// across rounds to avoid per-round allocation.
-    ranges: Vec<(usize, usize)>,
 }
 
 /// Result of executing one round.
@@ -87,53 +85,14 @@ impl Session {
     /// Starts a session over `nodes` with threshold `t` and no silence
     /// verification (the ideal-channel configuration).
     pub fn new(nodes: &[NodeId], t: usize) -> Self {
-        Self::with_options(nodes, t, RunOptions::new())
+        Self::with_options(nodes, t, RunOptions::new(), &mut EngineScratch::new())
     }
 
-    /// Starts a session that verifies silence per `retry` before
-    /// eliminating candidates.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a profile instead: `Session::with_options(nodes, t, \
-                ExecutionProfile::new().with_retry(retry).options())`"
-    )]
-    pub fn with_retry(nodes: &[NodeId], t: usize, retry: RetryPolicy) -> Self {
-        Self::with_options(
-            nodes,
-            t,
-            RunOptions {
-                retry,
-                defense: DefensePolicy::none(),
-            },
-        )
-    }
-
-    /// Starts a session with the full option set: verified-silence
-    /// retries plus adversary defenses.
-    pub fn with_options(nodes: &[NodeId], t: usize, options: RunOptions) -> Self {
-        Self {
-            remaining: nodes.to_vec(),
-            confirmed: 0,
-            t,
-            queries: 0,
-            rounds: 0,
-            trace: Vec::new(),
-            scratch: Vec::with_capacity(nodes.len()),
-            retry: options.retry,
-            retry_queries: 0,
-            eliminated: Vec::new(),
-            defense: options.defense,
-            defense_queries: 0,
-            anomalies: 0,
-            ranges: Vec::new(),
-        }
-    }
-
-    /// Starts a session reusing the buffers pooled in `scratch` instead of
-    /// allocating fresh ones. Behaviour is identical to
-    /// [`Session::with_options`] — the buffers only carry capacity, never
-    /// state — which the batch-identity proptests pin.
-    pub(crate) fn with_options_in(
+    /// Starts a session with the full option set (verified-silence
+    /// retries plus adversary defenses), borrowing its buffers from
+    /// `scratch`. The buffers carry capacity, never state, so a fresh
+    /// [`EngineScratch`] and a well-used one start identical sessions.
+    pub fn with_options(
         nodes: &[NodeId],
         t: usize,
         options: RunOptions,
@@ -149,8 +108,6 @@ impl Session {
         trace.clear();
         let mut eliminated = std::mem::take(&mut scratch.eliminated);
         eliminated.clear();
-        let mut ranges = std::mem::take(&mut scratch.ranges);
-        ranges.clear();
         Self {
             remaining,
             confirmed: 0,
@@ -165,7 +122,6 @@ impl Session {
             defense: options.defense,
             defense_queries: 0,
             anomalies: 0,
-            ranges,
         }
     }
 
@@ -179,7 +135,6 @@ impl Session {
         scratch.remaining = std::mem::take(&mut self.remaining);
         scratch.scratch = std::mem::take(&mut self.scratch);
         scratch.eliminated = std::mem::take(&mut self.eliminated);
-        scratch.ranges = std::mem::take(&mut self.ranges);
         self.into_report(answer)
     }
 
@@ -208,7 +163,6 @@ impl Session {
         scratch.remaining = std::mem::take(&mut self.remaining);
         scratch.scratch = std::mem::take(&mut self.scratch);
         scratch.eliminated = std::mem::take(&mut self.eliminated);
-        scratch.ranges = std::mem::take(&mut self.ranges);
         scratch.trace = std::mem::take(&mut self.trace);
     }
 
@@ -302,13 +256,20 @@ impl Session {
         1
     }
 
-    /// Executes one round with `bins` bins. `bins` is clamped to
-    /// `[1, |remaining|]`; requesting more bins than nodes merely produces
-    /// free zero-member bins, so the clamp is behaviourally neutral.
+    /// Executes one round with `bins` bins, clamped to
+    /// `[1, |remaining|]` so every bin has members.
+    ///
+    /// A [`ChannelMut::Single`] channel is queried one bin at a time; a
+    /// [`ChannelMut::Paired`] channel two bins per exchange (the CC2420
+    /// dual-address backcast, Section IV-D), with a trailing odd bin
+    /// queried singly. Query accounting is the same for both: a pair is
+    /// two queries. Termination is checked after every bin, so the only
+    /// difference is that a paired round may spend one extra query — the
+    /// second half of a pair whose first half already decided.
     pub fn run_round(
         &mut self,
         bins: usize,
-        channel: &mut dyn GroupQueryChannel,
+        channel: &mut ChannelMut<'_>,
         rng: &mut dyn RngCore,
     ) -> RoundOutcome {
         debug_assert!(
@@ -322,10 +283,10 @@ impl Session {
         // Random equal partition: shuffle, then cut into `bins` contiguous
         // chunks; the first `n % bins` chunks take one extra node.
         self.remaining.shuffle(rng);
-        let base = n / bins;
-        let extra = n % bins;
+        let (base, extra) = (n / bins, n % bins);
+        let bin_start = |bin: usize| bin * base + bin.min(extra);
 
-        let model = channel.model();
+        let model = channel.as_single().model();
         let mut kept = std::mem::take(&mut self.scratch);
         kept.clear();
 
@@ -338,189 +299,53 @@ impl Session {
         // Evidence of distinct positives observed *this round* in bins that
         // were not resolved by capture.
         let mut evidence = 0usize;
-        let mut offset = 0usize;
         let mut decided = None;
         let mut round_retries = 0u64;
-        let mut round_defenses = self.run_canary(channel);
+        let mut round_defenses = self.run_canary(channel.as_single());
+        // Next bin to query, and the end of the last bin whose members
+        // have been settled (absorbed or kept).
+        let mut bin = 0usize;
+        let mut settled = 0usize;
 
-        for bin_idx in 0..bins {
-            let size = base + usize::from(bin_idx < extra);
-            if size == 0 {
-                continue; // zero-member bin: free, per the paper's accounting
-            }
-            let members = &self.remaining[offset..offset + size];
-            offset += size;
-
-            self.queries += 1;
-            stats.queried_bins += 1;
-            let obs = channel.query(members);
-            debug_assert!(crate::channel::observation_valid(model, obs));
-            let vet = vet_observation(
-                obs,
-                members,
-                channel,
-                model,
-                self.retry,
-                self.defense,
-                self.retry_queries,
-            );
-            let obs = vet.obs;
-            self.queries += vet.retries + vet.defenses;
-            self.retry_queries += vet.retries;
-            self.defense_queries += vet.defenses;
-            self.anomalies += u64::from(vet.anomaly);
-            round_retries += vet.retries;
-            round_defenses += vet.defenses;
-            if obs == Observation::Silent && self.retry.enabled() {
-                self.eliminated.extend_from_slice(members);
-            }
-
-            absorb_bin(
-                members,
-                obs,
-                model,
-                &mut kept,
-                &mut self.confirmed,
-                &mut evidence,
-                &mut stats,
-            );
-
-            // Line 11 analogue: enough evidence of distinct positives.
-            if self.confirmed + evidence >= self.t {
-                decided = Some(true);
-                break;
-            }
-            // Line 14 analogue: even an all-positive remainder cannot reach
-            // t. Unprocessed bins are still candidates.
-            let unprocessed = n - offset;
-            if self.confirmed + kept.len() + unprocessed < self.t {
-                decided = Some(false);
-                break;
-            }
-        }
-
-        // Unprocessed nodes (early termination) stay candidates.
-        kept.extend_from_slice(&self.remaining[offset..]);
-        self.remaining.clear();
-        std::mem::swap(&mut self.remaining, &mut kept);
-        self.scratch = kept;
-
-        self.trace.push(RoundTrace {
-            bins,
-            queried_bins: stats.queried_bins,
-            silent_bins: stats.silent_bins,
-            eliminated: stats.eliminated,
-            captured: stats.captured,
-            retries: round_retries as usize,
-            defenses: round_defenses as usize,
-            remaining: self.remaining.len(),
-        });
-        self.emit_round_event(bins, &stats, round_retries, round_defenses, false);
-
-        match decided {
-            Some(answer) => RoundOutcome::Decided(answer),
-            None => RoundOutcome::Undecided(stats),
-        }
-    }
-
-    /// Executes one round over a paired channel, querying bins two at a
-    /// time (the CC2420 dual-address backcast, Section IV-D).
-    ///
-    /// Query-count accounting is identical to [`Session::run_round`];
-    /// exchanges just take less airtime on a full-stack channel. The one
-    /// behavioural difference: termination is checked per *pair*, so a
-    /// session may spend up to one extra query compared to the sequential
-    /// executor (the second half of a pair whose first half already
-    /// decided).
-    pub fn run_round_paired(
-        &mut self,
-        bins: usize,
-        channel: &mut dyn PairedGroupQueryChannel,
-        rng: &mut dyn RngCore,
-    ) -> RoundOutcome {
-        debug_assert!(
-            self.precheck().is_none(),
-            "round started on a decided session"
-        );
-        let n = self.remaining.len();
-        let bins = bins.clamp(1, n.max(1));
-        self.rounds += 1;
-
-        self.remaining.shuffle(rng);
-        let base = n / bins;
-        let extra = n % bins;
-        // Contiguous non-empty chunk boundaries (buffer reused across
-        // rounds; taken out of `self` so the loop below can borrow
-        // `self.remaining` freely).
-        let mut ranges = std::mem::take(&mut self.ranges);
-        ranges.clear();
-        ranges.reserve(bins.min(n));
-        let mut offset = 0usize;
-        for bin_idx in 0..bins {
-            let size = base + usize::from(bin_idx < extra);
-            if size > 0 {
-                ranges.push((offset, offset + size));
-                offset += size;
-            }
-        }
-
-        let model = channel.model();
-        let mut kept = std::mem::take(&mut self.scratch);
-        kept.clear();
-        let mut stats = RoundStats {
-            queried_bins: 0,
-            silent_bins: 0,
-            eliminated: 0,
-            captured: 0,
-        };
-        let mut evidence = 0usize;
-        let mut decided = None;
-        let mut absorbed_hi = 0usize;
-        let mut round_retries = 0u64;
-        let mut round_defenses = self.run_canary(channel as &mut dyn GroupQueryChannel);
-
-        let mut idx = 0;
-        while idx < ranges.len() && decided.is_none() {
-            let pair_obs: [(usize, usize, Observation); 2];
-            let pair_len;
-            if idx + 1 < ranges.len() {
-                let (a_lo, a_hi) = ranges[idx];
-                let (b_lo, b_hi) = ranges[idx + 1];
-                self.queries += 2;
-                stats.queried_bins += 2;
-                let (oa, ob) =
-                    channel.query_pair(&self.remaining[a_lo..a_hi], &self.remaining[b_lo..b_hi]);
-                debug_assert!(crate::channel::observation_valid(model, oa));
-                debug_assert!(crate::channel::observation_valid(model, ob));
-                pair_obs = [(a_lo, a_hi, oa), (b_lo, b_hi, ob)];
-                pair_len = 2;
-            } else {
-                let (lo, hi) = ranges[idx];
-                self.queries += 1;
-                stats.queried_bins += 1;
-                let obs = channel.query(&self.remaining[lo..hi]);
-                debug_assert!(crate::channel::observation_valid(model, obs));
-                pair_obs = [(lo, hi, obs), (0, 0, Observation::Silent)];
-                pair_len = 1;
-            }
-            for &(lo, hi, obs) in pair_obs.iter().take(pair_len) {
+        while decided.is_none() && settled < n {
+            let width = match channel {
+                ChannelMut::Paired(_) if bin + 1 < bins => 2,
+                _ => 1,
+            };
+            let (mid, hi) = (bin_start(bin + 1), bin_start(bin + width));
+            self.queries += width as u64;
+            stats.queried_bins += width;
+            let observed = match channel {
+                ChannelMut::Paired(ch) if width == 2 => {
+                    let (a, b) =
+                        ch.query_pair(&self.remaining[settled..mid], &self.remaining[mid..hi]);
+                    [a, b]
+                }
+                _ => [
+                    channel.as_single().query(&self.remaining[settled..mid]),
+                    Observation::Silent,
+                ],
+            };
+            for (k, &obs) in observed[..width].iter().enumerate() {
+                let end = bin_start(bin + k + 1);
+                let members = &self.remaining[settled..end];
+                settled = end;
                 if decided.is_some() {
                     // The pair's first half already decided: the second
                     // query was spent, but its outcome no longer matters;
                     // keep its members so the candidate set stays a
                     // superset of the positives.
-                    kept.extend_from_slice(&self.remaining[lo..hi]);
-                    absorbed_hi = hi;
+                    kept.extend_from_slice(members);
                     continue;
                 }
-                let members = &self.remaining[lo..hi];
-                // Retries and confirmations re-query one half singly:
+                debug_assert!(crate::channel::observation_valid(model, obs));
+                // Retries and confirmations re-query the bin singly:
                 // verification needs the individual bin's outcome, not
                 // the pair's.
                 let vet = vet_observation(
                     obs,
                     members,
-                    &mut *channel as &mut dyn GroupQueryChannel,
+                    channel.as_single(),
                     model,
                     self.retry,
                     self.defense,
@@ -536,6 +361,7 @@ impl Session {
                 if obs == Observation::Silent && self.retry.enabled() {
                     self.eliminated.extend_from_slice(members);
                 }
+
                 absorb_bin(
                     members,
                     obs,
@@ -545,21 +371,25 @@ impl Session {
                     &mut evidence,
                     &mut stats,
                 );
-                absorbed_hi = hi;
+
                 if self.confirmed + evidence >= self.t {
+                    // Line 11 analogue: enough evidence of distinct
+                    // positives.
                     decided = Some(true);
-                } else if self.confirmed + kept.len() + (n - absorbed_hi) < self.t {
+                } else if self.confirmed + kept.len() + (n - end) < self.t {
+                    // Line 14 analogue: even an all-positive remainder
+                    // cannot reach t. Unsettled bins are still candidates.
                     decided = Some(false);
                 }
             }
-            idx += 2;
+            bin += width;
         }
 
-        kept.extend_from_slice(&self.remaining[absorbed_hi..]);
+        // Unqueried nodes (early termination) stay candidates.
+        kept.extend_from_slice(&self.remaining[settled..]);
         self.remaining.clear();
         std::mem::swap(&mut self.remaining, &mut kept);
         self.scratch = kept;
-        self.ranges = ranges;
 
         self.trace.push(RoundTrace {
             bins,
@@ -694,8 +524,8 @@ struct VetOutcome {
 /// activity to a capture is kept. One confirmation pass per bin: an
 /// observation rescued from a contradiction is not re-confirmed, which
 /// bounds the worst-case cost per bin at `confirm_activity + max_retries`
-/// extra queries. Shared by both round executors (free function so the
-/// `members` slice may borrow from the session's candidate buffer).
+/// extra queries. A free function so the `members` slice may borrow from
+/// the session's candidate buffer.
 fn vet_observation<C: GroupQueryChannel + ?Sized>(
     first: Observation,
     members: &[NodeId],
@@ -745,7 +575,7 @@ fn vet_observation<C: GroupQueryChannel + ?Sized>(
 /// Re-queries a silent observation per `retry`, stopping at the first
 /// non-silent outcome, at `max_retries`, or when the session-wide budget
 /// (of which `spent_before` is already used) runs out. Returns the final
-/// observation and the retries spent. Shared by both round executors.
+/// observation and the retries spent.
 fn requery_silence<C: GroupQueryChannel + ?Sized>(
     mut obs: Observation,
     members: &[NodeId],
@@ -791,8 +621,7 @@ fn emit_retry_event(spent: u64, started: Option<std::time::Instant>, pool: bool)
     );
 }
 
-/// Folds one bin's observation into the round state. Shared by the
-/// sequential and paired round executors.
+/// Folds one bin's observation into the round state.
 #[allow(clippy::too_many_arguments)]
 fn absorb_bin(
     members: &[NodeId],
@@ -894,28 +723,6 @@ impl RunOptions {
             defense: DefensePolicy::none(),
         }
     }
-
-    /// Options with the given verified-silence policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a profile instead: `ExecutionProfile::new().with_retry(retry).options()`"
-    )]
-    pub fn retrying(retry: RetryPolicy) -> Self {
-        Self {
-            retry,
-            ..Self::new()
-        }
-    }
-
-    /// Returns the options with the given defense policy attached.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a profile instead: `ExecutionProfile::new().with_defense(defense).options()`"
-    )]
-    pub fn with_defense(mut self, defense: DefensePolicy) -> Self {
-        self.defense = defense;
-        self
-    }
 }
 
 impl Default for RunOptions {
@@ -950,25 +757,27 @@ impl Default for RunOptions {
 pub fn drive(
     nodes: &[NodeId],
     t: usize,
-    mut channel: ChannelMut<'_>,
+    channel: ChannelMut<'_>,
     rng: &mut dyn RngCore,
     options: impl Into<RunOptions>,
-    mut policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
+    policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> QueryReport {
-    let options = options.into();
-    let span = enter_drive_span(nodes, t);
-    let session = Session::with_options(nodes, t, options);
-    let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
-    let report = session.into_report(answer);
-    emit_verdict(&span, &report);
-    report
+    drive_with_scratch(
+        nodes,
+        t,
+        channel,
+        rng,
+        options.into(),
+        &mut EngineScratch::new(),
+        policy,
+    )
 }
 
-/// [`drive`] over pooled buffers: behaviourally identical (same code
-/// path, same RNG draw order — the batch-identity proptests pin this),
-/// but the session borrows its vectors from `scratch` and returns them
-/// after the report is built, so the steady-state per-query allocation is
-/// just the report's own trace vector.
+/// [`drive`] over pooled buffers: the session borrows its vectors from
+/// `scratch` and returns them after the report is built, so the
+/// steady-state per-query allocation is just the report's own trace
+/// vector. A fresh scratch allocates exactly what `drive` needs — an
+/// empty `Vec` holds no heap memory.
 pub(crate) fn drive_with_scratch(
     nodes: &[NodeId],
     t: usize,
@@ -979,11 +788,10 @@ pub(crate) fn drive_with_scratch(
     mut policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> QueryReport {
     let span = enter_drive_span(nodes, t);
-    let session = Session::with_options_in(nodes, t, options, scratch);
+    let session = Session::with_options(nodes, t, options, scratch);
     let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
-    let report = session.finish_reusing(answer, scratch);
-    emit_verdict(&span, &report);
-    report
+    emit_verdict(&span, &session, answer);
+    session.finish_reusing(answer, scratch)
 }
 
 /// [`drive_with_scratch`] that never materializes a [`QueryReport`]: the
@@ -1003,20 +811,10 @@ pub(crate) fn drive_encoded(
     mut policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> bool {
     let span = enter_drive_span(nodes, t);
-    let session = Session::with_options_in(nodes, t, options, scratch);
+    let session = Session::with_options(nodes, t, options, scratch);
     let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
     session.encode_report_into(answer, out);
-    span.event(
-        "engine.verdict",
-        &[
-            ("answer", u64::from(answer)),
-            ("queries", session.queries),
-            ("rounds", u64::from(session.rounds)),
-            ("retry_queries", session.retry_queries),
-            ("defense_queries", session.defense_queries),
-            ("anomalies", session.anomalies),
-        ],
-    );
+    emit_verdict(&span, &session, answer);
     session.reclaim(scratch);
     answer
 }
@@ -1029,24 +827,24 @@ fn enter_drive_span(nodes: &[NodeId], t: usize) -> tcast_obs::Span {
     )
 }
 
-fn emit_verdict(span: &tcast_obs::Span, report: &QueryReport) {
+fn emit_verdict(span: &tcast_obs::Span, session: &Session, answer: bool) {
     span.event(
         "engine.verdict",
         &[
-            ("answer", u64::from(report.answer)),
-            ("queries", report.queries),
-            ("rounds", u64::from(report.rounds)),
-            ("retry_queries", report.retry_queries),
-            ("defense_queries", report.defense_queries),
-            ("anomalies", report.anomalies),
+            ("answer", u64::from(answer)),
+            ("queries", session.queries),
+            ("rounds", u64::from(session.rounds)),
+            ("retry_queries", session.retry_queries),
+            ("defense_queries", session.defense_queries),
+            ("anomalies", session.anomalies),
         ],
     );
 }
 
 /// The round loop shared by every `drive` flavour: runs `session` to a
 /// verdict and returns it together with the finished session. Extracted
-/// so the allocating, scratch-reusing, and direct-encode entrypoints are
-/// provably one code path.
+/// so the report-returning and direct-encode entrypoints are provably one
+/// code path.
 fn drive_session(
     mut session: Session,
     channel: &mut ChannelMut<'_>,
@@ -1070,11 +868,7 @@ fn drive_session(
             continue;
         }
         let bins = policy(&session, last_stats.as_ref());
-        let outcome = match channel {
-            ChannelMut::Single(ch) => session.run_round(bins, *ch, rng),
-            ChannelMut::Paired(ch) => session.run_round_paired(bins, *ch, rng),
-        };
-        match outcome {
+        match session.run_round(bins, channel, rng) {
             RoundOutcome::Decided(true) => {
                 if true_streak >= session.defense.confirm_true {
                     break (session, true);
@@ -1134,7 +928,7 @@ mod tests {
         let mut s = Session::new(&nodes, 4);
         // One bin spanning everything: silent, so everyone is eliminated and
         // the round decides false.
-        let out = s.run_round(1, &mut ch, &mut rng);
+        let out = s.run_round(1, &mut ChannelMut::single(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(false));
         assert_eq!(s.remaining_len(), 0);
         assert_eq!(s.queries(), 1);
@@ -1148,7 +942,7 @@ mod tests {
         let mut ch = ideal(8, &[0, 1, 2, 3, 4, 5, 6, 7], CollisionModel::OnePlus);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut s = Session::new(&nodes, 3);
-        let out = s.run_round(8, &mut ch, &mut rng);
+        let out = s.run_round(8, &mut ChannelMut::single(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(true));
         assert_eq!(s.queries(), 3);
     }
@@ -1162,7 +956,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut s = Session::new(&nodes, 2);
         // Single bin spanning everything.
-        let out = s.run_round(1, &mut ch, &mut rng);
+        let out = s.run_round(1, &mut ChannelMut::single(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(true));
         assert_eq!(s.queries(), 1);
     }
@@ -1173,7 +967,7 @@ mod tests {
         let mut ch = ideal(6, &[2], CollisionModel::two_plus_default());
         let mut rng = SmallRng::seed_from_u64(4);
         let mut s = Session::new(&nodes, 2);
-        let out = s.run_round(1, &mut ch, &mut rng);
+        let out = s.run_round(1, &mut ChannelMut::single(&mut ch), &mut rng);
         // One capture: evidence 1 < t=2, round undecided.
         assert_eq!(
             out,
@@ -1203,7 +997,9 @@ mod tests {
                 decided = Some(a);
                 break;
             }
-            if let RoundOutcome::Decided(a) = s.run_round(4, &mut ch, &mut rng) {
+            if let RoundOutcome::Decided(a) =
+                s.run_round(4, &mut ChannelMut::single(&mut ch), &mut rng)
+            {
                 decided = Some(a);
                 break;
             }
@@ -1218,7 +1014,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let mut s = Session::new(&nodes, 1);
         // Ask for 10 bins over 3 nodes: only 3 are queried.
-        let out = s.run_round(10, &mut ch, &mut rng);
+        let out = s.run_round(10, &mut ChannelMut::single(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(false));
         assert!(s.queries() <= 3);
     }
@@ -1275,7 +1071,7 @@ mod tests {
         let mut ch = ideal(8, &[0, 1, 2, 3, 4, 5, 6, 7], CollisionModel::OnePlus);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut s = Session::new(&nodes, 3);
-        let out = s.run_round_paired(8, &mut ch, &mut rng);
+        let out = s.run_round(8, &mut ChannelMut::paired(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(true));
         assert_eq!(s.queries(), 4, "pair granularity: 3 needed, 4 spent");
     }
@@ -1286,7 +1082,7 @@ mod tests {
         let mut ch = ideal(9, &[], CollisionModel::OnePlus);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut s = Session::new(&nodes, 1);
-        let out = s.run_round_paired(3, &mut ch, &mut rng);
+        let out = s.run_round(3, &mut ChannelMut::paired(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(false));
         assert_eq!(s.queries(), 3, "two pairs: (2) + (1 single)");
         assert_eq!(s.remaining_len(), 0);
@@ -1300,7 +1096,7 @@ mod tests {
         let mut ch = ideal(6, &[2], CollisionModel::two_plus_default());
         let mut rng = SmallRng::seed_from_u64(7);
         let mut s = Session::new(&nodes, 2);
-        let out = s.run_round_paired(2, &mut ch, &mut rng);
+        let out = s.run_round(2, &mut ChannelMut::paired(&mut ch), &mut rng);
         assert!(matches!(out, RoundOutcome::Undecided(_)));
         assert_eq!(s.confirmed(), 1);
         assert!(!s.remaining().contains(&NodeId(2)));
@@ -1317,12 +1113,12 @@ mod tests {
             let mut ch1 = ideal(24, &positives, CollisionModel::OnePlus);
             let mut rng1 = SmallRng::seed_from_u64(seed);
             let mut s1 = Session::new(&nodes, 2);
-            let o1 = s1.run_round(6, &mut ch1, &mut rng1);
+            let o1 = s1.run_round(6, &mut ChannelMut::single(&mut ch1), &mut rng1);
 
             let mut ch2 = ideal(24, &positives, CollisionModel::OnePlus);
             let mut rng2 = SmallRng::seed_from_u64(seed);
             let mut s2 = Session::new(&nodes, 2);
-            let o2 = s2.run_round_paired(6, &mut ch2, &mut rng2);
+            let o2 = s2.run_round(6, &mut ChannelMut::paired(&mut ch2), &mut rng2);
             assert!(matches!(o1, RoundOutcome::Undecided(_)), "seed={seed}");
 
             assert_eq!(o1, o2, "seed={seed}");
@@ -1622,7 +1418,7 @@ mod tests {
         let mut ch = ideal(8, &[0, 1, 2, 3, 4, 5, 6, 7], CollisionModel::OnePlus);
         let mut rng = SmallRng::seed_from_u64(8);
         let mut s = Session::new(&nodes, 1);
-        let out = s.run_round(8, &mut ch, &mut rng);
+        let out = s.run_round(8, &mut ChannelMut::single(&mut ch), &mut rng);
         assert_eq!(out, RoundOutcome::Decided(true));
         assert_eq!(s.queries(), 1);
         assert_eq!(s.remaining_len(), 8, "7 unqueried + 1 active bin kept");

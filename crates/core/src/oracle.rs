@@ -17,7 +17,7 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::{self, drive, ChannelMut, RoundStats, RunOptions, Session};
+use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::types::{NodeId, QueryReport};
@@ -80,24 +80,6 @@ pub fn oracle_bins(n: usize, t: usize, x: usize) -> usize {
 impl ThresholdQuerier for OracleBins {
     fn name(&self) -> &str {
         "Oracle"
-    }
-
-    fn run_with_options(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        options: RunOptions,
-    ) -> QueryReport {
-        drive(
-            nodes,
-            t,
-            ChannelMut::Single(channel),
-            rng,
-            options,
-            self.policy(),
-        )
     }
 
     fn run_with_profile(

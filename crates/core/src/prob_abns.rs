@@ -10,8 +10,10 @@
 use rand::{Rng, RngCore};
 
 use crate::abns::{Abns, InitialEstimate};
+use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
 use crate::engine::RunOptions;
+use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::retry::RetryPolicy;
 use crate::twotbins::TwoTBins;
@@ -47,15 +49,16 @@ impl ThresholdQuerier for ProbAbns {
         "ProbABNS"
     }
 
-    fn run_with_options(
+    fn run_with_profile(
         &self,
         nodes: &[NodeId],
         t: usize,
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
-        options: RunOptions,
+        profile: ExecutionProfile,
+        _scratch: &mut EngineScratch,
     ) -> QueryReport {
-        let retry = options.retry;
+        let retry = profile.retry;
         // Degenerate thresholds are decided without probing.
         if t == 0 {
             return QueryReport::trivial(true);
@@ -141,7 +144,7 @@ impl ThresholdQuerier for ProbAbns {
         };
         let inner_options = RunOptions {
             retry: inner_retry,
-            defense: options.defense,
+            defense: profile.defense,
         };
         let mut report = if probe_silent {
             // Likely x < t/2: ABNS seeded with p0 = t/4.

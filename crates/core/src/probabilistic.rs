@@ -168,16 +168,18 @@ impl ThresholdQuerier for ProbabilisticQuerier {
     /// configured mode boundaries, and the [`crate::RetryPolicy`] and
     /// [`crate::DefensePolicy`] are ignored entirely — the decision never
     /// eliminates nodes, so there is no silence to verify, and its
-    /// verdict is statistical rather than evidence-counting. The report
-    /// summarizes all probes as one aggregate round so its accounting
-    /// invariants hold.
-    fn run_with_options(
+    /// verdict is statistical rather than evidence-counting. No engine
+    /// session runs, so the scratch goes unused. The report summarizes
+    /// all probes as one aggregate round so its accounting invariants
+    /// hold.
+    fn run_with_profile(
         &self,
         nodes: &[NodeId],
         _t: usize,
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
-        _options: crate::engine::RunOptions,
+        _profile: crate::ExecutionProfile,
+        _scratch: &mut crate::EngineScratch,
     ) -> QueryReport {
         let d = self.decide(nodes, channel, rng);
         QueryReport {

@@ -1,13 +1,8 @@
 //! [`ExecutionProfile`]: the one builder bundling every execution knob.
 //!
-//! Historically each layer grew its own per-field setter — sessions took a
-//! [`RetryPolicy`] through `Session::with_retry`, options grew
-//! `RunOptions::retrying` / `RunOptions::with_defense`, and batch tuning
-//! had nowhere to live at all. `ExecutionProfile` replaces that drift with
-//! a single `Copy` builder accepted by [`crate::engine::drive`],
-//! [`crate::BatchRunner`], and (in `tcast-service`) `QueryJob`. The old
-//! setters remain as thin `#[deprecated]` forwards; the
-//! `profile_compat.rs` proptest pins their equivalence.
+//! A single `Copy` builder accepted by [`crate::engine::drive`],
+//! [`crate::BatchRunner`], [`crate::ThresholdQuerier::run_with_profile`],
+//! and (in `tcast-service`) `QueryJob`.
 
 use crate::engine::RunOptions;
 use crate::retry::{DefensePolicy, RetryPolicy};

@@ -6,7 +6,6 @@ use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
 use crate::engine::RunOptions;
 use crate::profile::ExecutionProfile;
-use crate::retry::RetryPolicy;
 use crate::types::{NodeId, QueryReport};
 
 /// A threshold-querying strategy: decides whether at least `t` of `nodes`
@@ -17,28 +16,37 @@ use crate::types::{NodeId, QueryReport};
 /// thousands of runs of a parameter sweep (including concurrently, from the
 /// parallel sweep driver).
 ///
-/// The one required method is [`run_with_options`](Self::run_with_options);
-/// [`run`](Self::run) and [`run_with_profile`](Self::run_with_profile) are
-/// convenience wrappers over it, so every execution path — trusting,
-/// loss-verified, adversary-hardened, or batched — flows through a single
-/// implementation. Algorithms built on `engine::drive` override
-/// [`run_with_profile`](Self::run_with_profile) to reuse the pooled
-/// [`EngineScratch`]; the default simply forwards to
-/// [`run_with_options`](Self::run_with_options), which is always correct
-/// (a scratch carries capacity, never state).
+/// The one required method is [`run_with_profile`](Self::run_with_profile);
+/// [`run`](Self::run) and [`run_with_options`](Self::run_with_options) are
+/// wrappers that hand it a fresh [`EngineScratch`], so every execution
+/// path — trusting, loss-verified, adversary-hardened, or batched — flows
+/// through a single implementation. A scratch carries capacity, never
+/// state, so a fresh one and a pooled one produce bit-identical reports.
 pub trait ThresholdQuerier: Sync {
     /// Short identifier used in experiment output (e.g. `"2tBins"`).
     fn name(&self) -> &str;
 
-    /// Runs one complete threshold-querying session with the full option
-    /// set: verified-silence retries (see the `retry` module) and
-    /// adversary defenses (see [`crate::DefensePolicy`]). With
-    /// [`RunOptions::new`] this is the trusting ideal-channel
-    /// configuration.
+    /// Runs one complete threshold-querying session with `profile`'s
+    /// verified-silence retries (see the `retry` module) and adversary
+    /// defenses (see [`crate::DefensePolicy`]), borrowing engine buffers
+    /// from `scratch`. With [`ExecutionProfile::new`] this is the trusting
+    /// ideal-channel configuration.
     ///
     /// Algorithms whose verdicts are probabilistic by design may ignore
     /// the retry and defense policies; they must say so in their
     /// documentation.
+    fn run_with_profile(
+        &self,
+        nodes: &[NodeId],
+        t: usize,
+        channel: &mut dyn GroupQueryChannel,
+        rng: &mut dyn RngCore,
+        profile: ExecutionProfile,
+        scratch: &mut EngineScratch,
+    ) -> QueryReport;
+
+    /// Runs one session with the given retry and defense options over a
+    /// fresh scratch.
     fn run_with_options(
         &self,
         nodes: &[NodeId],
@@ -46,7 +54,16 @@ pub trait ThresholdQuerier: Sync {
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
         options: RunOptions,
-    ) -> QueryReport;
+    ) -> QueryReport {
+        self.run_with_profile(
+            nodes,
+            t,
+            channel,
+            rng,
+            options.into(),
+            &mut EngineScratch::new(),
+        )
+    }
 
     /// Runs one session trusting every observation (the ideal-channel
     /// configuration).
@@ -59,78 +76,11 @@ pub trait ThresholdQuerier: Sync {
     ) -> QueryReport {
         self.run_with_options(nodes, t, channel, rng, RunOptions::new())
     }
-
-    /// Runs one session with an [`ExecutionProfile`] over pooled engine
-    /// buffers. MUST be bit-identical to
-    /// [`run_with_options`](Self::run_with_options) with
-    /// `profile.options()` — the batch-identity proptests pin this for
-    /// every algorithm. The default forwards without reusing `scratch`;
-    /// `drive`-based algorithms override it to run allocation-free.
-    fn run_with_profile(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        profile: ExecutionProfile,
-        scratch: &mut EngineScratch,
-    ) -> QueryReport {
-        let _ = scratch;
-        self.run_with_options(nodes, t, channel, rng, profile.options())
-    }
-
-    /// Runs one session with verified-silence retries: silent bins are
-    /// re-queried per `retry` before their members are eliminated, and
-    /// `false` verdicts are confirmed against the eliminated pool (see the
-    /// `retry` module). With [`RetryPolicy::none`] this must behave
-    /// exactly like [`run`](Self::run).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a profile instead: \
-                `run_with_options(..., ExecutionProfile::new().with_retry(retry).options())`"
-    )]
-    fn run_with_retry(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        retry: RetryPolicy,
-    ) -> QueryReport {
-        self.run_with_options(
-            nodes,
-            t,
-            channel,
-            rng,
-            ExecutionProfile::new().with_retry(retry).options(),
-        )
-    }
 }
 
 impl<T: ThresholdQuerier + ?Sized> ThresholdQuerier for &T {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn run_with_options(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        options: RunOptions,
-    ) -> QueryReport {
-        (**self).run_with_options(nodes, t, channel, rng, options)
-    }
-
-    fn run(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-    ) -> QueryReport {
-        (**self).run(nodes, t, channel, rng)
     }
 
     fn run_with_profile(
@@ -143,17 +93,5 @@ impl<T: ThresholdQuerier + ?Sized> ThresholdQuerier for &T {
         scratch: &mut EngineScratch,
     ) -> QueryReport {
         (**self).run_with_profile(nodes, t, channel, rng, profile, scratch)
-    }
-
-    #[allow(deprecated)]
-    fn run_with_retry(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        retry: RetryPolicy,
-    ) -> QueryReport {
-        (**self).run_with_retry(nodes, t, channel, rng, retry)
     }
 }

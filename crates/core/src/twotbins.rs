@@ -10,7 +10,7 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::{self, drive, ChannelMut, RoundStats, RunOptions, Session};
+use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::types::{NodeId, QueryReport};
@@ -30,24 +30,6 @@ impl TwoTBins {
 impl ThresholdQuerier for TwoTBins {
     fn name(&self) -> &str {
         "2tBins"
-    }
-
-    fn run_with_options(
-        &self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: &mut dyn GroupQueryChannel,
-        rng: &mut dyn RngCore,
-        options: RunOptions,
-    ) -> QueryReport {
-        drive(
-            nodes,
-            t,
-            ChannelMut::Single(channel),
-            rng,
-            options,
-            self.policy(),
-        )
     }
 
     fn run_with_profile(

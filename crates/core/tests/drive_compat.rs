@@ -1,14 +1,9 @@
-//! Contract properties of the unified `engine::drive` entrypoint.
-//!
-//! These began life as equivalence proofs against the four deprecated
-//! `run_with_policy*` wrappers; with the wrappers removed (their
-//! equivalence held across thousands of proptest cases), the same
-//! machinery now pins down `drive` itself:
+//! Contract properties of the unified `engine::drive` entrypoint:
 //!
 //! 1. **Determinism**: identical inputs (nodes, threshold, channel spec,
 //!    seeds, policy, retry options) produce bit-identical reports, for
 //!    both channel flavours.
-//! 2. **Options equivalence**: `RunOptions::retrying(RetryPolicy::none())`
+//! 2. **Options equivalence**: a profile with `RetryPolicy::none()`
 //!    behaves exactly like `RunOptions::new()` — the retry layer is
 //!    strictly pay-for-what-you-use.
 //! 3. **Replayability**: every one of the seven exact algorithms runs on
@@ -16,20 +11,14 @@
 //!    in its trace through a raw `drive` call reproduces the exact same
 //!    report — the trace is a complete account of the policy's decisions.
 
-// This suite deliberately drives the deprecated per-field setters
-// (`RunOptions::retrying`, `run_with_retry`): they must stay equivalent to
-// the profile-based API until removed. New code goes through
-// `ExecutionProfile` — see `profile_compat.rs`.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::engine::{drive, ChannelMut, RunOptions, Session};
 use tcast::{
-    population, Abns, ChannelSpec, CollisionModel, ExpIncrease, LossConfig, OracleBins,
-    QueryReport, RetryPolicy, RoundStats, ThresholdQuerier, TwoTBins,
+    population, Abns, ChannelSpec, CollisionModel, ExecutionProfile, ExpIncrease, LossConfig,
+    OracleBins, QueryReport, RetryPolicy, RoundStats, ThresholdQuerier, TwoTBins,
 };
 
 /// A small family of policies spanning the shapes real algorithms use:
@@ -80,6 +69,7 @@ proptest! {
     ) {
         let x = ((n as f64) * x_frac).round() as usize;
         let retry = if lossy { RetryPolicy::verified(2) } else { RetryPolicy::none() };
+        let profile = ExecutionProfile::new().with_retry(retry);
 
         let (mut ch_a, _) = spec(n, x, lossy, seed).build_with_truth();
         let mut rng_a = SmallRng::seed_from_u64(seed);
@@ -88,7 +78,7 @@ proptest! {
             t,
             ChannelMut::Single(ch_a.as_mut()),
             &mut rng_a,
-            RunOptions::retrying(retry),
+            profile,
             policy(kind),
         );
 
@@ -99,7 +89,7 @@ proptest! {
             t,
             ChannelMut::Single(ch_b.as_mut()),
             &mut rng_b,
-            RunOptions::retrying(retry),
+            profile,
             policy(kind),
         );
         prop_assert_eq!(&first, &second);
@@ -133,6 +123,7 @@ proptest! {
     ) {
         let x = ((n as f64) * x_frac).round() as usize;
         let retry = if with_retry { RetryPolicy::verified(1) } else { RetryPolicy::none() };
+        let profile = ExecutionProfile::new().with_retry(retry);
 
         // IdealChannel implements the paired primitive; lossy channels are
         // sequential-only, so the paired arm sweeps retry settings instead.
@@ -149,7 +140,7 @@ proptest! {
             t,
             ChannelMut::paired(&mut ch_a),
             &mut rng_a,
-            RunOptions::retrying(retry),
+            profile,
             policy(kind),
         );
 
@@ -160,7 +151,7 @@ proptest! {
             t,
             ChannelMut::paired(&mut ch_b),
             &mut rng_b,
-            RunOptions::retrying(retry),
+            profile,
             policy(kind),
         );
 
@@ -181,6 +172,7 @@ proptest! {
     ) {
         let x = ((n as f64) * x_frac).round() as usize;
         let retry = if lossy { RetryPolicy::verified(2) } else { RetryPolicy::none() };
+        let profile = ExecutionProfile::new().with_retry(retry);
         let s = spec(n, x, lossy, seed);
         let (_, truth) = s.build_with_truth();
 
@@ -198,7 +190,7 @@ proptest! {
             let (mut ch, _) = s.build_with_truth();
             let mut rng = SmallRng::seed_from_u64(seed);
             let original =
-                alg.run_with_retry(&population(n), t, ch.as_mut(), &mut rng, retry);
+                alg.run_with_options(&population(n), t, ch.as_mut(), &mut rng, profile.options());
 
             // Policy rounds are the trace entries that actually queried
             // bins; verification episodes (queried_bins == 0) happen
@@ -218,7 +210,7 @@ proptest! {
                 t,
                 ChannelMut::Single(ch.as_mut()),
                 &mut rng,
-                RunOptions::retrying(retry),
+                profile,
                 |_, _| replay.next().expect("replay ran out of rounds"),
             );
             prop_assert_eq!(

@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 
 use tcast::{ChannelSpec, CollisionModel, QueryReport};
 use tcast_net::frame::write_frame;
-use tcast_net::{
-    Frame, FrameReader, NetServer, NetServerConfig, DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V2,
-};
+use tcast_net::{Frame, FrameReader, NetServer, NetServerConfig, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4};
 use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
 
 /// Distinct job specs cycled across connections (connection `i` submits
@@ -154,8 +152,8 @@ fn client_main(addr: &str, conns: usize) {
             write_frame(
                 &mut stream,
                 &Frame::Hello {
-                    min_version: PROTOCOL_V1,
-                    max_version: PROTOCOL_V2,
+                    min_version: PROTOCOL_V4,
+                    max_version: PROTOCOL_V4,
                 },
             )
             .expect("send hello");

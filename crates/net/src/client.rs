@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,8 +27,7 @@ use tcast::QueryReport;
 use tcast_service::{JobError, NetCounters, QueryJob};
 
 use crate::frame::{
-    write_frame, write_frame_versioned, ErrorCode, Frame, FrameReadError, FrameReader,
-    DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V4,
+    write_frame, ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 
 /// Credentials for the `Auth` handshake against a multi-tenant server.
@@ -372,14 +371,13 @@ fn emit_rtt(p: &Pending, request_id: u64) {
 
 /// Runs the client half of the connection handshake on a fresh stream:
 /// `Hello`/`HelloAck` version negotiation plus, when the ack carries a
-/// challenge, the `Auth`/`AuthOk` exchange. Returns the negotiated
-/// protocol version.
+/// challenge, the `Auth`/`AuthOk` exchange.
 fn negotiate(
     stream: &mut TcpStream,
     reader: &mut FrameReader,
     config: &NetClientConfig,
     counters: Option<&Arc<NetCounters>>,
-) -> Result<u8, NetError> {
+) -> Result<(), NetError> {
     fn read_one(
         stream: &mut TcpStream,
         reader: &mut FrameReader,
@@ -401,7 +399,7 @@ fn negotiate(
     let hello_bytes = write_frame(
         stream,
         &Frame::Hello {
-            min_version: PROTOCOL_V1,
+            min_version: PROTOCOL_V4,
             max_version: PROTOCOL_V4,
         },
     )
@@ -410,14 +408,14 @@ fn negotiate(
         c.frame_out(hello_bytes as u64);
     }
 
-    let (version, challenge) = match read_one(stream, reader, config.max_frame_payload, counters)? {
+    let challenge = match read_one(stream, reader, config.max_frame_payload, counters)? {
         Frame::HelloAck { version, challenge } => {
-            if !(PROTOCOL_V1..=PROTOCOL_V4).contains(&version) {
+            if version != PROTOCOL_V4 {
                 return Err(NetError::Protocol(format!(
                     "server acknowledged unsupported version {version}"
                 )));
             }
-            (version, challenge)
+            challenge
         }
         Frame::Error { code, detail, .. } => return Err(NetError::Handshake { code, detail }),
         other => {
@@ -428,7 +426,7 @@ fn negotiate(
     };
 
     let Some(nonce) = challenge else {
-        return Ok(version);
+        return Ok(());
     };
     // Fail locally with the same typed error the server would answer
     // with: without credentials, nothing useful can be sent.
@@ -439,20 +437,19 @@ fn negotiate(
         });
     };
     let mac = tcast_tenant::auth_mac(&auth.key, &nonce, &auth.tenant);
-    let auth_bytes = write_frame_versioned(
+    let auth_bytes = write_frame(
         stream,
         &Frame::Auth {
             tenant: auth.tenant.clone(),
             mac,
         },
-        version,
     )
     .map_err(|e| NetError::ConnectionLost(format!("auth write failed: {e}")))?;
     if let Some(c) = counters {
         c.frame_out(auth_bytes as u64);
     }
     match read_one(stream, reader, config.max_frame_payload, counters)? {
-        Frame::AuthOk => Ok(version),
+        Frame::AuthOk => Ok(()),
         Frame::Error { code, detail, .. } => {
             if let Some(c) = counters {
                 c.auth_failure();
@@ -479,8 +476,6 @@ struct Conn {
     last_arrived: AtomicU64,
     out_of_order: AtomicU64,
     busy_resends: AtomicU64,
-    /// Protocol version negotiated on the current physical connection.
-    version: AtomicU8,
     /// Successful dials; every dial beyond the first is a reconnect and
     /// bumps the counters' generation tag.
     dials: AtomicU64,
@@ -542,7 +537,6 @@ impl Conn {
             last_arrived: AtomicU64::new(0),
             out_of_order: AtomicU64::new(0),
             busy_resends: AtomicU64::new(0),
-            version: AtomicU8::new(PROTOCOL_V1),
             dials: AtomicU64::new(0),
             counters,
             jitter: AtomicU64::new(jitter_seed()),
@@ -566,13 +560,12 @@ impl Conn {
             .try_clone()
             .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
         let mut reader = FrameReader::new();
-        let version = negotiate(
+        negotiate(
             &mut handshake,
             &mut reader,
             &self.config,
             self.counters.as_ref(),
         )?;
-        self.version.store(version, Ordering::SeqCst);
 
         // Switch to a short poll timeout so the reader can notice
         // `closing` while idle without losing partial frames.
@@ -604,16 +597,13 @@ impl Conn {
         Ok(())
     }
 
-    /// Writes `frame` at the negotiated version; returns wire bytes
-    /// written.
+    /// Writes `frame`; returns wire bytes written.
     fn send(&self, frame: &Frame) -> Result<usize, NetError> {
-        let version = self.version.load(Ordering::SeqCst);
         let mut guard = self.write.lock();
         let stream = guard
             .as_mut()
             .ok_or_else(|| NetError::ConnectionLost("connection is down".into()))?;
-        match write_frame_versioned(stream, frame, version).and_then(|n| stream.flush().map(|()| n))
-        {
+        match write_frame(stream, frame).and_then(|n| stream.flush().map(|()| n)) {
             Ok(n) => {
                 if let Some(c) = &self.counters {
                     c.frame_out(n as u64);
@@ -909,13 +899,6 @@ impl NetClient {
             .sum()
     }
 
-    /// The protocol version negotiated on the pool's first connection
-    /// (every connection negotiates independently; against one server
-    /// they all land on the same version).
-    pub fn negotiated_version(&self) -> u8 {
-        self.conns[0].version.load(Ordering::SeqCst)
-    }
-
     /// Fetches the server's metrics registry rendered in Prometheus text
     /// exposition format.
     ///
@@ -956,7 +939,7 @@ pub fn fetch_metrics_text(addr: SocketAddr, config: &NetClientConfig) -> Result<
         .set_read_timeout(Some(config.handshake_timeout))
         .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     let mut reader = FrameReader::new();
-    let version = negotiate(&mut stream, &mut reader, config, None)?;
+    negotiate(&mut stream, &mut reader, config, None)?;
     let read_one = |stream: &mut TcpStream, reader: &mut FrameReader| -> Result<Frame, NetError> {
         match reader.read_from(stream, config.max_frame_payload) {
             Ok(Some((frame, _))) => Ok(frame),
@@ -964,12 +947,12 @@ pub fn fetch_metrics_text(addr: SocketAddr, config: &NetClientConfig) -> Result<
             Err(e) => Err(NetError::ConnectionLost(e.to_string())),
         }
     };
-    write_frame_versioned(&mut stream, &Frame::MetricsDump { request_id: 1 }, version)
+    write_frame(&mut stream, &Frame::MetricsDump { request_id: 1 })
         .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     loop {
         match read_one(&mut stream, &mut reader)? {
             Frame::MetricsText { text, .. } => {
-                let _ = write_frame_versioned(&mut stream, &Frame::Goodbye, version);
+                let _ = write_frame(&mut stream, &Frame::Goodbye);
                 return Ok(text);
             }
             Frame::Goodbye => {
@@ -997,20 +980,19 @@ pub fn fetch_trace_export(
         .set_read_timeout(Some(config.handshake_timeout))
         .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     let mut reader = FrameReader::new();
-    let version = negotiate(&mut stream, &mut reader, config, None)?;
-    write_frame_versioned(
+    negotiate(&mut stream, &mut reader, config, None)?;
+    write_frame(
         &mut stream,
         &Frame::TraceExport {
             request_id: 1,
             max_traces,
         },
-        version,
     )
     .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     loop {
         match reader.read_from(&mut stream, config.max_frame_payload) {
             Ok(Some((Frame::TraceData { traces, .. }, _))) => {
-                let _ = write_frame_versioned(&mut stream, &Frame::Goodbye, version);
+                let _ = write_frame(&mut stream, &Frame::Goodbye);
                 return Ok(traces);
             }
             Ok(Some((Frame::Goodbye, _))) => {

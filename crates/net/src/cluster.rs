@@ -500,7 +500,7 @@ impl ClusterInner {
             };
             // The route decision is a span (not a bare event) so the
             // remote tiers can stitch under it: when the span records,
-            // its id travels in the V4 submit as the job's parent span
+            // its id travels in the submit as the job's parent span
             // context, making the shard's `service.execute` a child of
             // this client-side `cluster.route` in the assembled tree.
             let span = tcast_obs::Span::enter_fields(

@@ -1,4 +1,4 @@
-//! The versioned, CRC-checked binary wire protocol.
+//! The CRC-checked binary wire protocol.
 //!
 //! Every frame is laid out as:
 //!
@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       4     magic "TCQW" (0x54 0x43 0x51 0x57)
 //! 4       1     frame type
-//! 5       1     protocol version (1; ignored on Hello, see below)
+//! 5       1     protocol version (4; ignored on Hello, see below)
 //! 6       8     request id, u64 LE (0 when not request-scoped)
 //! 14      4     payload length, u32 LE
 //! 18      len   payload (type-specific, see `codec` in tcast core)
@@ -20,31 +20,22 @@
 //!
 //! ## Version negotiation
 //!
-//! A connection opens with the client's [`Frame::Hello`] carrying the
-//! inclusive `[min_version, max_version]` range it speaks. The server
-//! answers [`Frame::HelloAck`] with the highest version both sides
-//! support, or an [`ErrorCode::UnsupportedVersion`] error frame and
-//! closes. The header's version byte is checked on every subsequent
-//! frame but deliberately *ignored on Hello*, so a future client can
-//! still open negotiation with a server that only speaks version 1.
+//! One layout exists, [`PROTOCOL_V4`]. A connection opens with the
+//! client's [`Frame::Hello`] carrying the inclusive
+//! `[min_version, max_version]` range it speaks. The server answers
+//! [`Frame::HelloAck`] with version 4 when the range contains it, or an
+//! [`ErrorCode::UnsupportedVersion`] error frame and closes. The
+//! header's version byte must be 4 on every other frame — anything else
+//! decodes to [`MalformedFrame::Version`] — but is deliberately
+//! *ignored on Hello*, so a future version bump can still open
+//! negotiation with this build.
 //!
-//! Four versions exist. [`PROTOCOL_V2`] extends `Submit` with a
-//! trailing trace id ([`tcast_obs::TraceId`]) so one query's
-//! observability trace spans client, wire, and server. [`PROTOCOL_V3`]
-//! appends a priority-class byte after the trace id, letting a client
-//! mark a submit High/Normal/Low for the server's weighted-fair
-//! scheduler. [`PROTOCOL_V4`] appends a parent span id and a sampling
-//! flag ([`tcast_obs::SpanContext`]) after the priority byte, so the
-//! server's `service.execute` span parents under the submitter's span
-//! (e.g. the cluster route span) and one fan-out query forms a single
-//! connected trace tree; every other payload is identical across
-//! versions.
-//! Frames are *self-describing*: the header byte states the version the
-//! frame was encoded with, and receivers accept any supported version on
-//! any frame, so only the sender of a `Submit` needs to remember what
-//! was negotiated (a V2 `Submit` must not be sent to a V1-only peer).
-//! The `MetricsDump`/`MetricsText` pair was introduced alongside V2 but
-//! is gated by frame type, not version, as are the `Auth`/`AuthOk` pair.
+//! A `Submit` payload ends with the job's trace id
+//! ([`tcast_obs::TraceId`]), its priority-class byte
+//! ([`tcast_tenant::Priority`]), and its parent span context
+//! ([`tcast_obs::SpanContext`]: span id plus sampling flag), so one
+//! query's observability trace spans client, wire, and server, and the
+//! server's weighted-fair scheduler sees the submitter's class.
 //!
 //! ## Authentication
 //!
@@ -76,21 +67,8 @@ use crate::crc::crc32;
 /// Frame magic: "TCQW" (Threshold-Cast Query Wire).
 pub const MAGIC: [u8; 4] = *b"TCQW";
 
-/// The baseline protocol version.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol version 2: `Submit` carries a trailing trace id for
-/// end-to-end observability.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol version 3: `Submit` additionally carries a trailing
-/// priority-class byte ([`tcast_tenant::Priority`]).
-pub const PROTOCOL_V3: u8 = 3;
-
-/// Protocol version 4: `Submit` additionally carries a trailing parent
-/// span context ([`tcast_obs::SpanContext`]: parent span id + sampling
-/// flag) for cross-tier trace stitching. The highest version this build
-/// speaks.
+/// The protocol version this build speaks, stamped in every frame
+/// header.
 pub const PROTOCOL_V4: u8 = 4;
 
 /// Fixed header size in bytes (magic + type + version + request id + length).
@@ -295,7 +273,7 @@ pub enum MalformedFrame {
         /// CRC carried in the trailer.
         received: u32,
     },
-    /// The header named a protocol version this build does not speak
+    /// The header named a protocol version other than [`PROTOCOL_V4`]
     /// (on a non-Hello frame).
     Version(u8),
     /// The header named an unknown frame type.
@@ -371,7 +349,7 @@ impl Frame {
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>, version: u8) {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 min_version,
@@ -389,7 +367,7 @@ impl Frame {
                 out.extend_from_slice(mac);
             }
             Frame::AuthOk => {}
-            Frame::Submit { job, .. } => encode_job(job, out, version),
+            Frame::Submit { job, .. } => encode_job(job, out),
             Frame::JobOk { report, .. } => report.encode(out),
             Frame::JobFailed { error, .. } => match error {
                 JobError::Panicked(msg) => {
@@ -416,39 +394,24 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame at protocol version 1 — see
-    /// [`Frame::to_bytes_versioned`].
+    /// Serializes the frame to its full wire representation (header,
+    /// payload, CRC trailer) at [`PROTOCOL_V4`].
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds `u32::MAX` bytes, which no legal
     /// frame can reach.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(PROTOCOL_V1)
-    }
-
-    /// Serializes the frame to its full wire representation (header,
-    /// payload, CRC trailer) at `version`.
-    ///
-    /// The version byte is stamped in the header and shapes the payload
-    /// of version-sensitive frames (`Submit` carries its trace id only
-    /// from [`PROTOCOL_V2`] on). Senders must not exceed the version the
-    /// peer negotiated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds `u32::MAX` bytes, which no legal
-    /// frame can reach.
-    pub fn to_bytes_versioned(&self, version: u8) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 64);
-        self.encode_into(&mut out, version);
+        self.encode_into(&mut out, PROTOCOL_V4);
         out
     }
 
     /// Appends the frame's full wire representation (header, payload, CRC
-    /// trailer) at `version` to `out` — the zero-copy sibling of
-    /// [`Frame::to_bytes_versioned`]: many frames encode back to back
-    /// into one outbound buffer with no intermediate allocations.
+    /// trailer) to `out` — the zero-copy sibling of [`Frame::to_bytes`]:
+    /// many frames encode back to back into one outbound buffer with no
+    /// intermediate allocations. `version` is only stamped into the
+    /// header byte; receivers accept [`PROTOCOL_V4`] alone.
     ///
     /// # Panics
     ///
@@ -456,7 +419,7 @@ impl Frame {
     /// frame can reach.
     pub fn encode_into(&self, out: &mut Vec<u8>, version: u8) {
         encode_frame_into(out, version, self.type_byte(), self.request_id(), |out| {
-            self.encode_payload(out, version)
+            self.encode_payload(out)
         });
     }
 
@@ -505,7 +468,7 @@ impl Frame {
         if received != computed {
             return Err(MalformedFrame::BadCrc { computed, received });
         }
-        if frame_type != frame_type::HELLO && !(PROTOCOL_V1..=PROTOCOL_V4).contains(&version) {
+        if frame_type != frame_type::HELLO && version != PROTOCOL_V4 {
             return Err(MalformedFrame::Version(version));
         }
         let mut r = Reader::new(&bytes[HEADER_LEN..body_end]);
@@ -531,7 +494,7 @@ impl Frame {
             frame_type::AUTH_OK => Frame::AuthOk,
             frame_type::SUBMIT => Frame::Submit {
                 request_id,
-                job: decode_job(&mut r, version).map_err(MalformedFrame::Payload)?,
+                job: decode_job(&mut r).map_err(MalformedFrame::Payload)?,
             },
             frame_type::JOB_OK => Frame::JobOk {
                 request_id,
@@ -617,7 +580,7 @@ fn encode_frame_into(
     put_u32(out, crc);
 }
 
-fn encode_job(job: &QueryJob, out: &mut Vec<u8>, version: u8) {
+fn encode_job(job: &QueryJob, out: &mut Vec<u8>) {
     let algorithm = AlgorithmSpec::ALL
         .iter()
         .position(|a| *a == job.algorithm)
@@ -630,24 +593,13 @@ fn encode_job(job: &QueryJob, out: &mut Vec<u8>, version: u8) {
         put_u64(out, d.as_nanos() as u64)
     });
     put_option(out, &job.retry_budget, |out, b| put_u64(out, *b));
-    if version >= PROTOCOL_V2 {
-        // Trailing so the V1 prefix is byte-identical under both versions.
-        put_u64(out, job.trace.0);
-    }
-    if version >= PROTOCOL_V3 {
-        // Same trailing-field trick as the trace id: a V2 decoder never
-        // reads this far, so the V2 prefix stays byte-identical.
-        out.push(job.priority.to_wire_tag());
-    }
-    if version >= PROTOCOL_V4 {
-        // Trailing again: parent span id + sampling flag, so the V3
-        // prefix stays byte-identical.
-        put_u64(out, job.span_parent.parent);
-        out.push(job.span_parent.sampled as u8);
-    }
+    put_u64(out, job.trace.0);
+    out.push(job.priority.to_wire_tag());
+    put_u64(out, job.span_parent.parent);
+    out.push(job.span_parent.sampled as u8);
 }
 
-fn decode_job(r: &mut Reader<'_>, version: u8) -> Result<QueryJob, String> {
+fn decode_job(r: &mut Reader<'_>) -> Result<QueryJob, String> {
     let tag = r.u8().map_err(|e| e.to_string())?;
     let algorithm = *AlgorithmSpec::ALL
         .get(tag as usize)
@@ -662,23 +614,17 @@ fn decode_job(r: &mut Reader<'_>, version: u8) -> Result<QueryJob, String> {
     let mut job = QueryJob::new(algorithm, channel, t, session_seed);
     job.deadline = deadline;
     job.retry_budget = retry_budget;
-    if version >= PROTOCOL_V2 {
-        job.trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
-    }
-    if version >= PROTOCOL_V3 {
-        let tag = r.u8().map_err(|e| e.to_string())?;
-        job.priority = tcast_tenant::Priority::from_wire_tag(tag)
-            .ok_or_else(|| format!("priority tag {tag}"))?;
-    }
-    if version >= PROTOCOL_V4 {
-        let parent = r.u64().map_err(|e| e.to_string())?;
-        let sampled = match r.u8().map_err(|e| e.to_string())? {
-            0 => false,
-            1 => true,
-            tag => return Err(format!("sampled flag {tag}")),
-        };
-        job.span_parent = tcast_obs::SpanContext { parent, sampled };
-    }
+    job.trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
+    let tag = r.u8().map_err(|e| e.to_string())?;
+    job.priority =
+        tcast_tenant::Priority::from_wire_tag(tag).ok_or_else(|| format!("priority tag {tag}"))?;
+    let parent = r.u64().map_err(|e| e.to_string())?;
+    let sampled = match r.u8().map_err(|e| e.to_string())? {
+        0 => false,
+        1 => true,
+        tag => return Err(format!("sampled flag {tag}")),
+    };
+    job.span_parent = tcast_obs::SpanContext { parent, sampled };
     Ok(job)
 }
 
@@ -744,16 +690,9 @@ fn decode_exported_trace(r: &mut Reader<'_>) -> Result<tcast_obs::ExportedTrace,
     Ok(tcast_obs::ExportedTrace { trace, records })
 }
 
-/// Writes `frame` to `w` at protocol version 1 and returns the number of
-/// wire bytes written.
+/// Writes `frame` to `w` and returns the number of wire bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
-    write_frame_versioned(w, frame, PROTOCOL_V1)
-}
-
-/// Writes `frame` to `w` encoded at `version` and returns the number of
-/// wire bytes written.
-pub fn write_frame_versioned(w: &mut impl Write, frame: &Frame, version: u8) -> io::Result<usize> {
-    let bytes = frame.to_bytes_versioned(version);
+    let bytes = frame.to_bytes();
     w.write_all(&bytes)?;
     Ok(bytes.len())
 }
@@ -907,15 +846,15 @@ mod tests {
     fn frames_roundtrip_through_bytes() {
         let frames = [
             Frame::Hello {
-                min_version: 1,
-                max_version: 3,
+                min_version: PROTOCOL_V4,
+                max_version: PROTOCOL_V4,
             },
             Frame::HelloAck {
-                version: 1,
+                version: PROTOCOL_V4,
                 challenge: None,
             },
             Frame::HelloAck {
-                version: 3,
+                version: PROTOCOL_V4,
                 challenge: Some([0xA5; 16]),
             },
             Frame::Auth {
@@ -1001,105 +940,46 @@ mod tests {
             Frame::Goodbye,
         ];
         for frame in frames {
-            for version in [PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4] {
-                let bytes = frame.to_bytes_versioned(version);
-                assert_eq!(
-                    Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD).unwrap(),
-                    frame,
-                    "roundtrip failed at version {version}"
-                );
-            }
+            let bytes = frame.to_bytes();
+            assert_eq!(bytes[5], PROTOCOL_V4, "header stamps the one version");
+            assert_eq!(
+                Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD).unwrap(),
+                frame
+            );
         }
     }
 
-    #[test]
-    fn v2_submit_carries_the_trace_id_and_v1_drops_it() {
-        let trace = tcast_obs::TraceId(0xDEAD_BEEF_0B5E_u64 | 1);
-        let frame = Frame::Submit {
-            request_id: 5,
-            job: sample_job().with_trace(trace),
-        };
-        // V2 round-trips the trace bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V2), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V1 encodes without the trace — a V1 receiver sees TraceId::NONE,
-        // and the wire bytes are identical to an untraced V1 submit.
-        let v1 = Frame::from_bytes(&frame.to_bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v1 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.trace, tcast_obs::TraceId::NONE);
-        assert_eq!(
-            frame.to_bytes(),
-            Frame::Submit {
-                request_id: 5,
-                job: sample_job(),
-            }
-            .to_bytes(),
-            "trace must not leak into V1 bytes"
-        );
+    /// Re-stamps the CRC after a test pokes bytes inside a frame.
+    fn fix_crc(bytes: &mut [u8]) {
+        let body_end = bytes.len() - TRAILER_LEN;
+        let crc = crc32(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&crc);
     }
 
     #[test]
-    fn v3_submit_carries_the_priority_and_v2_drops_it() {
-        let frame = Frame::Submit {
-            request_id: 6,
-            job: sample_job().with_priority(tcast_tenant::Priority::High),
-        };
-        // V3 round-trips the priority class bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V3), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V2 encodes without it — the receiver sees the default class,
-        // and the wire bytes match an unprioritized V2 submit.
-        let v2 =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V2), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v2 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.priority, tcast_tenant::Priority::Normal);
-        assert_eq!(
-            frame.to_bytes_versioned(PROTOCOL_V2),
-            Frame::Submit {
-                request_id: 6,
-                job: sample_job(),
-            }
-            .to_bytes_versioned(PROTOCOL_V2),
-            "priority must not leak into V2 bytes"
-        );
-    }
-
-    #[test]
-    fn v4_submit_carries_the_span_context_and_v3_drops_it() {
+    fn submit_ends_with_trace_priority_and_span_context() {
         let frame = Frame::Submit {
             request_id: 7,
-            job: sample_job().with_parent_span(tcast_obs::SpanContext {
-                parent: 0xCAFE,
-                sampled: false,
-            }),
+            job: sample_job()
+                .with_trace(tcast_obs::TraceId(0xDEAD_BEEF_0B5E))
+                .with_priority(tcast_tenant::Priority::High)
+                .with_parent_span(tcast_obs::SpanContext {
+                    parent: 0xCAFE,
+                    sampled: true,
+                }),
         };
-        // V4 round-trips the span context bit-exactly.
-        let got =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V4), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(got, frame);
-        // V3 encodes without it — the receiver sees SpanContext::NONE,
-        // and the wire bytes match a contextless V3 submit.
-        let v3 =
-            Frame::from_bytes(&frame.to_bytes_versioned(PROTOCOL_V3), DEFAULT_MAX_PAYLOAD).unwrap();
-        let Frame::Submit { job, .. } = &v3 else {
-            panic!("expected submit");
-        };
-        assert_eq!(job.span_parent, tcast_obs::SpanContext::NONE);
+        let bytes = frame.to_bytes();
         assert_eq!(
-            frame.to_bytes_versioned(PROTOCOL_V3),
-            Frame::Submit {
-                request_id: 7,
-                job: sample_job(),
-            }
-            .to_bytes_versioned(PROTOCOL_V3),
-            "span context must not leak into V3 bytes"
+            Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD).unwrap(),
+            frame
         );
+        // Trailing fields, in order: trace id, priority tag, parent span
+        // id, sampled flag, then the CRC.
+        let tail = &bytes[bytes.len() - TRAILER_LEN - 18..bytes.len() - TRAILER_LEN];
+        assert_eq!(tail[..8], 0xDEAD_BEEF_0B5E_u64.to_le_bytes());
+        assert_eq!(tail[8], tcast_tenant::Priority::High.to_wire_tag());
+        assert_eq!(tail[9..17], 0xCAFE_u64.to_le_bytes());
+        assert_eq!(tail[17], 1);
     }
 
     #[test]
@@ -1108,11 +988,10 @@ mod tests {
             request_id: 7,
             job: sample_job(),
         };
-        let mut bytes = frame.to_bytes_versioned(PROTOCOL_V4);
+        let mut bytes = frame.to_bytes();
         let trailer = bytes.len() - TRAILER_LEN;
         bytes[trailer - 1] = 2; // sampled flag is last before the CRC
-        let fixed_crc = crc32(&bytes[..trailer]).to_le_bytes();
-        bytes[trailer..].copy_from_slice(&fixed_crc);
+        fix_crc(&mut bytes);
         assert!(matches!(
             Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD),
             Err(MalformedFrame::Payload(msg)) if msg.contains("sampled flag 2")
@@ -1125,11 +1004,11 @@ mod tests {
             request_id: 6,
             job: sample_job(),
         };
-        let mut bytes = frame.to_bytes_versioned(PROTOCOL_V3);
+        let mut bytes = frame.to_bytes();
         let trailer = bytes.len() - TRAILER_LEN;
-        bytes[trailer - 1] = 7; // priority byte is last before the CRC
-        let fixed_crc = crc32(&bytes[..trailer]).to_le_bytes();
-        bytes[trailer..].copy_from_slice(&fixed_crc);
+        // Priority precedes the 8-byte parent span id and the flag.
+        bytes[trailer - 10] = 7;
+        fix_crc(&mut bytes);
         assert!(matches!(
             Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD),
             Err(MalformedFrame::Payload(msg)) if msg.contains("priority tag 7")
@@ -1147,10 +1026,10 @@ mod tests {
             report: QueryReport::trivial(true),
         };
         let mut out = Vec::new();
-        a.encode_into(&mut out, PROTOCOL_V3);
-        b.encode_into(&mut out, PROTOCOL_V3);
-        let mut expected = a.to_bytes_versioned(PROTOCOL_V3);
-        expected.extend_from_slice(&b.to_bytes_versioned(PROTOCOL_V3));
+        a.encode_into(&mut out, PROTOCOL_V4);
+        b.encode_into(&mut out, PROTOCOL_V4);
+        let mut expected = a.to_bytes();
+        expected.extend_from_slice(&b.to_bytes());
         assert_eq!(
             out, expected,
             "stacked frames must match one-at-a-time bytes"
@@ -1161,14 +1040,14 @@ mod tests {
     fn job_ok_encodes_zero_copy_from_a_borrowed_report() {
         let report = QueryReport::trivial(false);
         let mut out = Vec::new();
-        Frame::encode_job_ok_into(&mut out, PROTOCOL_V2, 9, &report);
+        Frame::encode_job_ok_into(&mut out, PROTOCOL_V4, 9, &report);
         assert_eq!(
             out,
             Frame::JobOk {
                 request_id: 9,
                 report,
             }
-            .to_bytes_versioned(PROTOCOL_V2),
+            .to_bytes(),
         );
     }
 
@@ -1233,7 +1112,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_io_error() {
         let bytes = Frame::HelloAck {
-            version: 1,
+            version: PROTOCOL_V4,
             challenge: None,
         }
         .to_bytes();
@@ -1249,32 +1128,30 @@ mod tests {
 
     #[test]
     fn version_is_checked_on_all_frames_but_hello() {
-        let mut ack = Frame::HelloAck {
-            version: 1,
-            challenge: None,
-        }
-        .to_bytes();
-        ack[5] = 9; // claim protocol version 9
-        let body_end = ack.len() - TRAILER_LEN;
-        let fixed_crc = crc32(&ack[..body_end]).to_le_bytes();
-        ack[body_end..].copy_from_slice(&fixed_crc);
-        assert_eq!(
-            Frame::from_bytes(&ack, DEFAULT_MAX_PAYLOAD),
-            Err(MalformedFrame::Version(9))
-        );
+        for version in [0, 1, 2, 3, 5, 9] {
+            let mut ack = Frame::HelloAck {
+                version: PROTOCOL_V4,
+                challenge: None,
+            }
+            .to_bytes();
+            ack[5] = version;
+            fix_crc(&mut ack);
+            assert_eq!(
+                Frame::from_bytes(&ack, DEFAULT_MAX_PAYLOAD),
+                Err(MalformedFrame::Version(version))
+            );
 
-        let mut hello = Frame::Hello {
-            min_version: 1,
-            max_version: 9,
+            let mut hello = Frame::Hello {
+                min_version: PROTOCOL_V4,
+                max_version: 9,
+            }
+            .to_bytes();
+            hello[5] = version;
+            fix_crc(&mut hello);
+            assert!(
+                Frame::from_bytes(&hello, DEFAULT_MAX_PAYLOAD).is_ok(),
+                "hello must decode regardless of header version"
+            );
         }
-        .to_bytes();
-        hello[5] = 9;
-        let body_end = hello.len() - TRAILER_LEN;
-        let fixed_crc = crc32(&hello[..body_end]).to_le_bytes();
-        hello[body_end..].copy_from_slice(&fixed_crc);
-        assert!(
-            Frame::from_bytes(&hello, DEFAULT_MAX_PAYLOAD).is_ok(),
-            "hello must decode regardless of header version"
-        );
     }
 }

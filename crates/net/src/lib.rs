@@ -70,8 +70,7 @@ pub use client::{
 };
 pub use cluster::{ClusterBatch, ClusterConfig, ClusterEvent, ShardedClient};
 pub use frame::{
-    ErrorCode, Frame, FrameReadError, FrameReader, MalformedFrame, DEFAULT_MAX_PAYLOAD,
-    PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4,
+    ErrorCode, Frame, FrameReadError, FrameReader, MalformedFrame, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 pub use server::{NetServer, NetServerConfig};
 

@@ -54,7 +54,7 @@ use tcast_tenant::{TenantId, TenantRegistry};
 use tcast_obs::{TraceCollector, TraceCollectorConfig};
 
 use crate::frame::{
-    ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V4,
+    ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 use crate::reactor::{poll_fds, AcceptBackoff, PollFd, Waker};
 
@@ -430,11 +430,10 @@ impl Conn {
     }
 }
 
-/// Serializes `frame` onto the connection's write buffer (responses are
-/// encoded at protocol version 1, which every negotiated peer accepts).
+/// Serializes `frame` onto the connection's write buffer.
 fn queue_frame(counters: &NetCounters, conn: &mut Conn, frame: &Frame) {
     let before = conn.wbuf.len();
-    frame.encode_into(&mut conn.wbuf, PROTOCOL_V1);
+    frame.encode_into(&mut conn.wbuf, PROTOCOL_V4);
     counters.frame_out((conn.wbuf.len() - before) as u64);
 }
 
@@ -732,13 +731,9 @@ impl IoThread {
                     min_version,
                     max_version,
                 } => {
-                    // Ack the highest version in both ranges: the server
-                    // speaks [V1, V4], so that is min(client max, V4)
-                    // when the ranges overlap at all.
-                    if min_version <= max_version
-                        && min_version <= PROTOCOL_V4
-                        && max_version >= PROTOCOL_V1
-                    {
+                    // The server speaks V4 alone: ack it when the
+                    // client's range contains it.
+                    if (min_version..=max_version).contains(&PROTOCOL_V4) {
                         // With a tenant registry attached the ack also
                         // carries a fresh challenge, and the connection
                         // must authenticate before anything else.
@@ -750,7 +745,7 @@ impl IoThread {
                             Phase::Active
                         };
                         let ack = Frame::HelloAck {
-                            version: max_version.min(PROTOCOL_V4),
+                            version: PROTOCOL_V4,
                             challenge,
                         };
                         queue_frame(&self.counters, conn, &ack);
@@ -759,8 +754,8 @@ impl IoThread {
                             slot,
                             ErrorCode::UnsupportedVersion,
                             format!(
-                                "server speaks versions {PROTOCOL_V1}..={PROTOCOL_V4}, client \
-                                 offered {min_version}..={max_version}"
+                                "server speaks version {PROTOCOL_V4}, client offered \
+                                 {min_version}..={max_version}"
                             ),
                         );
                     }
@@ -916,18 +911,18 @@ impl IoThread {
                     let before = out.len();
                     match result {
                         Ok(JobOutput::Report(report)) => {
-                            Frame::encode_job_ok_into(&mut out, PROTOCOL_V1, request_id, report);
+                            Frame::encode_job_ok_into(&mut out, PROTOCOL_V4, request_id, report);
                         }
                         Ok(other) => Frame::JobFailed {
                             request_id,
                             error: JobError::Panicked(format!("non-report job output: {other:?}")),
                         }
-                        .encode_into(&mut out, PROTOCOL_V1),
+                        .encode_into(&mut out, PROTOCOL_V4),
                         Err(e) => Frame::JobFailed {
                             request_id,
                             error: e.clone(),
                         }
-                        .encode_into(&mut out, PROTOCOL_V1),
+                        .encode_into(&mut out, PROTOCOL_V4),
                     }
                     counters.frame_out((out.len() - before) as u64);
                 }

@@ -15,7 +15,7 @@ use tcast_net::crc::crc32;
 use tcast_net::frame::{HEADER_LEN, MAGIC};
 use tcast_net::{
     ErrorCode, Frame, FrameReader, NetClient, NetClientConfig, NetError, NetServer,
-    NetServerConfig, TenantAuth, DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V3, PROTOCOL_V4,
+    NetServerConfig, TenantAuth, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
 use tcast_tenant::{auth_mac, TenantRegistry, TenantSpec};
@@ -73,8 +73,8 @@ fn hello(addr: std::net::SocketAddr) -> (TcpStream, FrameReader, [u8; 16]) {
         .expect("read timeout");
     let mut w = stream.try_clone().expect("clone");
     let hello = Frame::Hello {
-        min_version: PROTOCOL_V1,
-        max_version: PROTOCOL_V3,
+        min_version: PROTOCOL_V4,
+        max_version: PROTOCOL_V4,
     };
     w.write_all(&hello.to_bytes()).expect("write hello");
     let mut reader = FrameReader::new();
@@ -86,7 +86,7 @@ fn hello(addr: std::net::SocketAddr) -> (TcpStream, FrameReader, [u8; 16]) {
     else {
         panic!("expected challenging HelloAck, got {ack:?}");
     };
-    assert_eq!(version, PROTOCOL_V3);
+    assert_eq!(version, PROTOCOL_V4);
     (stream, reader, nonce)
 }
 
@@ -108,7 +108,6 @@ fn authenticated_submit_round_trips() {
         client_config(Some(TenantAuth::new("alice", KEY_A))),
     )
     .expect("authenticated connect");
-    assert_eq!(client.negotiated_version(), PROTOCOL_V4);
 
     let report = client
         .submit_one(sample_job())
@@ -253,7 +252,7 @@ fn truncated_auth_frame_is_a_typed_auth_failure() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     bytes.push(0x0B); // Auth frame type
-    bytes.push(PROTOCOL_V1);
+    bytes.push(PROTOCOL_V4);
     bytes.extend_from_slice(&0u64.to_le_bytes()); // request id
     let mut payload = Vec::new();
     payload.extend_from_slice(&5u32.to_le_bytes()); // name length prefix
@@ -277,7 +276,7 @@ fn truncated_auth_frame_is_a_typed_auth_failure() {
 
 #[test]
 fn unauthenticated_server_still_accepts_plain_clients() {
-    // No registry ⇒ no challenge ⇒ the pre-tenancy handshake, V1 or V3.
+    // No registry ⇒ no challenge ⇒ the plain Hello/HelloAck handshake.
     let service = Arc::new(QueryService::new(ServiceConfig::with_workers(2)));
     let server = NetServer::bind("127.0.0.1:0", service.clone(), NetServerConfig::default())
         .expect("bind loopback");

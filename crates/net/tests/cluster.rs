@@ -284,8 +284,8 @@ fn priorities_and_tenancy_ride_through_the_cluster() {
     .expect("authenticated cluster connect");
 
     // Mixed priority classes on every job; routing ignores them (the
-    // route is a pure function of the job identity bytes) while the V3
-    // frames carry them to whichever shard wins.
+    // route is a pure function of the job identity bytes) while the
+    // Submit frames carry them to whichever shard wins.
     let jobs: Vec<QueryJob> = job_mix(30, 0x7E_4A_17)
         .into_iter()
         .enumerate()

@@ -26,7 +26,7 @@ use tcast::{ChannelSpec, CollisionModel};
 use tcast_net::frame::write_frame;
 use tcast_net::{
     Frame, FrameReader, NetClient, NetClientConfig, NetServer, NetServerConfig,
-    DEFAULT_MAX_PAYLOAD, PROTOCOL_V1, PROTOCOL_V2,
+    DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
 
@@ -71,16 +71,22 @@ fn handshake(server: &NetServer) -> (TcpStream, FrameReader) {
     write_frame(
         &mut stream,
         &Frame::Hello {
-            min_version: PROTOCOL_V1,
-            max_version: PROTOCOL_V2,
+            min_version: PROTOCOL_V4,
+            max_version: PROTOCOL_V4,
         },
     )
     .expect("send hello");
     let mut reader = FrameReader::new();
     let (ack, _) = read_frame(&mut reader, &mut stream);
     assert!(
-        matches!(ack, Frame::HelloAck { .. }),
-        "expected HelloAck, got {ack:?}"
+        matches!(
+            ack,
+            Frame::HelloAck {
+                version: PROTOCOL_V4,
+                ..
+            }
+        ),
+        "expected HelloAck at V4, got {ack:?}"
     );
     (stream, reader)
 }

@@ -2,14 +2,17 @@
 //! ports, with a `MemorySink` installed to capture the trace a query
 //! leaves behind as it crosses the cluster router, the wire, the
 //! service queue, and the engine — all correlated by one `TraceId`
-//! carried in the V2 `Submit` frame.
+//! carried in the `Submit` frame.
 
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use tcast::{ChannelSpec, CollisionModel};
+use tcast_net::frame::write_frame;
 use tcast_net::{
-    ClusterConfig, NetClient, NetClientConfig, NetServer, NetServerConfig, ShardedClient,
-    PROTOCOL_V4,
+    ClusterConfig, Frame, FrameReader, NetClient, NetClientConfig, NetServer, NetServerConfig,
+    ShardedClient, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 use tcast_obs::{add_sink, check_nesting, MemorySink, Record, RecordKind, TraceId};
 use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
@@ -36,11 +39,43 @@ fn names_of(records: &[Record]) -> Vec<(&'static str, RecordKind)> {
 }
 
 #[test]
-fn client_and_server_negotiate_the_latest_protocol() {
+fn handshake_settles_on_the_one_protocol() {
     let (server, _service) = start_server(1);
+    // A Hello whose range straddles V4 is acked at V4 ...
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            min_version: 1,
+            max_version: 9,
+        },
+    )
+    .expect("send hello");
+    let mut reader = FrameReader::new();
+    let ack = loop {
+        if let Some((frame, _)) = reader
+            .read_from(&mut stream, DEFAULT_MAX_PAYLOAD)
+            .expect("read ack")
+        {
+            break frame;
+        }
+    };
+    assert!(
+        matches!(
+            ack,
+            Frame::HelloAck {
+                version: PROTOCOL_V4,
+                ..
+            }
+        ),
+        "expected HelloAck at V4, got {ack:?}"
+    );
+    // ... and the pooled client completes the same handshake.
     let client =
         NetClient::connect(server.local_addr(), NetClientConfig::default()).expect("connect");
-    assert_eq!(client.negotiated_version(), PROTOCOL_V4);
     client.close();
     server.shutdown();
 }

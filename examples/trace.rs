@@ -2,7 +2,7 @@
 //!
 //! Spins up two loopback `tcast-net` servers behind a `ShardedClient`,
 //! installs a `tcast-obs` memory sink, and submits a single query
-//! stamped with a fresh `TraceId`. The id rides the V2 `Submit` frame
+//! stamped with a fresh `TraceId`. The id rides the `Submit` frame
 //! across the wire, the service re-enters it on the worker thread, and
 //! the engine's spans nest under the service's — so afterwards the sink
 //! holds one correlated trace covering route decision, wire submit,
