@@ -1,6 +1,6 @@
 //! `top` — a live, refreshing per-shard dashboard over the wire.
 //!
-//! Polls every server's `MetricsDump` (Prometheus exposition) and
+//! Polls every server's `MetricsDump` (typed metric families) and
 //! `TraceExport` (tail-sampled trace trees) endpoints and renders one
 //! row per shard: open connections, queue-wait p50/p99, median batch
 //! size, defense queries, anomalies, SLO error-budget remaining, burn
@@ -20,11 +20,11 @@ use std::time::Duration;
 
 use tcast::{CaptureModel, ChannelSpec, CollisionModel};
 use tcast_net::{
-    fetch_metrics_text, fetch_trace_export, ClusterConfig, NetClientConfig, NetServer,
-    NetServerConfig, ShardedClient,
+    fetch_metrics, fetch_trace_export, ClusterConfig, NetClientConfig, NetServer, NetServerConfig,
+    ShardedClient,
 };
 use tcast_obs::{Objective, SloTracker, TraceCollectorConfig};
-use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{AlgorithmSpec, Family, QueryJob, QueryService, ServiceConfig};
 
 /// Parameters for one `top` invocation.
 #[derive(Debug, Clone)]
@@ -54,8 +54,8 @@ impl Default for TopSpec {
     }
 }
 
-/// One shard's dashboard row, parsed from its wire-exposed metrics.
-#[derive(Debug, Clone, PartialEq)]
+/// One shard's dashboard row, read from its wire-exposed metrics.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardRow {
     /// Shard index (position in the endpoint list).
     pub shard: usize,
@@ -91,84 +91,30 @@ impl ShardRow {
         ShardRow {
             shard,
             endpoint: endpoint.to_string(),
-            up: false,
-            conns: 0,
-            jobs: 0,
-            queue_p50_us: 0.0,
-            queue_p99_us: 0.0,
-            batch_p50: 0.0,
-            defenses: 0,
-            anomalies: 0,
-            budget: None,
-            fast_burn: false,
-            traces: 0,
+            ..ShardRow::default()
         }
     }
 }
 
-/// Sums every sample of `name` (bare or labelled) in an exposition dump.
-fn metric_sum(text: &str, name: &str) -> f64 {
-    text.lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix(name)?;
-            let rest = match rest.as_bytes().first() {
-                Some(b'{') => rest.split_once('}')?.1,
-                Some(b' ') => rest,
-                _ => return None,
-            };
-            rest.trim().parse::<f64>().ok()
-        })
-        .sum()
-}
-
-/// The value of `name` whose label set contains `label` (e.g. a
-/// specific quantile), or `None` when absent.
-fn metric_with_label(text: &str, name: &str, label: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        let (labels, value) = rest.strip_prefix('{')?.split_once('}')?;
-        if !labels.contains(label) {
-            return None;
-        }
-        value.trim().parse().ok()
-    })
-}
-
-/// The minimum over every labelled sample of `name`.
-fn metric_min(text: &str, name: &str) -> Option<f64> {
-    text.lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix(name)?;
-            let rest = match rest.as_bytes().first() {
-                Some(b'{') => rest.split_once('}')?.1,
-                Some(b' ') => rest,
-                _ => return None,
-            };
-            rest.trim().parse::<f64>().ok()
-        })
-        .fold(None, |min: Option<f64>, v| {
-            Some(min.map_or(v, |m| m.min(v)))
-        })
-}
-
-/// Parses one shard's exposition text (+ trace haul) into a row.
-fn row_from_text(shard: usize, endpoint: &str, text: &str, traces: usize) -> ShardRow {
+/// Builds one shard's row from its metric families (+ trace haul).
+fn row_from_families(shard: usize, endpoint: &str, families: &[Family], traces: usize) -> ShardRow {
+    let family = |name| Family::find(families, name);
+    let sum = |name| family(name).map_or(0.0, |f| f.values().sum());
+    let quantile = |name, q| family(name).and_then(|f| f.quantile(q)).unwrap_or(0.0);
     ShardRow {
         shard,
         endpoint: endpoint.to_string(),
         up: true,
-        conns: metric_sum(text, "tcast_net_open_connections") as u64,
-        jobs: metric_sum(text, "tcast_jobs_total") as u64,
-        queue_p50_us: metric_with_label(text, "tcast_queue_wait_microseconds", "quantile=\"0.5\"")
-            .unwrap_or(0.0),
-        queue_p99_us: metric_with_label(text, "tcast_queue_wait_microseconds", "quantile=\"0.99\"")
-            .unwrap_or(0.0),
-        batch_p50: metric_with_label(text, "tcast_batch_size_jobs", "quantile=\"0.5\"")
-            .unwrap_or(0.0),
-        defenses: metric_sum(text, "tcast_defense_queries_total") as u64,
-        anomalies: metric_sum(text, "tcast_anomalies_total") as u64,
-        budget: metric_min(text, "tcast_slo_error_budget_remaining"),
-        fast_burn: metric_sum(text, "tcast_slo_fast_burn") > 0.0,
+        conns: sum("tcast_net_open_connections") as u64,
+        jobs: sum("tcast_jobs_total") as u64,
+        queue_p50_us: quantile("tcast_queue_wait_microseconds", 0.5),
+        queue_p99_us: quantile("tcast_queue_wait_microseconds", 0.99),
+        batch_p50: quantile("tcast_batch_size_jobs", 0.5),
+        defenses: sum("tcast_defense_queries_total") as u64,
+        anomalies: sum("tcast_anomalies_total") as u64,
+        budget: family("tcast_slo_error_budget_remaining")
+            .and_then(|f| f.values().reduce(f64::min)),
+        fast_burn: sum("tcast_slo_fast_burn") > 0.0,
         traces,
     }
 }
@@ -183,13 +129,13 @@ pub fn poll(endpoints: &[String], config: &NetClientConfig) -> Vec<ShardRow> {
             let Some(addr) = resolve(endpoint) else {
                 return ShardRow::down(shard, endpoint);
             };
-            let Ok(text) = fetch_metrics_text(addr, config) else {
+            let Ok(families) = fetch_metrics(addr, config) else {
                 return ShardRow::down(shard, endpoint);
             };
             let traces = fetch_trace_export(addr, config, 64)
                 .map(|t| t.len())
                 .unwrap_or(0);
-            row_from_text(shard, endpoint, &text, traces)
+            row_from_families(shard, endpoint, &families, traces)
         })
         .collect()
 }
@@ -372,41 +318,71 @@ pub fn run(spec: &TopSpec) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "\
-tcast_jobs_total{algorithm=\"2tBins\"} 4
-tcast_jobs_total{algorithm=\"ABNS\"} 3
-tcast_net_open_connections{conn=\"net/server\",generation=\"0\"} 2
-tcast_queue_wait_microseconds{quantile=\"0.5\"} 120
-tcast_queue_wait_microseconds{quantile=\"0.9\"} 900
-tcast_queue_wait_microseconds{quantile=\"0.99\"} 4200
-tcast_batch_size_jobs{quantile=\"0.5\"} 3
-tcast_defense_queries_total 17
-tcast_anomalies_total 2
-tcast_slo_error_budget_remaining{objective=\"e2e-latency\"} 0.750000
-tcast_slo_error_budget_remaining{objective=\"verdicts\"} 0.250000
-tcast_slo_fast_burn{objective=\"e2e-latency\"} 0
-tcast_slo_fast_burn{objective=\"verdicts\"} 1
-";
+    use tcast::QueryReport;
+    use tcast_service::{JobOutput, MetricsRegistry, MetricsSnapshot};
+
+    /// A registry as a shard fills it: two algorithms, defenses and
+    /// anomalies on both, two open server connections, queue waits and
+    /// a batch, and an SLO tracker whose verdict objective burns fast.
+    fn shard_snapshot() -> MetricsSnapshot {
+        let m = MetricsRegistry::new();
+        m.attach_slo(Arc::new(SloTracker::new(vec![
+            Objective::latency("e2e-latency", 50_000.0, 0.99),
+            Objective::verdicts("verdicts", 0.99),
+        ])));
+        let report = |defense_queries, anomalies| {
+            let mut report = QueryReport::trivial(true);
+            report.defense_queries = defense_queries;
+            report.anomalies = anomalies;
+            Ok(JobOutput::Report(report))
+        };
+        let latency = Duration::from_micros(100);
+        for (label, defenses, anomalies) in [
+            ("2tBins", 5, 1),
+            ("2tBins", 0, 0),
+            ("2tBins", 0, 0),
+            ("2tBins", 0, 0),
+            ("ABNS", 6, 1),
+            ("ABNS", 6, 0),
+            ("ABNS", 0, 0),
+        ] {
+            m.record(label, &report(defenses, anomalies), latency);
+        }
+        let server = m.net_counters("net/server");
+        server.conn_opened();
+        server.conn_opened();
+        m.record_queue_wait(Duration::from_micros(120));
+        m.record_queue_wait(Duration::from_micros(4200));
+        m.record_batch_size(3);
+        m.snapshot()
+    }
 
     #[test]
-    fn exposition_text_parses_into_a_row() {
-        let row = row_from_text(1, "10.0.0.1:7777", SAMPLE, 5);
+    fn families_build_a_row() {
+        let snap = shard_snapshot();
+        let row = row_from_families(1, "10.0.0.1:7777", &snap.families(), 5);
         assert!(row.up);
         assert_eq!(row.jobs, 7, "summed over algorithm labels");
         assert_eq!(row.conns, 2);
-        assert_eq!(row.queue_p50_us, 120.0);
-        assert_eq!(row.queue_p99_us, 4200.0);
+        assert_eq!(row.queue_p50_us, snap.queue_wait_hist.quantile(0.5));
+        assert_eq!(row.queue_p99_us, snap.queue_wait_hist.quantile(0.99));
         assert_eq!(row.batch_p50, 3.0);
-        assert_eq!(row.defenses, 17);
-        assert_eq!(row.anomalies, 2);
-        assert_eq!(row.budget, Some(0.25), "worst objective wins");
+        assert_eq!(row.defenses, 17, "summed over algorithm labels");
+        assert_eq!(row.anomalies, 2, "summed over algorithm labels");
+        let worst = snap
+            .slo_rows
+            .iter()
+            .map(|r| r.budget_remaining)
+            .reduce(f64::min);
+        assert_eq!(row.budget, worst, "worst objective wins");
+        assert!(worst < Some(1.0), "{:?}", snap.slo_rows);
         assert!(row.fast_burn, "any burning objective flags the shard");
         assert_eq!(row.traces, 5);
     }
 
     #[test]
     fn renderers_cover_up_and_down_rows() {
-        let up = row_from_text(0, "a:1", SAMPLE, 1);
+        let up = row_from_families(0, "a:1", &shard_snapshot().families(), 1);
         let down = ShardRow::down(1, "b:2");
         let table = render_table(&[up.clone(), down.clone()]);
         assert!(table.contains("qwait p99"), "{table}");
@@ -414,7 +390,7 @@ tcast_slo_fast_burn{objective=\"verdicts\"} 1
         assert!(table.contains("DOWN"), "{table}");
         let once = render_once(&[up, down]);
         assert!(once.contains("shard=0 endpoint=a:1 up=true"), "{once}");
-        assert!(once.contains("budget=0.2500"), "{once}");
+        assert!(once.contains("budget=0.0000"), "{once}");
         assert!(once.contains("shard=1 endpoint=b:2 up=false"), "{once}");
     }
 

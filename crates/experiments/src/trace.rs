@@ -14,7 +14,8 @@
 //!   bursts inside the engine);
 //! * a rendering of the slowest-N queries, round by round;
 //! * the server's metrics in Prometheus exposition format, fetched over
-//!   the wire with a `MetricsDump` frame.
+//!   the wire as typed families with a `MetricsDump` frame and rendered
+//!   locally.
 
 use std::collections::HashMap;
 use std::fmt::Write as FmtWrite;
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use tcast::{CaptureModel, ChannelSpec, CollisionModel};
 use tcast_net::{NetClient, NetClientConfig, NetServer, NetServerConfig};
 use tcast_obs::{add_sink, JsonlSink, MemorySink, Record, RecordKind, TraceId};
-use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{render_prometheus, AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
 
 use crate::Table;
 
@@ -204,9 +205,10 @@ pub fn run(spec: &TraceSpec) -> Result<TraceRun, String> {
         result.map_err(|e| format!("traced job {k} failed: {e}"))?;
     }
 
-    let exposition = client
-        .metrics_text()
+    let families = client
+        .server_metrics()
         .map_err(|e| format!("wire metrics fetch failed: {e}"))?;
+    let exposition = render_prometheus(&families);
 
     client.close();
     server.shutdown();

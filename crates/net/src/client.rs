@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
 
 use tcast::QueryReport;
-use tcast_service::{JobError, NetCounters, QueryJob};
+use tcast_service::{Family, JobError, NetCounters, QueryJob};
 
 use crate::frame::{
     write_frame, ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
@@ -899,22 +899,19 @@ impl NetClient {
             .sum()
     }
 
-    /// Fetches the server's metrics registry rendered in Prometheus text
-    /// exposition format.
-    ///
-    /// Uses a fresh short-lived connection (handshake → `MetricsDump` →
-    /// `MetricsText` → `Goodbye`) so the pooled, pipelined connections
-    /// and their reader threads stay untouched; metrics fetches never
-    /// interleave with job responses.
-    pub fn metrics_text(&self) -> Result<String, NetError> {
-        fetch_metrics_text(self.conns[0].addr, &self.conns[0].config)
+    /// Fetches the server's metrics registry as typed families
+    /// (`tcast_service::render_prometheus` renders them as text) over a
+    /// fresh short-lived connection, so metrics fetches never touch the
+    /// pooled connections or interleave with job responses.
+    pub fn server_metrics(&self) -> Result<Vec<Family>, NetError> {
+        fetch_metrics(self.conns[0].addr, &self.conns[0].config)
     }
 
     /// Drains up to `max_traces` completed, tail-sampled trace trees
     /// from the server's trace collector (empty unless the server was
     /// configured with `NetServerConfig::with_trace_export`). Uses a
     /// fresh short-lived connection like
-    /// [`metrics_text`](Self::metrics_text).
+    /// [`server_metrics`](Self::server_metrics).
     pub fn trace_export(&self, max_traces: u32) -> Result<Vec<tcast_obs::ExportedTrace>, NetError> {
         fetch_trace_export(self.conns[0].addr, &self.conns[0].config, max_traces)
     }
@@ -928,41 +925,17 @@ impl NetClient {
 }
 
 /// One-shot metrics fetch over its own short-lived connection
-/// (handshake → `MetricsDump` → `MetricsText` → `Goodbye`). The
-/// cluster's load sampler and the `top` dashboard call this directly
-/// with a shard address so sampling never takes a shard lock or touches
-/// pooled connections.
-pub fn fetch_metrics_text(addr: SocketAddr, config: &NetClientConfig) -> Result<String, NetError> {
-    let mut stream = TcpStream::connect_timeout(&addr, config.handshake_timeout)
-        .map_err(|e| NetError::ConnectionLost(format!("connect failed: {e}")))?;
-    stream
-        .set_read_timeout(Some(config.handshake_timeout))
-        .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
-    let mut reader = FrameReader::new();
-    negotiate(&mut stream, &mut reader, config, None)?;
-    let read_one = |stream: &mut TcpStream, reader: &mut FrameReader| -> Result<Frame, NetError> {
-        match reader.read_from(stream, config.max_frame_payload) {
-            Ok(Some((frame, _))) => Ok(frame),
-            Ok(None) => Err(NetError::ConnectionLost("metrics fetch timed out".into())),
-            Err(e) => Err(NetError::ConnectionLost(e.to_string())),
-        }
+/// (handshake → `MetricsDump` → `Metrics` → `Goodbye`). The cluster's
+/// load sampler and the `top` dashboard call this directly with a shard
+/// address so sampling never takes a shard lock or touches pooled
+/// connections.
+pub fn fetch_metrics(addr: SocketAddr, config: &NetClientConfig) -> Result<Vec<Family>, NetError> {
+    let accept = |frame: Frame| match frame {
+        Frame::Metrics { families, .. } => Some(families),
+        _ => None,
     };
-    write_frame(&mut stream, &Frame::MetricsDump { request_id: 1 })
-        .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
-    loop {
-        match read_one(&mut stream, &mut reader)? {
-            Frame::MetricsText { text, .. } => {
-                let _ = write_frame(&mut stream, &Frame::Goodbye);
-                return Ok(text);
-            }
-            Frame::Goodbye => {
-                return Err(NetError::Protocol(
-                    "server closed before answering the metrics dump".into(),
-                ))
-            }
-            _other => continue,
-        }
-    }
+    let request = Frame::MetricsDump { request_id: 1 };
+    fetch_one(addr, config, &request, "metrics dump", accept)
 }
 
 /// One-shot trace-export fetch over its own short-lived connection
@@ -974,6 +947,27 @@ pub fn fetch_trace_export(
     config: &NetClientConfig,
     max_traces: u32,
 ) -> Result<Vec<tcast_obs::ExportedTrace>, NetError> {
+    let request = Frame::TraceExport {
+        request_id: 1,
+        max_traces,
+    };
+    let accept = |frame: Frame| match frame {
+        Frame::TraceData { traces, .. } => Some(traces),
+        _ => None,
+    };
+    fetch_one(addr, config, &request, "trace export", accept)
+}
+
+/// Sends `request` on a fresh connection and returns the first answer
+/// `accept` takes, saying `Goodbye` after it; `what` names the request
+/// in errors.
+fn fetch_one<T>(
+    addr: SocketAddr,
+    config: &NetClientConfig,
+    request: &Frame,
+    what: &str,
+    accept: impl Fn(Frame) -> Option<T>,
+) -> Result<T, NetError> {
     let mut stream = TcpStream::connect_timeout(&addr, config.handshake_timeout)
         .map_err(|e| NetError::ConnectionLost(format!("connect failed: {e}")))?;
     stream
@@ -981,27 +975,21 @@ pub fn fetch_trace_export(
         .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     let mut reader = FrameReader::new();
     negotiate(&mut stream, &mut reader, config, None)?;
-    write_frame(
-        &mut stream,
-        &Frame::TraceExport {
-            request_id: 1,
-            max_traces,
-        },
-    )
-    .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
+    write_frame(&mut stream, request).map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     loop {
         match reader.read_from(&mut stream, config.max_frame_payload) {
-            Ok(Some((Frame::TraceData { traces, .. }, _))) => {
-                let _ = write_frame(&mut stream, &Frame::Goodbye);
-                return Ok(traces);
-            }
             Ok(Some((Frame::Goodbye, _))) => {
-                return Err(NetError::Protocol(
-                    "server closed before answering the trace export".into(),
-                ))
+                return Err(NetError::Protocol(format!(
+                    "server closed before answering the {what}"
+                )))
             }
-            Ok(Some(_)) => continue,
-            Ok(None) => return Err(NetError::ConnectionLost("trace export timed out".into())),
+            Ok(Some((frame, _))) => {
+                if let Some(answer) = accept(frame) {
+                    let _ = write_frame(&mut stream, &Frame::Goodbye);
+                    return Ok(answer);
+                }
+            }
+            Ok(None) => return Err(NetError::ConnectionLost(format!("{what} timed out"))),
             Err(e) => return Err(NetError::ConnectionLost(e.to_string())),
         }
     }

@@ -15,7 +15,7 @@
 //!
 //! With [`ClusterConfig::load_aware`] enabled, routing upgrades to
 //! *weighted* rendezvous: a background sampler on the prober thread
-//! polls each healthy shard's wire-exposed Prometheus metrics and reads
+//! fetches each healthy shard's metric families over the wire and reads
 //! the service-wide `tcast_queue_wait_microseconds` p50. Each shard's
 //! hash draw is converted to an exponential score `-ln(u) / w` with
 //! weight `w = REF / (REF + queue_wait_us)`, and the lowest score wins
@@ -28,11 +28,12 @@
 //! [`ClusterConfig::slo_penalty`] folds shard *health* into the same
 //! weighted draw: the sampler also reads each shard's worst
 //! short-window `tcast_slo_burn_rate` and the growth of
-//! `tcast_anomalies_total` since its previous pass, and divides the
-//! shard's weight by `1 + burn + 0.5·new_anomalies` (capped at 16) — a
-//! shard that is burning its error budget or emitting anomalous
-//! verdicts sheds load before it fails outright, yet keeps enough
-//! traffic to demonstrate recovery.
+//! `tcast_anomalies_total` (summed over algorithms) since its previous
+//! pass, and divides the shard's weight by
+//! `1 + burn + 0.5·new_anomalies` (capped at 16) — a shard that is
+//! burning its error budget or emitting anomalous verdicts sheds load
+//! before it fails outright, yet keeps enough traffic to demonstrate
+//! recovery.
 //!
 //! Failure handling is transparent: a handle that resolves to
 //! [`NetError::ConnectionLost`] or [`NetError::ServerShutdown`] marks
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use tcast::fingerprint64;
-use tcast_service::{MetricsRegistry, MetricsSnapshot, QueryJob};
+use tcast_service::{Family, MetricsRegistry, MetricsSnapshot, QueryJob};
 
 use crate::client::{NetClient, NetClientConfig, NetError, NetJobHandle, NetJobResult};
 
@@ -211,7 +212,7 @@ struct ShardState {
 }
 
 /// The latest queue-wait signal for one shard, as sampled from its
-/// wire-exposed Prometheus metrics (or injected by a test seam).
+/// wire-exposed metrics (or injected by a test seam).
 struct ShardLoad {
     /// Sampled p50 queue wait in microseconds, stored as `f64` bits.
     queue_wait_us: AtomicU64,
@@ -295,47 +296,6 @@ impl ShardLoad {
     }
 }
 
-/// Extracts the p50 of the service-wide queue-wait summary from a
-/// Prometheus exposition dump. Absent until the shard has executed at
-/// least one job (the section is activity-gated).
-fn parse_queue_wait_us(text: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        line.strip_prefix("tcast_queue_wait_microseconds{quantile=\"0.5\"}")?
-            .trim()
-            .parse()
-            .ok()
-    })
-}
-
-/// Extracts the worst short-window SLO burn rate across every objective
-/// in a Prometheus exposition dump. Absent until the shard has an SLO
-/// tracker attached and at least one observation (the section is
-/// activity-gated).
-fn parse_max_short_burn(text: &str) -> Option<f64> {
-    text.lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix("tcast_slo_burn_rate{")?;
-            if !rest.contains("window=\"short\"") {
-                return None;
-            }
-            rest.rsplit_once('}')?.1.trim().parse::<f64>().ok()
-        })
-        .fold(None, |max: Option<f64>, v| {
-            Some(max.map_or(v, |m| m.max(v)))
-        })
-}
-
-/// Extracts the anomalous-verdict counter from a Prometheus exposition
-/// dump.
-fn parse_anomalies_total(text: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        line.strip_prefix("tcast_anomalies_total")?
-            .trim()
-            .parse()
-            .ok()
-    })
-}
-
 struct ClusterInner {
     addrs: Vec<SocketAddr>,
     /// Stable per-shard identity fed into the rendezvous hash.
@@ -413,10 +373,10 @@ impl ClusterInner {
             .or(best_plain.map(|(_, shard)| shard))
     }
 
-    /// One sampler pass: poll each healthy shard's metrics over its own
-    /// short-lived connection (never a shard lock) and record the
-    /// queue-wait signal. Shards that answer without the queue-wait
-    /// section (no jobs executed yet) simply contribute no sample.
+    /// One sampler pass: fetch each healthy shard's metric families over
+    /// its own short-lived connection (never a shard lock) and record
+    /// the queue-wait p50. Shards that answer without the queue-wait
+    /// family (no jobs executed yet) simply contribute no sample.
     fn sample_shard_loads(&self) {
         for shard in 0..self.addrs.len() {
             if self.closing.load(Ordering::SeqCst) {
@@ -425,12 +385,12 @@ impl ClusterInner {
             if !self.healthy[shard].load(Ordering::SeqCst) {
                 continue;
             }
-            let Ok(text) =
-                crate::client::fetch_metrics_text(self.addrs[shard], &self.config.client)
+            let Ok(families) = crate::client::fetch_metrics(self.addrs[shard], &self.config.client)
             else {
                 continue;
             };
-            if let Some(queue_wait_us) = parse_queue_wait_us(&text) {
+            let queue_wait = Family::find(&families, "tcast_queue_wait_microseconds");
+            if let Some(queue_wait_us) = queue_wait.and_then(|f| f.quantile(0.5)) {
                 self.loads[shard].record(queue_wait_us, self.now_ms());
                 tcast_obs::event(
                     tcast_obs::TraceId::NONE,
@@ -442,34 +402,37 @@ impl ClusterInner {
                 );
             }
             if self.config.slo_penalty {
-                self.sample_shard_health(shard, &text);
+                self.sample_shard_health(shard, &families);
             }
         }
     }
 
-    /// Folds one shard's SLO burn + anomaly-delta signals into a single
-    /// health-penalty divisor and records it. Anomalies penalize only
-    /// their *growth* since this sampler's previous reading, so a shard
+    /// Folds one shard's worst short-window SLO burn and the growth of
+    /// its anomaly total (summed over algorithms) since this sampler's
+    /// previous reading into a single health-penalty divisor, so a shard
     /// is not punished forever for ancient history.
-    fn sample_shard_health(&self, shard: usize, text: &str) {
-        let burn = parse_max_short_burn(text);
-        let anomalies = parse_anomalies_total(text);
+    fn sample_shard_health(&self, shard: usize, families: &[Family]) {
+        let burn = Family::find(families, "tcast_slo_burn_rate").and_then(|f| {
+            f.samples
+                .iter()
+                .filter(|s| s.labels.iter().any(|(k, v)| k == "window" && v == "short"))
+                .filter_map(|s| s.value.scalar())
+                .reduce(f64::max)
+        });
+        let anomalies = Family::find(families, "tcast_anomalies_total")
+            .filter(|f| !f.samples.is_empty())
+            .map(|f| f.values().sum::<f64>() as u64);
         if burn.is_none() && anomalies.is_none() {
             return;
         }
-        let new_anomalies = match anomalies {
-            Some(total) => {
-                let prev = self.loads[shard]
-                    .last_anomalies
-                    .swap(total + 1, Ordering::Relaxed);
-                if prev == 0 {
-                    0
-                } else {
-                    total.saturating_sub(prev - 1)
-                }
-            }
-            None => 0,
-        };
+        let new_anomalies = anomalies.map_or(0, |total| {
+            // The previous total plus one; 0 until a baseline exists.
+            let prev = self.loads[shard]
+                .last_anomalies
+                .swap(total + 1, Ordering::Relaxed);
+            prev.checked_sub(1)
+                .map_or(0, |prev| total.saturating_sub(prev))
+        });
         let penalty = 1.0 + burn.unwrap_or(0.0).max(0.0) + ANOMALY_PENALTY * new_anomalies as f64;
         self.loads[shard].record_health(penalty, self.now_ms());
         tcast_obs::event(

@@ -57,10 +57,12 @@
 
 use std::io::{self, Read, Write};
 
-use tcast::codec::{put_option, put_u32, put_u64, put_usize, Reader, WireDecode, WireEncode};
+use tcast::codec::{
+    put_f64, put_option, put_u32, put_u64, put_usize, DecodeError, Reader, WireDecode, WireEncode,
+};
 use tcast::ChannelSpec;
 use tcast::QueryReport;
-use tcast_service::{AlgorithmSpec, JobError, QueryJob};
+use tcast_service::{AlgorithmSpec, Family, JobError, MetricKind, MetricValue, QueryJob, Sample};
 
 use crate::crc::crc32;
 
@@ -90,7 +92,7 @@ mod frame_type {
     pub const ERROR: u8 = 0x06;
     pub const GOODBYE: u8 = 0x07;
     pub const METRICS_DUMP: u8 = 0x08;
-    pub const METRICS_TEXT: u8 = 0x09;
+    pub const METRICS: u8 = 0x09;
     pub const AUTH: u8 = 0x0B;
     pub const AUTH_OK: u8 = 0x0C;
     pub const TRACE_EXPORT: u8 = 0x0D;
@@ -224,19 +226,18 @@ pub enum Frame {
         /// Human-readable detail, possibly empty.
         detail: String,
     },
-    /// Client → server: ask for a metrics dump in Prometheus text
-    /// exposition format.
+    /// Client → server: ask for the server's metrics.
     MetricsDump {
-        /// Client-chosen id echoed on the [`Frame::MetricsText`] answer.
+        /// Client-chosen id echoed on the [`Frame::Metrics`] answer.
         request_id: u64,
     },
-    /// Server → client: the metrics exposition answering a
-    /// [`Frame::MetricsDump`].
-    MetricsText {
+    /// Server → client: the registry's typed metric families, answering
+    /// a [`Frame::MetricsDump`].
+    Metrics {
         /// Id of the `MetricsDump` this answers.
         request_id: u64,
-        /// Prometheus text exposition of the service's metrics registry.
-        text: String,
+        /// The service registry's metric families, in exposition order.
+        families: Vec<Family>,
     },
     /// Client → server: drain up to `max_traces` completed,
     /// tail-sampled trace trees from the server's trace collector.
@@ -311,6 +312,12 @@ impl std::fmt::Display for MalformedFrame {
 
 impl std::error::Error for MalformedFrame {}
 
+impl From<DecodeError> for MalformedFrame {
+    fn from(e: DecodeError) -> Self {
+        MalformedFrame::Payload(e.to_string())
+    }
+}
+
 impl Frame {
     fn type_byte(&self) -> u8 {
         match self {
@@ -323,7 +330,7 @@ impl Frame {
             Frame::JobFailed { .. } => frame_type::JOB_FAILED,
             Frame::Error { .. } => frame_type::ERROR,
             Frame::MetricsDump { .. } => frame_type::METRICS_DUMP,
-            Frame::MetricsText { .. } => frame_type::METRICS_TEXT,
+            Frame::Metrics { .. } => frame_type::METRICS,
             Frame::TraceExport { .. } => frame_type::TRACE_EXPORT,
             Frame::TraceData { .. } => frame_type::TRACE_DATA,
             Frame::Goodbye => frame_type::GOODBYE,
@@ -338,7 +345,7 @@ impl Frame {
             | Frame::JobFailed { request_id, .. }
             | Frame::Error { request_id, .. }
             | Frame::MetricsDump { request_id }
-            | Frame::MetricsText { request_id, .. }
+            | Frame::Metrics { request_id, .. }
             | Frame::TraceExport { request_id, .. }
             | Frame::TraceData { request_id, .. } => *request_id,
             Frame::Hello { .. }
@@ -382,7 +389,7 @@ impl Frame {
                 detail.encode(out);
             }
             Frame::MetricsDump { .. } => {}
-            Frame::MetricsText { text, .. } => text.encode(out),
+            Frame::Metrics { families, .. } => encode_families(families, out),
             Frame::TraceExport { max_traces, .. } => put_u32(out, *max_traces),
             Frame::TraceData { traces, .. } => {
                 put_usize(out, traces.len());
@@ -474,39 +481,29 @@ impl Frame {
         let mut r = Reader::new(&bytes[HEADER_LEN..body_end]);
         let frame = match frame_type {
             frame_type::HELLO => Frame::Hello {
-                min_version: r.u8().map_err(|e| MalformedFrame::Payload(e.to_string()))?,
-                max_version: r.u8().map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                min_version: r.u8()?,
+                max_version: r.u8()?,
             },
             frame_type::HELLO_ACK => Frame::HelloAck {
-                version: r.u8().map_err(|e| MalformedFrame::Payload(e.to_string()))?,
-                challenge: r
-                    .option(|r| r.bytes(16).map(|b| <[u8; 16]>::try_from(b).unwrap()))
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                version: r.u8()?,
+                challenge: r.option(|r| r.bytes(16).map(|b| <[u8; 16]>::try_from(b).unwrap()))?,
             },
             frame_type::AUTH => Frame::Auth {
-                tenant: String::decode(&mut r)
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
-                mac: r
-                    .bytes(32)
-                    .map(|b| <[u8; 32]>::try_from(b).unwrap())
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                tenant: String::decode(&mut r)?,
+                mac: r.bytes(32).map(|b| <[u8; 32]>::try_from(b).unwrap())?,
             },
             frame_type::AUTH_OK => Frame::AuthOk,
             frame_type::SUBMIT => Frame::Submit {
                 request_id,
-                job: decode_job(&mut r).map_err(MalformedFrame::Payload)?,
+                job: decode_job(&mut r)?,
             },
             frame_type::JOB_OK => Frame::JobOk {
                 request_id,
-                report: QueryReport::decode(&mut r)
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                report: QueryReport::decode(&mut r)?,
             },
             frame_type::JOB_FAILED => {
-                let error = match r.u8().map_err(|e| MalformedFrame::Payload(e.to_string()))? {
-                    1 => JobError::Panicked(
-                        String::decode(&mut r)
-                            .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
-                    ),
+                let error = match r.u8()? {
+                    1 => JobError::Panicked(String::decode(&mut r)?),
                     2 => JobError::DeadlineExceeded,
                     3 => JobError::QuotaExceeded,
                     tag => return Err(malformed(&format!("job error tag {tag}"))),
@@ -514,44 +511,38 @@ impl Frame {
                 Frame::JobFailed { request_id, error }
             }
             frame_type::ERROR => {
-                let tag = r.u8().map_err(|e| MalformedFrame::Payload(e.to_string()))?;
+                let tag = r.u8()?;
                 let code = ErrorCode::from_wire_tag(tag)
                     .ok_or_else(|| malformed(&format!("error code tag {tag}")))?;
                 Frame::Error {
                     request_id,
                     code,
-                    detail: String::decode(&mut r)
-                        .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                    detail: String::decode(&mut r)?,
                 }
             }
             frame_type::METRICS_DUMP => Frame::MetricsDump { request_id },
-            frame_type::METRICS_TEXT => Frame::MetricsText {
+            frame_type::METRICS => Frame::Metrics {
                 request_id,
-                text: String::decode(&mut r).map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                families: decode_families(&mut r)?,
             },
             frame_type::TRACE_EXPORT => Frame::TraceExport {
                 request_id,
-                max_traces: r
-                    .u32()
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?,
+                max_traces: r.u32()?,
             },
             frame_type::TRACE_DATA => {
-                let n = r
-                    .usize()
-                    .map_err(|e| MalformedFrame::Payload(e.to_string()))?;
+                let n = r.usize()?;
                 // The payload cap bounds the real size; this only stops
                 // a forged count from pre-allocating unbounded memory.
                 let mut traces = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    traces.push(decode_exported_trace(&mut r).map_err(MalformedFrame::Payload)?);
+                    traces.push(decode_exported_trace(&mut r)?);
                 }
                 Frame::TraceData { request_id, traces }
             }
             frame_type::GOODBYE => Frame::Goodbye,
             other => return Err(MalformedFrame::UnknownType(other)),
         };
-        r.finish()
-            .map_err(|e| MalformedFrame::Payload(e.to_string()))?;
+        r.finish()?;
         Ok(frame)
     }
 }
@@ -599,30 +590,28 @@ fn encode_job(job: &QueryJob, out: &mut Vec<u8>) {
     out.push(job.span_parent.sampled as u8);
 }
 
-fn decode_job(r: &mut Reader<'_>) -> Result<QueryJob, String> {
-    let tag = r.u8().map_err(|e| e.to_string())?;
+fn decode_job(r: &mut Reader<'_>) -> Result<QueryJob, MalformedFrame> {
+    let tag = r.u8()?;
     let algorithm = *AlgorithmSpec::ALL
         .get(tag as usize)
-        .ok_or_else(|| format!("algorithm tag {tag}"))?;
-    let channel = ChannelSpec::decode(r).map_err(|e| e.to_string())?;
-    let t = r.usize().map_err(|e| e.to_string())?;
-    let session_seed = r.u64().map_err(|e| e.to_string())?;
-    let deadline = r
-        .option(|r| r.u64().map(std::time::Duration::from_nanos))
-        .map_err(|e| e.to_string())?;
-    let retry_budget = r.option(|r| r.u64()).map_err(|e| e.to_string())?;
+        .ok_or_else(|| MalformedFrame::Payload(format!("algorithm tag {tag}")))?;
+    let channel = ChannelSpec::decode(r)?;
+    let t = r.usize()?;
+    let session_seed = r.u64()?;
+    let deadline = r.option(|r| r.u64().map(std::time::Duration::from_nanos))?;
+    let retry_budget = r.option(|r| r.u64())?;
     let mut job = QueryJob::new(algorithm, channel, t, session_seed);
     job.deadline = deadline;
     job.retry_budget = retry_budget;
-    job.trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
-    let tag = r.u8().map_err(|e| e.to_string())?;
-    job.priority =
-        tcast_tenant::Priority::from_wire_tag(tag).ok_or_else(|| format!("priority tag {tag}"))?;
-    let parent = r.u64().map_err(|e| e.to_string())?;
-    let sampled = match r.u8().map_err(|e| e.to_string())? {
+    job.trace = tcast_obs::TraceId(r.u64()?);
+    let tag = r.u8()?;
+    job.priority = tcast_tenant::Priority::from_wire_tag(tag)
+        .ok_or_else(|| MalformedFrame::Payload(format!("priority tag {tag}")))?;
+    let parent = r.u64()?;
+    let sampled = match r.u8()? {
         0 => false,
         1 => true,
-        tag => return Err(format!("sampled flag {tag}")),
+        tag => return Err(MalformedFrame::Payload(format!("sampled flag {tag}"))),
     };
     job.span_parent = tcast_obs::SpanContext { parent, sampled };
     Ok(job)
@@ -651,30 +640,32 @@ fn encode_exported_trace(trace: &tcast_obs::ExportedTrace, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_exported_trace(r: &mut Reader<'_>) -> Result<tcast_obs::ExportedTrace, String> {
-    let trace = tcast_obs::TraceId(r.u64().map_err(|e| e.to_string())?);
-    let n = r.usize().map_err(|e| e.to_string())?;
+fn decode_exported_trace(r: &mut Reader<'_>) -> Result<tcast_obs::ExportedTrace, MalformedFrame> {
+    let trace = tcast_obs::TraceId(r.u64()?);
+    let n = r.usize()?;
     let mut records = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let kind = match r.u8().map_err(|e| e.to_string())? {
+        let kind = match r.u8()? {
             1 => tcast_obs::RecordKind::SpanStart,
             2 => tcast_obs::RecordKind::SpanEnd,
             3 => tcast_obs::RecordKind::Event,
-            tag => return Err(format!("record kind tag {tag}")),
+            tag => return Err(MalformedFrame::Payload(format!("record kind tag {tag}"))),
         };
-        let name = String::decode(r).map_err(|e| e.to_string())?;
-        let span = r.u64().map_err(|e| e.to_string())?;
-        let parent = r.u64().map_err(|e| e.to_string())?;
-        let t_ns = r.u64().map_err(|e| e.to_string())?;
-        let dur_ns = r.u64().map_err(|e| e.to_string())?;
-        let n_fields = r.u8().map_err(|e| e.to_string())? as usize;
+        let name = String::decode(r)?;
+        let span = r.u64()?;
+        let parent = r.u64()?;
+        let t_ns = r.u64()?;
+        let dur_ns = r.u64()?;
+        let n_fields = r.u8()? as usize;
         if n_fields > tcast_obs::MAX_FIELDS {
-            return Err(format!("{n_fields} fields exceeds MAX_FIELDS"));
+            return Err(MalformedFrame::Payload(format!(
+                "{n_fields} fields exceeds MAX_FIELDS"
+            )));
         }
         let mut fields = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
-            let fname = String::decode(r).map_err(|e| e.to_string())?;
-            let value = r.u64().map_err(|e| e.to_string())?;
+            let fname = String::decode(r)?;
+            let value = r.u64()?;
             fields.push((fname, value));
         }
         records.push(tcast_obs::ExportedRecord {
@@ -688,6 +679,95 @@ fn decode_exported_trace(r: &mut Reader<'_>) -> Result<tcast_obs::ExportedTrace,
         });
     }
     Ok(tcast_obs::ExportedTrace { trace, records })
+}
+
+/// Metrics payload: per family its name, help, kind tag, and samples; per
+/// sample its `(name, value)` labels and a tagged value; `u32` counts.
+fn encode_families(families: &[Family], out: &mut Vec<u8>) {
+    put_u32(out, families.len() as u32);
+    for family in families {
+        family.name.encode(out);
+        family.help.encode(out);
+        out.push(family.kind as u8);
+        put_u32(out, family.samples.len() as u32);
+        for sample in &family.samples {
+            put_u32(out, sample.labels.len() as u32);
+            for (name, value) in &sample.labels {
+                name.encode(out);
+                value.encode(out);
+            }
+            match &sample.value {
+                MetricValue::Int(v) => {
+                    out.push(1);
+                    put_u64(out, *v);
+                }
+                MetricValue::Ratio(v) => {
+                    out.push(2);
+                    put_f64(out, *v);
+                }
+                MetricValue::Summary {
+                    quantiles,
+                    sum,
+                    count,
+                } => {
+                    out.push(3);
+                    put_u32(out, quantiles.len() as u32);
+                    for &(q, v) in quantiles {
+                        put_f64(out, q);
+                        put_f64(out, v);
+                    }
+                    put_f64(out, *sum);
+                    put_u64(out, *count);
+                }
+            }
+        }
+    }
+}
+
+fn decode_families(r: &mut Reader<'_>) -> Result<Vec<Family>, MalformedFrame> {
+    // Smallest encodings: a family is two empty strings, a kind tag and
+    // a sample count (13 bytes); a sample a label count, a tag and 8
+    // bytes (13); a label two empty strings (8); a quantile two f64s (16).
+    list(r, 13, |r| {
+        let (name, help) = (String::decode(r)?, String::decode(r)?);
+        let kind = match r.u8()? {
+            1 => MetricKind::Counter,
+            2 => MetricKind::Gauge,
+            3 => MetricKind::Summary,
+            tag => return Err(MalformedFrame::Payload(format!("metric kind tag {tag}"))),
+        };
+        let samples = list(r, 13, |r| {
+            let labels = list(r, 8, |r| Ok((String::decode(r)?, String::decode(r)?)))?;
+            let value = match r.u8()? {
+                1 => MetricValue::Int(r.u64()?),
+                2 => MetricValue::Ratio(r.f64()?),
+                3 => MetricValue::Summary {
+                    quantiles: list(r, 16, |r| Ok((r.f64()?, r.f64()?)))?,
+                    sum: r.f64()?,
+                    count: r.u64()?,
+                },
+                tag => return Err(MalformedFrame::Payload(format!("metric value tag {tag}"))),
+            };
+            Ok(Sample { labels, value })
+        })?;
+        Ok(Family {
+            name,
+            help,
+            kind,
+            samples,
+        })
+    })
+}
+
+/// Decodes a `u32`-counted list of items at least `min_size` bytes each;
+/// a count the remaining bytes cannot hold is rejected up front.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    min_size: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, MalformedFrame>,
+) -> Result<Vec<T>, MalformedFrame> {
+    let n = r.len_prefix(min_size)?;
+    (0..n).map(|_| item(r)).collect()
 }
 
 /// Writes `frame` to `w` and returns the number of wire bytes written.
@@ -844,6 +924,14 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_through_bytes() {
+        let registry = tcast_service::MetricsRegistry::new();
+        registry.attach_slo(std::sync::Arc::new(tcast_obs::SloTracker::new(vec![
+            tcast_obs::Objective::auth("auth", 0.99),
+        ])));
+        registry.slo_observe(tcast_obs::SloSignal::Auth, false);
+        let report = Ok(tcast_service::JobOutput::Report(QueryReport::trivial(true)));
+        registry.record("2tBins", &report, std::time::Duration::from_micros(40));
+        registry.net_counters("net/server").frame_in(64);
         let frames = [
             Frame::Hello {
                 min_version: PROTOCOL_V4,
@@ -884,9 +972,13 @@ mod tests {
                 detail: "draining".into(),
             },
             Frame::MetricsDump { request_id: 11 },
-            Frame::MetricsText {
+            Frame::Metrics {
                 request_id: 11,
-                text: "# TYPE tcast_jobs_total counter\n".into(),
+                families: registry.snapshot().families(),
+            },
+            Frame::Metrics {
+                request_id: 13,
+                families: vec![],
             },
             Frame::TraceExport {
                 request_id: 12,

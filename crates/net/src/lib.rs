@@ -65,7 +65,7 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{
-    fetch_metrics_text, fetch_trace_export, NetBatch, NetClient, NetClientConfig, NetError,
+    fetch_metrics, fetch_trace_export, NetBatch, NetClient, NetClientConfig, NetError,
     NetJobHandle, NetJobResult, TenantAuth,
 };
 pub use cluster::{ClusterBatch, ClusterConfig, ClusterEvent, ShardedClient};

@@ -854,12 +854,12 @@ impl IoThread {
                 self.submit(slot, request_id, job, shared);
             }
             Frame::MetricsDump { request_id } => {
-                let text = self.service.metrics_registry().snapshot().to_prometheus();
-                queue_frame(
-                    &self.counters,
-                    conn,
-                    &Frame::MetricsText { request_id, text },
-                );
+                let families = self.service.metrics_registry().snapshot().families();
+                let answer = Frame::Metrics {
+                    request_id,
+                    families,
+                };
+                queue_frame(&self.counters, conn, &answer);
             }
             Frame::TraceExport {
                 request_id,

@@ -530,9 +530,101 @@ fn slo_health_penalty_sheds_load_off_a_burning_shard() {
     }
 }
 
+/// Regression: the sampler used to read the anomaly total by stripping
+/// the bare name `tcast_anomalies_total` off each exposition line, but
+/// every real sample carries an `algorithm` label, so the parse always
+/// failed and the anomaly half of the SLO penalty never fired outside
+/// injected samples. A shard emitting anomalous verdicts must now shed
+/// placements on the sampled signal alone.
+#[test]
+fn a_shard_emitting_anomalies_sheds_placements() {
+    use tcast::{AdversaryConfig, AdversaryModel, DefensePolicy};
+    use tcast_net::{NetClient, NetClientConfig};
+
+    let servers: Vec<_> = (0..2).map(|_| start_server(1)).collect();
+    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
+    let direct: Vec<NetClient> = addrs
+        .iter()
+        .map(|addr| NetClient::connect(*addr, NetClientConfig::default()).expect("connect"))
+        .collect();
+    // Clean traffic on both shards first, so the sampler's first pass
+    // reads an anomaly baseline of zero everywhere.
+    for client in &direct {
+        for result in client.submit(job_mix(6, 0xA_0A1)).wait() {
+            result.expect("job succeeded");
+        }
+    }
+    let cluster = ShardedClient::connect(
+        addrs,
+        ClusterConfig::default()
+            .with_load_aware(true)
+            .with_slo_penalty(true)
+            .with_load_sample_interval(Duration::from_millis(25))
+            .with_load_staleness(Duration::from_secs(60)),
+    )
+    .expect("connect");
+
+    let probe = job_mix(300, 0xA_0A2);
+    let share_of_shard_0 = || {
+        let hits = probe
+            .iter()
+            .filter(|j| cluster.route_of(j) == Some(0))
+            .count();
+        hits as f64 / probe.len() as f64
+    };
+    let jammed = |k: u64| {
+        let spec = ChannelSpec::adversarial(
+            64,
+            8,
+            CollisionModel::OnePlus,
+            None,
+            AdversaryConfig {
+                model: AdversaryModel::Jammer { duty_mille: 1000 },
+                seed: k,
+            },
+        )
+        .seeded(k, k + 1)
+        .with_defense(DefensePolicy::hardened());
+        QueryJob::new(AlgorithmSpec::TwoTBins, spec, 8, k)
+    };
+
+    // Anomalies keep flowing into shard 0 alone, so every sampler pass
+    // after the baseline sees the shard's total grow.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut next = 0;
+    let mut share = share_of_shard_0();
+    while share >= 0.35 && Instant::now() < deadline {
+        for result in direct[0]
+            .submit((next..next + 4).map(jammed).collect())
+            .wait()
+        {
+            let report = result.expect("jammed job answered");
+            assert!(
+                report.anomalies > 0,
+                "hardened defenses must flag the jammer"
+            );
+        }
+        next += 4;
+        std::thread::sleep(Duration::from_millis(10));
+        share = share_of_shard_0();
+    }
+    assert!(
+        share < 0.35,
+        "a shard emitting anomalies kept {share:.3} of the placements"
+    );
+
+    cluster.close();
+    for client in direct {
+        client.close();
+    }
+    for (server, _service) in servers {
+        server.shutdown();
+    }
+}
+
 /// The queue-wait signal the sampler feeds on is actually exposed over
-/// the wire: after a shard executes jobs, its Prometheus dump carries
-/// the `tcast_queue_wait_microseconds` summary the sampler parses.
+/// the wire: after a shard executes jobs, its metrics carry the
+/// `tcast_queue_wait_microseconds` summary the sampler reads.
 #[test]
 fn queue_wait_signal_is_exposed_over_the_wire() {
     use tcast_net::{NetClient, NetClientConfig};
@@ -543,7 +635,7 @@ fn queue_wait_signal_is_exposed_over_the_wire() {
     for result in client.submit(job_mix(8, 0x9_1E7)).wait() {
         result.expect("job succeeded");
     }
-    let text = client.metrics_text().expect("metrics fetch");
+    let text = tcast_service::render_prometheus(&client.server_metrics().expect("metrics fetch"));
     assert!(
         text.contains("tcast_queue_wait_microseconds{quantile=\"0.5\"}"),
         "queue-wait p50 missing from the wire exposition:\n{text}"

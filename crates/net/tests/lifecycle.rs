@@ -209,7 +209,7 @@ fn accept_errors_and_connection_gauges_are_wire_observable() {
         result.expect("job succeeded");
     }
 
-    let text = client.metrics_text().expect("metrics fetch");
+    let text = tcast_service::render_prometheus(&client.server_metrics().expect("metrics fetch"));
     assert!(
         text.contains("# TYPE tcast_net_accept_errors_total counter"),
         "accept-error counter family missing:\n{text}"

@@ -66,7 +66,7 @@ fn injected_deadline_failures_cross_the_fast_burn_alarm() {
     );
 
     // The crossing is visible over the wire, in the gated SLO section.
-    let text = client.metrics_text().expect("metrics fetch");
+    let text = tcast_service::render_prometheus(&client.server_metrics().expect("metrics fetch"));
     assert!(
         text.contains("tcast_slo_fast_burn{objective=\"e2e-latency\"} 1"),
         "fast burn not exposed:\n{text}"

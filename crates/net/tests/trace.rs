@@ -193,7 +193,7 @@ fn metrics_dump_serves_prometheus_exposition_over_the_wire() {
         result.expect("job succeeded");
     }
 
-    let text = client.metrics_text().expect("metrics fetch");
+    let text = tcast_service::render_prometheus(&client.server_metrics().expect("metrics fetch"));
     assert!(
         text.contains("# TYPE tcast_jobs_total counter"),
         "missing counter TYPE line:\n{text}"

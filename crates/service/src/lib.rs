@@ -44,7 +44,8 @@ mod service;
 
 pub use job::{AlgorithmSpec, JobError, JobOutput, JobResult, QueryJob};
 pub use metrics::{
-    MetricsRegistry, MetricsRow, MetricsSnapshot, NetCounters, NetMetricsRow, TenantMetricsRow,
+    render_prometheus, Family, MetricKind, MetricValue, MetricsRegistry, MetricsRow,
+    MetricsSnapshot, NetCounters, NetMetricsRow, Sample, TenantMetricsRow,
 };
 pub use service::{
     Batch, CompletionWatcher, JobHandle, QueryService, ServiceClosed, ServiceConfig, SubmitError,

@@ -4,16 +4,23 @@
 //! query-count distributions sit behind short-lived `parking_lot` mutexes.
 //! Everything is keyed by the job's metrics label (the algorithm name for
 //! query jobs, the caller-chosen label for custom tasks) and can be dumped
-//! as CSV or markdown via [`MetricsSnapshot`].
+//! as CSV or markdown via [`MetricsSnapshot`], or as typed metric
+//! [`Family`]s — the one model the Prometheus exposition, the metrics
+//! wire frame, and every remote reader share.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use tcast_obs::SloStatus;
 use tcast_stats::{Histogram, Summary};
+
+use MetricKind::{Counter, Gauge};
+use MetricValue::{Int, Ratio};
 
 use crate::job::{JobError, JobOutput, JobResult};
 
@@ -943,409 +950,386 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Prometheus text exposition of the snapshot.
+    /// The snapshot as typed metric families, in exposition order.
     ///
-    /// Every counter becomes a `tcast_*_total` family labelled by
-    /// algorithm, the latency/query/retry distributions become summaries
-    /// whose quantiles are interpolated from the folded histograms, and
-    /// connection counters become `tcast_net_*` families labelled by
-    /// connection and generation (the reconnect count, so counters that
-    /// span several physical connections say so instead of silently
-    /// merging). Families, labels, and label sets are emitted in a fixed
-    /// order — rows are already label-sorted — so the output is
-    /// snapshot-testable and metric renames break loudly.
-    pub fn to_prometheus(&self) -> String {
-        fn esc(label: &str) -> String {
-            label
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        const QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
-        type RowCounter = fn(&MetricsRow) -> u64;
-        type NetCounter = fn(&NetMetricsRow) -> u64;
-        let mut out = String::new();
+    /// Net series carry the connection's generation (its reconnect
+    /// count). The service-wide summaries and the net, tenant, and SLO
+    /// families appear only once they have something to say. Rows are
+    /// label-sorted and the tables fixed, so renderings are
+    /// snapshot-testable and renames break loudly.
+    pub fn families(&self) -> Vec<Family> {
+        let mut out = Vec::new();
+        let algorithm = |r: &MetricsRow| labels(&[("algorithm", &r.label)]);
+        per_row(&mut out, &self.rows, false, algorithm, &JOB_COUNTERS);
+        let verdicts = self.rows.iter().flat_map(|r| {
+            [("yes", r.verdict_yes), ("no", r.verdict_no)].map(|(verdict, n)| Sample {
+                labels: labels(&[("algorithm", &r.label), ("verdict", verdict)]),
+                value: Int(n),
+            })
+        });
+        out.push(Family::new(VERDICTS, Counter, verdicts.collect()));
+        per_row(&mut out, &self.rows, false, algorithm, &JOB_SUMMARIES);
 
-        let counters: [(&str, &str, RowCounter); 9] = [
-            (
-                "tcast_jobs_total",
-                "Jobs finished, including panicked and deadline-expired ones.",
-                |r| r.jobs,
-            ),
-            ("tcast_job_panics_total", "Jobs that panicked.", |r| {
-                r.panics
-            }),
-            (
-                "tcast_job_deadline_exceeded_total",
-                "Jobs whose deadline expired before a worker ran them.",
-                |r| r.deadline_exceeded,
-            ),
-            (
-                "tcast_queries_total",
-                "Group queries across all sessions, retries included.",
-                |r| r.queries,
-            ),
-            (
-                "tcast_retry_queries_total",
-                "Verified-silence retry queries across all sessions.",
-                |r| r.retries,
-            ),
-            (
-                "tcast_defense_queries_total",
-                "Defense queries (canary probes, confirmation re-queries) across all sessions.",
-                |r| r.defenses,
-            ),
-            (
-                "tcast_anomalies_total",
-                "Adversary-suspected anomalies flagged across all sessions.",
-                |r| r.anomalies,
-            ),
-            ("tcast_rounds_total", "Rounds across all sessions.", |r| {
-                r.rounds
-            }),
-            (
-                "tcast_cache_hits_total",
-                "Jobs served from the session cache.",
-                |r| r.cache_hits,
-            ),
+        let global = [
+            (QUEUE_WAIT, &self.queue_wait_us, &self.queue_wait_hist),
+            (BATCH_SIZE, &self.batch_size, &self.batch_size_hist),
         ];
-        for (name, help, get) in counters {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for r in &self.rows {
-                out.push_str(&format!(
-                    "{name}{{algorithm=\"{}\"}} {}\n",
-                    esc(&r.label),
-                    get(r)
-                ));
-            }
+        for (name_help, stats, hist) in global.into_iter().filter(|g| g.1.count() > 0) {
+            let (labels, value) = (Vec::new(), summary(Some(hist), stats));
+            let samples = vec![Sample { labels, value }];
+            out.push(Family::new(name_help, MetricKind::Summary, samples));
         }
 
-        out.push_str(
-            "# HELP tcast_verdicts_total Session verdicts by outcome.\n\
-             # TYPE tcast_verdicts_total counter\n",
-        );
-        for r in &self.rows {
-            for (verdict, count) in [("yes", r.verdict_yes), ("no", r.verdict_no)] {
-                out.push_str(&format!(
-                    "tcast_verdicts_total{{algorithm=\"{}\",verdict=\"{verdict}\"}} {count}\n",
-                    esc(&r.label),
-                ));
-            }
-        }
+        let generation = |r: &NetMetricsRow| r.reconnects_total.to_string();
+        let conn =
+            |r: &NetMetricsRow| labels(&[("conn", &r.label), ("generation", &generation(r))]);
+        per_row(&mut out, &self.net_rows, true, conn, &NET);
+        let tenant = |r: &TenantMetricsRow| labels(&[("tenant", &r.tenant)]);
+        per_row(&mut out, &self.tenant_rows, true, tenant, &TENANT);
 
-        type HistOf = fn(&MetricsRow) -> &Histogram;
-        type SumCountOf = fn(&MetricsRow) -> (f64, u64);
-        let summaries: [(&str, &str, HistOf, SumCountOf); 3] = [
-            (
-                "tcast_job_latency_microseconds",
-                "Successful-job wall-clock latency.",
-                |r| &r.latency_hist,
-                |r| {
-                    (
-                        r.latency_us.mean() * r.latency_us.count() as f64,
-                        r.latency_us.count(),
-                    )
-                },
-            ),
-            (
-                "tcast_job_queries",
-                "Group queries per session.",
-                |r| &r.query_hist,
-                |r| {
-                    (
-                        r.query_summary.mean() * r.query_summary.count() as f64,
-                        r.query_summary.count(),
-                    )
-                },
-            ),
-            (
-                "tcast_job_retry_queries",
-                "Retry queries per session.",
-                |r| &r.retry_hist,
-                |r| (r.retries as f64, r.retry_hist.total()),
-            ),
-        ];
-        for (name, help, hist, sum_count) in summaries {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-            for r in &self.rows {
-                let label = esc(&r.label);
-                for q in QUANTILES {
-                    out.push_str(&format!(
-                        "{name}{{algorithm=\"{label}\",quantile=\"{q}\"}} {:.1}\n",
-                        hist(r).quantile(q),
-                    ));
-                }
-                let (sum, count) = sum_count(r);
-                out.push_str(&format!("{name}_sum{{algorithm=\"{label}\"}} {sum:.1}\n"));
-                out.push_str(&format!("{name}_count{{algorithm=\"{label}\"}} {count}\n"));
-            }
-        }
-
-        out.push_str(
-            "# HELP tcast_job_failed_latency_microseconds Wall-clock latency of \
-             failed jobs, kept apart from successes.\n\
-             # TYPE tcast_job_failed_latency_microseconds summary\n",
-        );
-        for r in &self.rows {
-            let label = esc(&r.label);
-            let sum = r.failed_latency_us.mean() * r.failed_latency_us.count() as f64;
-            out.push_str(&format!(
-                "tcast_job_failed_latency_microseconds_sum{{algorithm=\"{label}\"}} {sum:.1}\n",
-            ));
-            out.push_str(&format!(
-                "tcast_job_failed_latency_microseconds_count{{algorithm=\"{label}\"}} {}\n",
-                r.failed_latency_us.count(),
-            ));
-        }
-
-        // Service-global sections are gated on having samples, so a
-        // registry that never ran the batch path (or any query job)
-        // exposes byte-identical text to the pre-batch schema.
-        if self.queue_wait_us.count() > 0 {
-            out.push_str(
-                "# HELP tcast_queue_wait_microseconds Queue wait (submission to execution \
-                 start) across all executed query jobs.\n\
-                 # TYPE tcast_queue_wait_microseconds summary\n",
-            );
-            for q in QUANTILES {
-                out.push_str(&format!(
-                    "tcast_queue_wait_microseconds{{quantile=\"{q}\"}} {:.1}\n",
-                    self.queue_wait_hist.quantile(q),
-                ));
-            }
-            let sum = self.queue_wait_us.mean() * self.queue_wait_us.count() as f64;
-            out.push_str(&format!("tcast_queue_wait_microseconds_sum {sum:.1}\n"));
-            out.push_str(&format!(
-                "tcast_queue_wait_microseconds_count {}\n",
-                self.queue_wait_us.count(),
-            ));
-        }
-        if self.batch_size.count() > 0 {
-            out.push_str(
-                "# HELP tcast_batch_size_jobs Jobs claimed per worker dequeue batch.\n\
-                 # TYPE tcast_batch_size_jobs summary\n",
-            );
-            for q in QUANTILES {
-                out.push_str(&format!(
-                    "tcast_batch_size_jobs{{quantile=\"{q}\"}} {:.1}\n",
-                    self.batch_size_hist.quantile(q),
-                ));
-            }
-            let sum = self.batch_size.mean() * self.batch_size.count() as f64;
-            out.push_str(&format!("tcast_batch_size_jobs_sum {sum:.1}\n"));
-            out.push_str(&format!(
-                "tcast_batch_size_jobs_count {}\n",
-                self.batch_size.count(),
-            ));
-        }
-        if !self.net_rows.is_empty() {
-            let net: [(&str, &str, NetCounter); 11] = [
-                (
-                    "tcast_net_frames_in_total",
-                    "Frames decoded from the peer.",
-                    |r| r.frames_in,
-                ),
-                (
-                    "tcast_net_frames_out_total",
-                    "Frames written to the peer.",
-                    |r| r.frames_out,
-                ),
-                (
-                    "tcast_net_bytes_in_total",
-                    "Wire bytes received (decoded frames only).",
-                    |r| r.bytes_in,
-                ),
-                ("tcast_net_bytes_out_total", "Wire bytes sent.", |r| {
-                    r.bytes_out
-                }),
-                (
-                    "tcast_net_decode_errors_total",
-                    "Inbound frames that failed CRC or payload decoding.",
-                    |r| r.decode_errors,
-                ),
-                (
-                    "tcast_net_busy_rejections_total",
-                    "Requests rejected with a Busy error frame.",
-                    |r| r.busy_rejections,
-                ),
-                (
-                    "tcast_net_auth_failures_total",
-                    "Failed Auth handshakes (wrong key, replayed nonce, truncated Auth frame, \
-                     submit-before-auth).",
-                    |r| r.auth_failures,
-                ),
-                (
-                    "tcast_net_reconnects_total",
-                    "Transport reconnects folded into this connection label.",
-                    |r| r.reconnects_total,
-                ),
-                (
-                    "tcast_net_accept_errors_total",
-                    "Failed accept(2) calls on a server listener (fd exhaustion, aborted \
-                     handshakes).",
-                    |r| r.accept_errors,
-                ),
-                (
-                    "tcast_net_conns_opened_total",
-                    "Server connections admitted under this label.",
-                    |r| r.conns_opened,
-                ),
-                (
-                    "tcast_net_conns_closed_total",
-                    "Server connections fully closed under this label.",
-                    |r| r.conns_closed,
-                ),
-            ];
-            for (name, help, get) in net {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-                for r in &self.net_rows {
-                    out.push_str(&format!(
-                        "{name}{{conn=\"{}\",generation=\"{}\"}} {}\n",
-                        esc(&r.label),
-                        r.reconnects_total,
-                        get(r)
-                    ));
-                }
-            }
-            let gauges: [(&str, &str, NetCounter); 2] = [
-                (
-                    "tcast_net_open_connections",
-                    "Currently open server connections (opened - closed).",
-                    |r| r.open_connections(),
-                ),
-                (
-                    "tcast_net_io_threads",
-                    "Reactor I/O threads serving this label (0 on client-side labels).",
-                    |r| r.io_threads,
-                ),
-            ];
-            for (name, help, get) in gauges {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-                for r in &self.net_rows {
-                    out.push_str(&format!(
-                        "{name}{{conn=\"{}\",generation=\"{}\"}} {}\n",
-                        esc(&r.label),
-                        r.reconnects_total,
-                        get(r)
-                    ));
-                }
-            }
-        }
-        if !self.tenant_rows.is_empty() {
-            type TenantCounter = fn(&TenantMetricsRow) -> u64;
-            let counters: [(&str, &str, TenantCounter); 2] = [
-                (
-                    "tcast_tenant_jobs_total",
-                    "Jobs completed per tenant, whatever the outcome.",
-                    |r| r.jobs,
-                ),
-                (
-                    "tcast_tenant_quota_rejections_total",
-                    "Jobs rejected at admission because the tenant was over quota.",
-                    |r| r.quota_rejections,
-                ),
-            ];
-            for (name, help, get) in counters {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-                for r in &self.tenant_rows {
-                    out.push_str(&format!(
-                        "{name}{{tenant=\"{}\"}} {}\n",
-                        esc(&r.tenant),
-                        get(r)
-                    ));
-                }
-            }
-            out.push_str(
-                "# HELP tcast_tenant_queue_wait_microseconds Queue wait (submission to \
-                 execution start) per completed job.\n\
-                 # TYPE tcast_tenant_queue_wait_microseconds summary\n",
-            );
-            for r in &self.tenant_rows {
-                let tenant = esc(&r.tenant);
-                for q in [0.5, 0.9, 0.99] {
-                    out.push_str(&format!(
-                        "tcast_tenant_queue_wait_microseconds{{tenant=\"{tenant}\",quantile=\"{q}\"}} {:.1}\n",
-                        r.queue_wait_hist.quantile(q),
-                    ));
-                }
-                let sum = r.queue_wait_us.mean() * r.queue_wait_us.count() as f64;
-                out.push_str(&format!(
-                    "tcast_tenant_queue_wait_microseconds_sum{{tenant=\"{tenant}\"}} {sum:.1}\n",
-                ));
-                out.push_str(&format!(
-                    "tcast_tenant_queue_wait_microseconds_count{{tenant=\"{tenant}\"}} {}\n",
-                    r.queue_wait_us.count(),
-                ));
-            }
-        }
+        let signal = |r: &SloStatus| labels(&[("objective", &r.name), ("signal", r.signal)]);
+        per_row(&mut out, &self.slo_rows, true, signal, &SLO_EVENTS);
         if !self.slo_rows.is_empty() {
-            type SloCounter = fn(&tcast_obs::SloStatus) -> u64;
-            let counters: [(&str, &str, SloCounter); 2] = [
-                (
-                    "tcast_slo_good_total",
-                    "Good events per objective over the long SLO window.",
-                    |r| r.good,
-                ),
-                (
-                    "tcast_slo_bad_total",
-                    "Bad events per objective over the long SLO window.",
-                    |r| r.bad,
-                ),
-            ];
-            for (name, help, get) in counters {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-                for r in &self.slo_rows {
-                    out.push_str(&format!(
-                        "{name}{{objective=\"{}\",signal=\"{}\"}} {}\n",
-                        esc(&r.name),
-                        r.signal,
-                        get(r)
-                    ));
-                }
-            }
-            out.push_str(
-                "# HELP tcast_slo_burn_rate Error-budget burn rate per objective \
-                 (1.0 spends exactly the window's budget).\n\
-                 # TYPE tcast_slo_burn_rate gauge\n",
-            );
-            for r in &self.slo_rows {
-                let objective = esc(&r.name);
-                out.push_str(&format!(
-                    "tcast_slo_burn_rate{{objective=\"{objective}\",window=\"short\"}} {:.6}\n",
-                    r.burn_short,
-                ));
-                out.push_str(&format!(
-                    "tcast_slo_burn_rate{{objective=\"{objective}\",window=\"long\"}} {:.6}\n",
-                    r.burn_long,
-                ));
-            }
-            out.push_str(
-                "# HELP tcast_slo_error_budget_remaining Fraction of the long window's \
-                 error budget left at the current burn.\n\
-                 # TYPE tcast_slo_error_budget_remaining gauge\n",
-            );
-            for r in &self.slo_rows {
-                out.push_str(&format!(
-                    "tcast_slo_error_budget_remaining{{objective=\"{}\"}} {:.6}\n",
-                    esc(&r.name),
-                    r.budget_remaining,
-                ));
-            }
-            out.push_str(
-                "# HELP tcast_slo_fast_burn 1 when the short-window burn rate is at or \
-                 above the objective's paging threshold.\n\
-                 # TYPE tcast_slo_fast_burn gauge\n",
-            );
-            for r in &self.slo_rows {
-                out.push_str(&format!(
-                    "tcast_slo_fast_burn{{objective=\"{}\"}} {}\n",
-                    esc(&r.name),
-                    u8::from(r.fast_burn),
-                ));
-            }
+            let burns = self.slo_rows.iter().flat_map(|r| {
+                [("short", r.burn_short), ("long", r.burn_long)].map(|(window, burn)| Sample {
+                    labels: labels(&[("objective", &r.name), ("window", window)]),
+                    value: Ratio(burn),
+                })
+            });
+            out.push(Family::new(BURN_RATE, Gauge, burns.collect()));
         }
+        let objective = |r: &SloStatus| labels(&[("objective", &r.name)]);
+        per_row(&mut out, &self.slo_rows, true, objective, &SLO_STATE);
         out
     }
+
+    /// Prometheus text exposition of the snapshot:
+    /// [`render_prometheus`] over [`families`](Self::families).
+    pub fn to_prometheus(&self) -> String {
+        render_prometheus(&self.families())
+    }
+}
+
+/// `(name, help)` of a family.
+type NameHelp = (&'static str, &'static str);
+
+/// One family of a [`per_row`] table: its name and help, its kind, and
+/// the value one row contributes.
+type RowFamily<R> = (NameHelp, MetricKind, fn(&R) -> MetricValue);
+
+#[rustfmt::skip]
+const JOB_COUNTERS: [RowFamily<MetricsRow>; 9] = [
+    (("tcast_jobs_total", "Jobs finished, including panicked and deadline-expired ones."),
+     Counter, |r| Int(r.jobs)),
+    (("tcast_job_panics_total", "Jobs that panicked."), Counter, |r| Int(r.panics)),
+    (("tcast_job_deadline_exceeded_total", "Jobs whose deadline expired before a worker ran them."),
+     Counter, |r| Int(r.deadline_exceeded)),
+    (("tcast_queries_total", "Group queries across all sessions, retries included."),
+     Counter, |r| Int(r.queries)),
+    (("tcast_retry_queries_total", "Verified-silence retry queries across all sessions."),
+     Counter, |r| Int(r.retries)),
+    (("tcast_defense_queries_total",
+      "Defense queries (canary probes, confirmation re-queries) across all sessions."),
+     Counter, |r| Int(r.defenses)),
+    (("tcast_anomalies_total", "Adversary-suspected anomalies flagged across all sessions."),
+     Counter, |r| Int(r.anomalies)),
+    (("tcast_rounds_total", "Rounds across all sessions."), Counter, |r| Int(r.rounds)),
+    (("tcast_cache_hits_total", "Jobs served from the session cache."),
+     Counter, |r| Int(r.cache_hits)),
+];
+
+const VERDICTS: NameHelp = ("tcast_verdicts_total", "Session verdicts by outcome.");
+
+#[rustfmt::skip]
+const JOB_SUMMARIES: [RowFamily<MetricsRow>; 4] = [
+    (("tcast_job_latency_microseconds", "Successful-job wall-clock latency."),
+     MetricKind::Summary, |r| summary(Some(&r.latency_hist), &r.latency_us)),
+    (("tcast_job_queries", "Group queries per session."),
+     MetricKind::Summary, |r| summary(Some(&r.query_hist), &r.query_summary)),
+    (("tcast_job_retry_queries", "Retry queries per session."),
+     MetricKind::Summary, |r| MetricValue::Summary {
+         quantiles: quantiles(&r.retry_hist),
+         sum: r.retries as f64,
+         count: r.retry_hist.total(),
+     }),
+    (("tcast_job_failed_latency_microseconds",
+      "Wall-clock latency of failed jobs, kept apart from successes."),
+     MetricKind::Summary, |r| summary(None, &r.failed_latency_us)),
+];
+
+const QUEUE_WAIT: NameHelp = (
+    "tcast_queue_wait_microseconds",
+    "Queue wait (submission to execution start) across all executed query jobs.",
+);
+
+const BATCH_SIZE: NameHelp = (
+    "tcast_batch_size_jobs",
+    "Jobs claimed per worker dequeue batch.",
+);
+
+#[rustfmt::skip]
+const NET: [RowFamily<NetMetricsRow>; 13] = [
+    (("tcast_net_frames_in_total", "Frames decoded from the peer."), Counter, |r| Int(r.frames_in)),
+    (("tcast_net_frames_out_total", "Frames written to the peer."), Counter, |r| Int(r.frames_out)),
+    (("tcast_net_bytes_in_total", "Wire bytes received (decoded frames only)."),
+     Counter, |r| Int(r.bytes_in)),
+    (("tcast_net_bytes_out_total", "Wire bytes sent."), Counter, |r| Int(r.bytes_out)),
+    (("tcast_net_decode_errors_total", "Inbound frames that failed CRC or payload decoding."),
+     Counter, |r| Int(r.decode_errors)),
+    (("tcast_net_busy_rejections_total", "Requests rejected with a Busy error frame."),
+     Counter, |r| Int(r.busy_rejections)),
+    (("tcast_net_auth_failures_total",
+      "Failed Auth handshakes (wrong key, replayed nonce, truncated Auth frame, \
+       submit-before-auth)."),
+     Counter, |r| Int(r.auth_failures)),
+    (("tcast_net_reconnects_total", "Transport reconnects folded into this connection label."),
+     Counter, |r| Int(r.reconnects_total)),
+    (("tcast_net_accept_errors_total",
+      "Failed accept(2) calls on a server listener (fd exhaustion, aborted handshakes)."),
+     Counter, |r| Int(r.accept_errors)),
+    (("tcast_net_conns_opened_total", "Server connections admitted under this label."),
+     Counter, |r| Int(r.conns_opened)),
+    (("tcast_net_conns_closed_total", "Server connections fully closed under this label."),
+     Counter, |r| Int(r.conns_closed)),
+    (("tcast_net_open_connections", "Currently open server connections (opened - closed)."),
+     Gauge, |r| Int(r.open_connections())),
+    (("tcast_net_io_threads", "Reactor I/O threads serving this label (0 on client-side labels)."),
+     Gauge, |r| Int(r.io_threads)),
+];
+
+#[rustfmt::skip]
+const TENANT: [RowFamily<TenantMetricsRow>; 3] = [
+    (("tcast_tenant_jobs_total", "Jobs completed per tenant, whatever the outcome."),
+     Counter, |r| Int(r.jobs)),
+    (("tcast_tenant_quota_rejections_total",
+      "Jobs rejected at admission because the tenant was over quota."),
+     Counter, |r| Int(r.quota_rejections)),
+    (("tcast_tenant_queue_wait_microseconds",
+      "Queue wait (submission to execution start) per completed job."),
+     MetricKind::Summary, |r| summary(Some(&r.queue_wait_hist), &r.queue_wait_us)),
+];
+
+#[rustfmt::skip]
+const SLO_EVENTS: [RowFamily<SloStatus>; 2] = [
+    (("tcast_slo_good_total", "Good events per objective over the long SLO window."),
+     Gauge, |r| Int(r.good)),
+    (("tcast_slo_bad_total", "Bad events per objective over the long SLO window."),
+     Gauge, |r| Int(r.bad)),
+];
+
+const BURN_RATE: NameHelp = (
+    "tcast_slo_burn_rate",
+    "Error-budget burn rate per objective (1.0 spends exactly the window's budget).",
+);
+
+#[rustfmt::skip]
+const SLO_STATE: [RowFamily<SloStatus>; 2] = [
+    (("tcast_slo_error_budget_remaining",
+      "Fraction of the long window's error budget left at the current burn."),
+     Gauge, |r| Ratio(r.budget_remaining)),
+    (("tcast_slo_fast_burn",
+      "1 when the short-window burn rate is at or above the objective's paging threshold."),
+     Gauge, |r| Int(u64::from(r.fast_burn))),
+];
+
+/// The quantiles every exposed summary reports.
+const QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
+
+fn labels(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+    pairs
+        .iter()
+        .map(|(name, value)| (name.to_string(), value.to_string()))
+        .collect()
+}
+
+fn quantiles(hist: &Histogram) -> Vec<(f64, f64)> {
+    QUANTILES.iter().map(|&q| (q, hist.quantile(q))).collect()
+}
+
+/// A summary value over `stats`, with quantiles from `hist` when given.
+fn summary(hist: Option<&Histogram>, stats: &Summary) -> MetricValue {
+    MetricValue::Summary {
+        quantiles: hist.map(quantiles).unwrap_or_default(),
+        sum: stats.mean() * stats.count() as f64,
+        count: stats.count(),
+    }
+}
+
+/// One family per `table` entry with one sample per row; a `gated`
+/// section emits no families at all while `rows` is empty.
+fn per_row<R>(
+    out: &mut Vec<Family>,
+    rows: &[R],
+    gated: bool,
+    labels: impl Fn(&R) -> Vec<(String, String)>,
+    table: &[RowFamily<R>],
+) {
+    if gated && rows.is_empty() {
+        return;
+    }
+    for &(name_help, kind, value) in table {
+        let samples = rows.iter().map(|r| Sample {
+            labels: labels(r),
+            value: value(r),
+        });
+        out.push(Family::new(name_help, kind, samples.collect()));
+    }
+}
+
+/// How a metric family is typed on its `# TYPE` line. The discriminant
+/// is the kind's tag on the metrics wire frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A count that only grows.
+    Counter = 1,
+    /// A value that may go up or down.
+    Gauge = 2,
+    /// Quantiles, a sum, and a count per sample.
+    Summary = 3,
+}
+
+impl MetricKind {
+    /// The kind as the exposition names it.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Summary => "summary",
+        }
+    }
+}
+
+/// One sample's value; the variant fixes how the exposition prints it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MetricValue {
+    /// A count, printed as an integer.
+    Int(u64),
+    /// A ratio (SLO burn rate, error budget), printed with six decimals.
+    Ratio(f64),
+    /// A summary. Quantiles and the sum print with one decimal.
+    Summary {
+        /// `(q, value)` pairs in ascending `q`; empty for a summary that
+        /// only carries a sum and a count.
+        quantiles: Vec<(f64, f64)>,
+        /// Sum of the observations.
+        sum: f64,
+        /// Number of observations.
+        count: u64,
+    },
+}
+
+impl MetricValue {
+    /// A count or ratio as a number; `None` for a summary.
+    pub fn scalar(&self) -> Option<f64> {
+        match *self {
+            MetricValue::Int(v) => Some(v as f64),
+            MetricValue::Ratio(v) => Some(v),
+            MetricValue::Summary { .. } => None,
+        }
+    }
+}
+
+/// One sample of a family: its labels and its value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    /// `(name, value)` pairs in exposition order. Values are raw; the
+    /// renderer escapes them.
+    pub labels: Vec<(String, String)>,
+    /// The sample's value.
+    pub value: MetricValue,
+}
+
+/// One metric family: every sample of one metric name, plus the name's
+/// help text and kind. [`MetricsSnapshot::families`] produces them, the
+/// metrics wire frame carries them, and [`render_prometheus`] prints them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Family {
+    /// Metric name, e.g. `tcast_jobs_total`.
+    pub name: String,
+    /// One-line description for the `# HELP` line.
+    pub help: String,
+    /// The family's kind.
+    pub kind: MetricKind,
+    /// Samples in exposition order.
+    pub samples: Vec<Sample>,
+}
+
+impl Family {
+    fn new((name, help): NameHelp, kind: MetricKind, samples: Vec<Sample>) -> Self {
+        Self {
+            name: name.to_string(),
+            help: help.to_string(),
+            kind,
+            samples,
+        }
+    }
+
+    /// The family called `name` among `families`.
+    pub fn find<'a>(families: &'a [Family], name: &str) -> Option<&'a Family> {
+        families.iter().find(|f| f.name == name)
+    }
+
+    /// The counts and ratios of every sample, in order.
+    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.samples.iter().filter_map(|s| s.value.scalar())
+    }
+
+    /// Quantile `q` of the family's first summary sample — the whole
+    /// family for an unlabelled summary such as
+    /// `tcast_queue_wait_microseconds`.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        match &self.samples.first()?.value {
+            MetricValue::Summary { quantiles, .. } => {
+                quantiles.iter().find(|(at, _)| *at == q).map(|&(_, v)| v)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Renders `families` in the Prometheus text exposition format: `# HELP`
+/// and `# TYPE` per family, then one line per sample — a line per
+/// quantile plus `_sum` and `_count` lines for a summary. Label values
+/// are escaped here; a quantile rides as the last label.
+pub fn render_prometheus(families: &[Family]) -> String {
+    let mut out = String::new();
+    for f in families {
+        let (name, kind) = (f.name.as_str(), f.kind.name());
+        let _ = write!(out, "# HELP {name} {}\n# TYPE {name} {kind}\n", f.help);
+        for s in &f.samples {
+            let mut line = |suffix: &str, quantile: Option<f64>, value: &dyn Display| {
+                let quantile = quantile.map(|q| ("quantile".to_string(), q.to_string()));
+                let mut sep = '{';
+                let _ = write!(out, "{name}{suffix}");
+                for (label, v) in s.labels.iter().chain(&quantile) {
+                    let v = v
+                        .replace('\\', "\\\\")
+                        .replace('"', "\\\"")
+                        .replace('\n', "\\n");
+                    let _ = write!(out, "{sep}{label}=\"{v}\"");
+                    sep = ',';
+                }
+                let close = if sep == ',' { "}" } else { "" };
+                let _ = writeln!(out, "{close} {value}");
+            };
+            match &s.value {
+                MetricValue::Int(v) => line("", None, v),
+                MetricValue::Ratio(v) => line("", None, &format_args!("{v:.6}")),
+                MetricValue::Summary {
+                    quantiles,
+                    sum,
+                    count,
+                } => {
+                    for (q, v) in quantiles {
+                        line("", Some(*q), &format_args!("{v:.1}"));
+                    }
+                    line("_sum", None, &format_args!("{sum:.1}"));
+                    line("_count", None, count);
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1758,23 +1742,23 @@ tcast_verdicts_total{algorithm="x",verdict="yes"} 1
 tcast_verdicts_total{algorithm="x",verdict="no"} 1
 # HELP tcast_job_latency_microseconds Successful-job wall-clock latency.
 # TYPE tcast_job_latency_microseconds summary
-tcast_job_latency_microseconds{algorithm="x",quantile="0.5"} 1000.0
-tcast_job_latency_microseconds{algorithm="x",quantile="0.9"} 1800.0
-tcast_job_latency_microseconds{algorithm="x",quantile="0.99"} 1980.0
+tcast_job_latency_microseconds{algorithm="x",quantile="0.5"} 300.0
+tcast_job_latency_microseconds{algorithm="x",quantile="0.9"} 300.0
+tcast_job_latency_microseconds{algorithm="x",quantile="0.99"} 300.0
 tcast_job_latency_microseconds_sum{algorithm="x"} 400.0
 tcast_job_latency_microseconds_count{algorithm="x"} 2
 # HELP tcast_job_queries Group queries per session.
 # TYPE tcast_job_queries summary
 tcast_job_queries{algorithm="x",quantile="0.5"} 32.0
-tcast_job_queries{algorithm="x",quantile="0.9"} 57.6
-tcast_job_queries{algorithm="x",quantile="0.99"} 63.4
+tcast_job_queries{algorithm="x",quantile="0.9"} 40.0
+tcast_job_queries{algorithm="x",quantile="0.99"} 40.0
 tcast_job_queries_sum{algorithm="x"} 50.0
 tcast_job_queries_count{algorithm="x"} 2
 # HELP tcast_job_retry_queries Retry queries per session.
 # TYPE tcast_job_retry_queries summary
 tcast_job_retry_queries{algorithm="x",quantile="0.5"} 4.0
-tcast_job_retry_queries{algorithm="x",quantile="0.9"} 7.2
-tcast_job_retry_queries{algorithm="x",quantile="0.99"} 7.9
+tcast_job_retry_queries{algorithm="x",quantile="0.9"} 4.0
+tcast_job_retry_queries{algorithm="x",quantile="0.99"} 4.0
 tcast_job_retry_queries_sum{algorithm="x"} 4.0
 tcast_job_retry_queries_count{algorithm="x"} 2
 # HELP tcast_job_failed_latency_microseconds Wall-clock latency of failed jobs, kept apart from successes.
@@ -1865,12 +1849,12 @@ tcast_net_io_threads{conn="net/conn-0",generation="1"} 0
             tenant_csv,
             "tenant,jobs,quota_rejections,mean_queue_wait_us,p50_queue_wait_us,\
              p99_queue_wait_us,max_queue_wait_us\n\
-             alice,2,0,300.0,1000.0,1980.0,400.0\n\
+             alice,2,0,300.0,400.0,400.0,400.0\n\
              bob,0,3,0.0,0.0,0.0,0.0\n"
         );
 
         let md = snap.to_markdown();
-        assert!(md.contains("| alice | 2 | 0 | 300.0 | 1000.0 | 1980.0 | 400.0 |"));
+        assert!(md.contains("| alice | 2 | 0 | 300.0 | 400.0 | 400.0 | 400.0 |"));
         assert!(md.contains("| bob | 0 | 3 | - | 0.0 | 0.0 | - |"));
 
         let prom = snap.to_prometheus();
@@ -1879,7 +1863,7 @@ tcast_net_io_threads{conn="net/conn-0",generation="1"} 0
             "tcast_tenant_jobs_total{tenant=\"bob\"} 0",
             "tcast_tenant_quota_rejections_total{tenant=\"alice\"} 0",
             "tcast_tenant_quota_rejections_total{tenant=\"bob\"} 3",
-            "tcast_tenant_queue_wait_microseconds{tenant=\"alice\",quantile=\"0.5\"} 1000.0",
+            "tcast_tenant_queue_wait_microseconds{tenant=\"alice\",quantile=\"0.5\"} 400.0",
             "tcast_tenant_queue_wait_microseconds_sum{tenant=\"alice\"} 600.0",
             "tcast_tenant_queue_wait_microseconds_count{tenant=\"alice\"} 2",
         ] {

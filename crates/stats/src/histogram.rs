@@ -3,7 +3,7 @@
 
 /// A histogram over `[lo, hi)` with equally sized bins. Out-of-range samples
 /// are tallied in dedicated underflow/overflow counters so total mass is
-/// never silently lost.
+/// never silently lost; the observed min and max bound every quantile.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
@@ -12,6 +12,8 @@ pub struct Histogram {
     underflow: u64,
     overflow: u64,
     total: u64,
+    min: f64,
+    max: f64,
 }
 
 impl Histogram {
@@ -30,12 +32,16 @@ impl Histogram {
             underflow: 0,
             overflow: 0,
             total: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
     /// Records one sample.
     pub fn record(&mut self, value: f64) {
         self.total += 1;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
         if value < self.lo {
             self.underflow += 1;
         } else if value >= self.hi {
@@ -76,6 +82,8 @@ impl Histogram {
         self.underflow += other.underflow;
         self.overflow += other.overflow;
         self.total += other.total;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of bins.
@@ -131,7 +139,8 @@ impl Histogram {
     }
 
     /// Value at quantile `q` (clamped to `[0, 1]`), linearly interpolated
-    /// within the containing bin.
+    /// within the containing bin, then clamped to the observed
+    /// `[min, max]` of the recorded samples.
     ///
     /// Out-of-range mass resolves to the nearest bound: a rank landing in
     /// the underflow counter reports `lo`, one landing in the overflow
@@ -142,6 +151,12 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
+        self.bin_quantile(q).max(self.min).min(self.max)
+    }
+
+    /// The unclamped quantile: interpolated within the bins, with
+    /// out-of-range mass at the nearest bound.
+    fn bin_quantile(&self, q: f64) -> f64 {
         let rank = q.clamp(0.0, 1.0) * self.total as f64;
         let mut seen = self.underflow as f64;
         if rank <= seen {
@@ -248,8 +263,73 @@ mod tests {
         // identity, up to the linear interpolation within one bin.
         assert!((h.quantile(0.5) - 50.0).abs() < 1.0, "{}", h.quantile(0.5));
         assert!((h.quantile(0.9) - 90.0).abs() < 1.0);
-        assert_eq!(h.quantile(1.0), 100.0);
+        assert_eq!(
+            h.quantile(1.0),
+            99.0,
+            "the top bin's bound clamps to the max seen"
+        );
         assert_eq!(h.quantile(0.0), 0.0);
+    }
+
+    #[test]
+    fn in_range_quantiles_stay_within_the_observed_samples() {
+        // Regression: two samples in one 2ms bin reported a p99 of 1980
+        // against an observed max of 300 — the bin's upper bound leaked.
+        let mut h = Histogram::new(0.0, 100_000.0, 50);
+        h.record(100.0);
+        h.record(300.0);
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!((100.0..=300.0).contains(&v), "q{q} = {v}");
+        }
+        assert_eq!(h.quantile(0.99), 300.0);
+        assert_eq!(h.quantile(0.0), 100.0);
+    }
+
+    #[test]
+    fn underflow_quantiles_clamp_to_the_observed_range() {
+        let mut h = Histogram::new(10.0, 20.0, 2);
+        h.record(2.0);
+        h.record(4.0);
+        // Every rank lands in the underflow counter, whose bound `lo` is
+        // above anything seen: the max seen is the honest answer.
+        assert_eq!(h.quantile(0.5), 4.0);
+        assert_eq!(h.quantile(0.0), 4.0);
+    }
+
+    #[test]
+    fn overflow_quantiles_clamp_to_the_observed_range() {
+        let mut h = Histogram::new(0.0, 10.0, 5);
+        h.record(50.0);
+        h.record(70.0);
+        // The overflow bound `hi` is below anything seen: the min seen is
+        // the tightest value still inside the observed range.
+        assert_eq!(h.quantile(0.99), 50.0);
+        h.record(5.0);
+        assert_eq!(
+            h.quantile(0.1),
+            5.0,
+            "an in-range rank clamps up to the min"
+        );
+    }
+
+    #[test]
+    fn merged_histograms_clamp_to_the_union_of_ranges() {
+        let mut a = Histogram::new(0.0, 1000.0, 10);
+        a.record(110.0);
+        let mut b = Histogram::new(0.0, 1000.0, 10);
+        b.record(150.0);
+        b.record(-5.0);
+        a.merge(&b);
+        assert_eq!(a.quantile(0.99), 150.0, "max comes from the other side");
+        assert_eq!(a.quantile(0.01), 0.0, "underflow bound is inside [-5, 150]");
+        let empty = Histogram::new(0.0, 1000.0, 10);
+        a.merge(&empty);
+        assert_eq!(
+            a.quantile(0.99),
+            150.0,
+            "an empty merge leaves the range alone"
+        );
     }
 
     #[test]

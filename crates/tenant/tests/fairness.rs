@@ -11,8 +11,10 @@
 //! one; DRR alternates, so at most `k + 1` noisy jobs finish before the
 //! k-th quiet job.
 //!
-//! The measured interleaving and per-tenant queue-wait statistics are
-//! written to `BENCH_fairness.json` at the repo root.
+//! The measured interleaving is written to `BENCH_fairness.json` at the
+//! repo root. Only deterministic fields go there, so re-running the test
+//! rewrites identical bytes; per-tenant queue-wait timings are noisy and
+//! belong to the end-to-end benchmark instead.
 
 use std::sync::{Arc, Mutex};
 
@@ -107,23 +109,19 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
     }
     assert_eq!(quiet_seen, QUIET_JOBS);
 
-    // Record the measured numbers next to the claim they support.
     let rows = service.metrics().tenant_rows;
-    let stats = |name: &str| {
-        let r = rows.iter().find(|r| r.tenant == name).expect("tenant row");
-        (
-            r.jobs,
-            r.queue_wait_us.mean(),
-            r.queue_wait_hist.quantile(0.99),
-            r.queue_wait_us.max(),
-        )
+    let jobs = |name: &str| {
+        rows.iter()
+            .find(|r| r.tenant == name)
+            .expect("tenant row")
+            .jobs
     };
-    let (noisy_jobs, noisy_mean, noisy_p99, noisy_max) = stats("noisy");
-    let (quiet_jobs, quiet_mean, quiet_p99, quiet_max) = stats("quiet");
     assert_eq!(
-        (noisy_jobs, quiet_jobs),
+        (jobs("noisy"), jobs("quiet")),
         (NOISY_JOBS as u64, QUIET_JOBS as u64)
     );
+
+    // Record the measured bound next to the claim it supports.
 
     let json = format!(
         r#"{{
@@ -139,10 +137,6 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
     "claim": "at most k+1 noisy completions precede the k-th quiet completion",
     "worst_noisy_lead_observed": {worst_noisy_lead},
     "fifo_counterfactual_lead": {NOISY_JOBS}
-  }},
-  "queue_wait_us": {{
-    "noisy": {{ "mean": {noisy_mean:.1}, "p99": {noisy_p99:.1}, "max": {noisy_max:.1} }},
-    "quiet": {{ "mean": {quiet_mean:.1}, "p99": {quiet_p99:.1}, "max": {quiet_max:.1} }}
   }}
 }}
 "#

@@ -17,7 +17,10 @@ use tcast_net::{
     ErrorCode, Frame, FrameReader, MalformedFrame, NetClient, NetClientConfig, NetServer,
     NetServerConfig, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
-use tcast_service::{AlgorithmSpec, JobError, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{
+    render_prometheus, AlgorithmSpec, Family, JobError, JobOutput, MetricsRegistry,
+    MetricsSnapshot, QueryJob, QueryService, ServiceConfig,
+};
 
 fn start_server() -> NetServer {
     let service = Arc::new(QueryService::new(ServiceConfig::with_workers(1)));
@@ -135,6 +138,46 @@ fn submit_stamped_with_an_old_version_is_malformed() {
     server.shutdown();
 }
 
+/// A registry snapshot with every gated metrics section present: job
+/// rows (one with defenses and anomalies), net rows, a tenant, and an
+/// SLO tracker.
+fn full_snapshot() -> MetricsSnapshot {
+    let m = MetricsRegistry::new();
+    m.attach_slo(Arc::new(tcast_obs::SloTracker::new(vec![
+        tcast_obs::Objective::latency("e2e-latency", 200.0, 0.99),
+        tcast_obs::Objective::auth("auth", 0.99),
+    ])));
+    for seed in 0..6 {
+        let report = job(seed).execute();
+        m.record(
+            AlgorithmSpec::ALL[seed as usize % AlgorithmSpec::ALL.len()].name(),
+            &Ok(JobOutput::Report(report)),
+            Duration::from_micros(90 + 70 * seed),
+        );
+    }
+    let mut hardened = QueryReport::trivial(false);
+    hardened.defense_queries = 9;
+    hardened.anomalies = 2;
+    m.record("od\"d", &Ok(JobOutput::Report(hardened)), Duration::ZERO);
+    m.record(
+        "2tBins",
+        &Err(JobError::DeadlineExceeded),
+        Duration::from_micros(5),
+    );
+    m.slo_observe(tcast_obs::SloSignal::Auth, false);
+    m.record_queue_wait(Duration::from_micros(40));
+    m.record_batch_size(4);
+    let conn = m.net_counters("net/io-0");
+    conn.frame_in(120);
+    conn.frame_out(300);
+    conn.reconnect();
+    m.net_counters("net/server").conn_opened();
+    m.seen_tenant("gold");
+    m.record_tenant_job("gold", Duration::from_micros(75));
+    m.record_quota_rejections("bronze", 2);
+    m.snapshot()
+}
+
 /// Frames of every shape, to mutate into near-valid garbage.
 fn seed_frames() -> Vec<Vec<u8>> {
     let report: QueryReport = job(3).execute();
@@ -168,9 +211,9 @@ fn seed_frames() -> Vec<Vec<u8>> {
             code: ErrorCode::Busy,
             detail: "busy".into(),
         },
-        Frame::MetricsText {
+        Frame::Metrics {
             request_id: 3,
-            text: "# metrics".into(),
+            families: full_snapshot().families(),
         },
         Frame::TraceExport {
             request_id: 4,
@@ -220,6 +263,63 @@ fn arbitrary_bytes_never_panic_the_decoders() {
         let mut reader = FrameReader::new();
         while let Ok(Some(_)) = reader.read_from(&mut cursor, 1 << 16) {}
     }
+}
+
+#[test]
+fn metrics_families_cross_the_wire_and_render_the_server_exposition() {
+    let snapshot = full_snapshot();
+    let families = snapshot.families();
+    for name in [
+        "tcast_verdicts_total",
+        "tcast_queue_wait_microseconds",
+        "tcast_net_io_threads",
+        "tcast_tenant_queue_wait_microseconds",
+        "tcast_slo_burn_rate",
+    ] {
+        assert!(Family::find(&families, name).is_some(), "{name} missing");
+    }
+    let bytes = Frame::Metrics {
+        request_id: 3,
+        families: families.clone(),
+    }
+    .to_bytes();
+    let Ok(Frame::Metrics {
+        families: decoded, ..
+    }) = Frame::from_bytes(&bytes, DEFAULT_MAX_PAYLOAD)
+    else {
+        panic!("metrics frame failed to decode");
+    };
+    assert_eq!(decoded, families);
+    assert_eq!(render_prometheus(&decoded), snapshot.to_prometheus());
+
+    // Through a live server: everything but the socket counters is frozen
+    // once the jobs answered, so it must equal the server's own families.
+    // The `tcast_net_*` values move with the fetch's own traffic; their
+    // series (names and label sets) must still match.
+    let service = Arc::new(QueryService::new(ServiceConfig::with_workers(1)));
+    let server = NetServer::bind("127.0.0.1:0", service.clone(), NetServerConfig::default())
+        .expect("bind loopback");
+    let client =
+        NetClient::connect(server.local_addr(), NetClientConfig::default()).expect("connect");
+    for result in client.submit((0..8).map(job).collect()).wait() {
+        result.expect("job round-trips");
+    }
+    let fetched = client.server_metrics().expect("metrics fetch");
+    let local = service.metrics_registry().snapshot().families();
+    let series = |f: &Family| -> Vec<Vec<(String, String)>> {
+        f.samples.iter().map(|s| s.labels.clone()).collect()
+    };
+    assert_eq!(fetched.len(), local.len());
+    for (got, want) in fetched.iter().zip(&local) {
+        if want.name.starts_with("tcast_net_") {
+            assert_eq!((&got.name, got.kind), (&want.name, want.kind));
+            assert_eq!(series(got), series(want), "{}", want.name);
+        } else {
+            assert_eq!(got, want);
+        }
+    }
+    client.close();
+    server.shutdown();
 }
 
 #[test]
