@@ -1,8 +1,7 @@
 //! The ideal (error-free) channel — the paper's simulation model.
 
 use rand::rngs::SmallRng;
-use rand::seq::IndexedRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use super::{ChannelStats, GroupQueryChannel};
 use crate::types::{CollisionModel, NodeId, Observation};
@@ -25,8 +24,14 @@ pub struct IdealChannel {
 impl IdealChannel {
     /// Creates a channel over `n` nodes (ids `0..n`), none positive yet.
     pub fn new(n: usize, model: CollisionModel, seed: u64) -> Self {
+        Self::from_bitmap(vec![false; n], model, seed)
+    }
+
+    /// Creates a channel over `positive.len()` nodes that takes ownership
+    /// of a ground-truth bitmap, so construction copies it nowhere.
+    pub(crate) fn from_bitmap(positive: Vec<bool>, model: CollisionModel, seed: u64) -> Self {
         Self {
-            positive: vec![false; n],
+            positive,
             model,
             rng: SmallRng::seed_from_u64(seed),
             stats: ChannelStats::default(),
@@ -50,8 +55,7 @@ impl IdealChannel {
         seed: u64,
         rng: &mut R,
     ) -> Self {
-        let mut ch = Self::new(n, model, seed);
-        ch.set_positives(&super::random_positive_set(n, x, rng));
+        let ch = Self::from_bitmap(super::spec::floyd_bitmap(n, x, rng), model, seed);
         debug_assert_eq!(ch.positive.iter().filter(|&&p| p).count(), x);
         ch
     }
@@ -78,12 +82,18 @@ impl IdealChannel {
 impl GroupQueryChannel for IdealChannel {
     fn query(&mut self, members: &[NodeId]) -> Observation {
         self.stats.queries += 1;
-        let repliers: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|id| self.positive[id.index()])
-            .collect();
-        observe(&repliers, self.model, &mut self.rng)
+        let positive = &self.positive;
+        let repliers = || members.iter().copied().filter(|id| positive[id.index()]);
+        // 1+ observes only "is any member positive?", so stop at the first.
+        let k = match self.model {
+            CollisionModel::OnePlus => usize::from(repliers().next().is_some()),
+            CollisionModel::TwoPlus(_) => repliers().count(),
+        };
+        observe(k, self.model, &mut self.rng, |i| {
+            repliers()
+                .nth(i)
+                .expect("index drawn below the replier count")
+        })
     }
 
     fn model(&self) -> CollisionModel {
@@ -95,14 +105,20 @@ impl GroupQueryChannel for IdealChannel {
     }
 }
 
-/// Maps a set of simultaneous repliers to an observation under a collision
-/// model. Shared with [`super::LossyChannel`].
-pub(crate) fn observe(
-    repliers: &[NodeId],
+/// Maps `k` simultaneous repliers to an observation under a collision
+/// model — the one capture rule, shared with [`super::LossyChannel`].
+///
+/// Under 2+ a capture runs the `capture_probability(k)` lottery and then
+/// draws the decoded reply's index uniformly from `0..k` with one
+/// `next_u64` (multiply-shift, the same draw as `rand`'s `choose` on a
+/// `k`-element slice); `nth(i)` returns the `i`-th replier in `members`
+/// order. Callers therefore never materialize the replier list.
+pub(crate) fn observe<R: Rng + ?Sized>(
+    k: usize,
     model: CollisionModel,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
+    nth: impl FnOnce(usize) -> NodeId,
 ) -> Observation {
-    let k = repliers.len();
     if k == 0 {
         return Observation::Silent;
     }
@@ -111,7 +127,8 @@ pub(crate) fn observe(
         CollisionModel::TwoPlus(capture) => {
             let p = capture.capture_probability(k);
             if p >= 1.0 || (p > 0.0 && rng.random_bool(p)) {
-                Observation::Captured(*repliers.choose(rng).expect("k >= 1"))
+                let i = ((u128::from(rng.next_u64()) * k as u128) >> 64) as usize;
+                Observation::Captured(nth(i))
             } else {
                 Observation::Activity
             }

@@ -58,6 +58,17 @@ pub struct LossyChannel {
 impl LossyChannel {
     /// Creates a lossy channel over `n` nodes, none positive yet.
     pub fn new(n: usize, model: CollisionModel, loss: LossConfig, seed: u64) -> Self {
+        Self::from_bitmap(vec![false; n], model, loss, seed)
+    }
+
+    /// Creates a lossy channel over `positive.len()` nodes that takes
+    /// ownership of a ground-truth bitmap.
+    pub(crate) fn from_bitmap(
+        positive: Vec<bool>,
+        model: CollisionModel,
+        loss: LossConfig,
+        seed: u64,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&loss.reply_miss_prob),
             "reply_miss_prob out of range"
@@ -67,7 +78,7 @@ impl LossyChannel {
             "false_activity_prob out of range"
         );
         Self {
-            positive: vec![false; n],
+            positive,
             model,
             loss,
             rng: SmallRng::seed_from_u64(seed),
@@ -109,14 +120,13 @@ impl GroupQueryChannel for LossyChannel {
             .iter()
             .filter(|id| self.positive[id.index()])
             .count();
-        let heard: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.positive[id.index()] && !self.rng.random_bool(self.loss.reply_miss_prob)
-            })
-            .collect();
-        if heard.is_empty() {
+        // The loss draws run once to count the heard replies. A capture
+        // replays them from a copy of the generator taken beforehand to
+        // find the picked reply, so no list of heard ids is ever built.
+        let (positive, miss) = (&self.positive, self.loss.reply_miss_prob);
+        let mut replay = self.rng.clone();
+        let k = heard(members, positive, miss, &mut self.rng).count();
+        if k == 0 {
             if self.loss.false_activity_prob > 0.0
                 && self.rng.random_bool(self.loss.false_activity_prob)
             {
@@ -134,7 +144,11 @@ impl GroupQueryChannel for LossyChannel {
             }
             return Observation::Silent;
         }
-        observe(&heard, self.model, &mut self.rng)
+        observe(k, self.model, &mut self.rng, |i| {
+            heard(members, positive, miss, &mut replay)
+                .nth(i)
+                .expect("the replayed draws hear the same k replies")
+        })
     }
 
     fn model(&self) -> CollisionModel {
@@ -144,6 +158,20 @@ impl GroupQueryChannel for LossyChannel {
     fn queries_issued(&self) -> u64 {
         self.stats.queries
     }
+}
+
+/// The positive members whose reply survives its loss draw, in `members`
+/// order: one `random_bool(miss)` per positive member.
+fn heard<'a>(
+    members: &'a [NodeId],
+    positive: &'a [bool],
+    miss: f64,
+    rng: &'a mut SmallRng,
+) -> impl Iterator<Item = NodeId> + 'a {
+    members
+        .iter()
+        .copied()
+        .filter(move |id| positive[id.index()] && !rng.random_bool(miss))
 }
 
 #[cfg(test)]

@@ -75,6 +75,16 @@ pub enum AdversaryModel {
 ///
 /// Panics when `x > n`.
 pub fn random_positive_set<R: Rng + ?Sized>(n: usize, x: usize, rng: &mut R) -> Vec<NodeId> {
+    floyd_bitmap(n, x, rng)
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &p)| p.then_some(NodeId(i as u32)))
+        .collect()
+}
+
+/// [`random_positive_set`] as the membership bitmap the channels own:
+/// the same `x` draws, written straight into an `n`-entry `Vec<bool>`.
+pub(crate) fn floyd_bitmap<R: Rng + ?Sized>(n: usize, x: usize, rng: &mut R) -> Vec<bool> {
     assert!(x <= n, "cannot place {x} positives among {n} nodes");
     let mut positive = vec![false; n];
     for j in (n - x)..n {
@@ -86,10 +96,6 @@ pub fn random_positive_set<R: Rng + ?Sized>(n: usize, x: usize, rng: &mut R) -> 
         }
     }
     positive
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &p)| p.then_some(NodeId(i as u32)))
-        .collect()
 }
 
 /// Plain-data description of an abstract group-query channel.
@@ -243,24 +249,20 @@ impl ChannelSpec {
             "adversarial ChannelSpec must be built via tcast_adversary::build_with_truth \
              (core cannot construct Byzantine wrappers)"
         );
-        let positives = random_positive_set(self.n, self.x, placement);
-        let mut bitmap = vec![false; self.n];
-        for id in &positives {
-            bitmap[id.index()] = true;
-        }
+        // One placement pass: the channel owns the bitmap, the caller
+        // gets the one copy it needs as ground truth.
+        let bitmap = floyd_bitmap(self.n, self.x, placement);
+        let truth = bitmap.clone();
         let channel: Box<dyn GroupQueryChannel + Send> = match self.loss {
-            None => {
-                let mut ch = IdealChannel::new(self.n, self.model, channel_seed);
-                ch.set_positives(&positives);
-                Box::new(ch)
-            }
-            Some(loss) => {
-                let mut ch = LossyChannel::new(self.n, self.model, loss, channel_seed);
-                ch.set_positives(&positives);
-                Box::new(ch)
-            }
+            None => Box::new(IdealChannel::from_bitmap(bitmap, self.model, channel_seed)),
+            Some(loss) => Box::new(LossyChannel::from_bitmap(
+                bitmap,
+                self.model,
+                loss,
+                channel_seed,
+            )),
         };
-        (channel, bitmap)
+        (channel, truth)
     }
 }
 

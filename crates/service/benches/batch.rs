@@ -6,7 +6,9 @@
 //! cargo bench -p tcast-service --bench batch -- --quick # CI smoke + regression gate
 //! ```
 //!
-//! Three engine-tier arms run the same query stream single-threaded:
+//! Three engine-tier arms run the same query stream single-threaded over
+//! the production `IdealChannel` (1+, ids `0..X` positive), whose group
+//! query allocates nothing:
 //!
 //! * `serial` — the pre-batch path: fresh `population` + `drive`
 //!   buffers allocated per query.
@@ -37,7 +39,7 @@ use rand::SeedableRng;
 
 use tcast::{
     population, BatchRunner, ChannelMut, ChannelSpec, CollisionModel, ExecutionProfile,
-    GroupQueryChannel, NodeId, Observation, QueryReport, ThresholdQuerier, TwoTBins,
+    IdealChannel, QueryReport, ThresholdQuerier, TwoTBins,
 };
 use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
 
@@ -77,45 +79,11 @@ const X: usize = 12;
 const T: usize = 8;
 const JOBS_PER_WAVE: usize = 128;
 
-/// An allocation-free 1+ channel: `IdealChannel` collects the repliers
-/// into a fresh `Vec` per group query, which would drown the engine's
-/// own allocation signal. Under the 1+ model the observation only needs
-/// "any positive member?", so this one never touches the heap.
-struct FlatChannel {
-    positive: Vec<bool>,
-    queries: u64,
-}
-
-impl FlatChannel {
-    fn new(n: usize, x: usize) -> Self {
-        let mut positive = vec![false; n];
-        for flag in positive.iter_mut().take(x) {
-            *flag = true;
-        }
-        Self {
-            positive,
-            queries: 0,
-        }
-    }
-}
-
-impl GroupQueryChannel for FlatChannel {
-    fn query(&mut self, members: &[NodeId]) -> Observation {
-        self.queries += 1;
-        if members.iter().any(|id| self.positive[id.index()]) {
-            Observation::Activity
-        } else {
-            Observation::Silent
-        }
-    }
-
-    fn model(&self) -> CollisionModel {
-        CollisionModel::OnePlus
-    }
-
-    fn queries_issued(&self) -> u64 {
-        self.queries
-    }
+/// The production 1+ channel with ids `0..X` positive.
+fn one_plus_channel() -> IdealChannel {
+    let mut channel = IdealChannel::new(N, CollisionModel::OnePlus, 0);
+    channel.set_positives(&population(X));
+    channel
 }
 
 // ---------------------------------------------------------------------
@@ -146,7 +114,7 @@ fn measure<F: FnMut()>(queries: usize, mut one_query: F) -> EngineArm {
 }
 
 fn engine_serial(queries: usize) -> EngineArm {
-    let mut channel = FlatChannel::new(N, X);
+    let mut channel = one_plus_channel();
     let mut rng = SmallRng::seed_from_u64(2011);
     measure(queries, || {
         let nodes = population(N);
@@ -156,7 +124,7 @@ fn engine_serial(queries: usize) -> EngineArm {
 
 fn engine_runner(queries: usize) -> EngineArm {
     let mut runner = BatchRunner::with_capacity(ExecutionProfile::new(), N);
-    let mut channel = FlatChannel::new(N, X);
+    let mut channel = one_plus_channel();
     let mut rng = SmallRng::seed_from_u64(2011);
     measure(queries, || {
         let nodes = runner.scratch().take_population(N);
@@ -168,7 +136,7 @@ fn engine_runner(queries: usize) -> EngineArm {
 
 fn engine_encoded(queries: usize) -> EngineArm {
     let mut runner = BatchRunner::with_capacity(ExecutionProfile::new(), N);
-    let mut channel = FlatChannel::new(N, X);
+    let mut channel = one_plus_channel();
     let mut rng = SmallRng::seed_from_u64(2011);
     let mut wire = Vec::new();
     measure(queries, || {

@@ -31,6 +31,7 @@
 //! or the rest of the batch. Shutdown drains the queue: workers keep
 //! claiming until no unit remains, then exit.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -865,9 +866,9 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
         .take()
         .expect("each slot is claimed exactly once");
     let started = Instant::now();
-    let (label, result) = match payload {
+    let (label, result): (Cow<'static, str>, _) = match payload {
         Payload::Query(job) => {
-            let label = job.algorithm.name().to_string();
+            let label = job.algorithm.name();
             // Queue wait = submission to execution start; measured once so
             // the deadline check and the trace agree on the number.
             let queue_wait = unit.submitted_at.elapsed();
@@ -901,7 +902,7 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
                 );
                 Err(JobError::DeadlineExceeded)
             } else {
-                run_query(inner, &label, &job, runner)
+                run_query(inner, label, &job, runner)
             };
             inner.metrics.record_queue_wait(queue_wait);
             if let (Some(tenant), Some(reg)) = (job.tenant, &inner.tenants) {
@@ -913,11 +914,11 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
                     .metrics
                     .record_tenant_job(reg.name_of(tenant), queue_wait);
             }
-            (label, result)
+            (Cow::Borrowed(label), result)
         }
         Payload::Custom { label, task } => {
             let outcome = catch_unwind(AssertUnwindSafe(task));
-            (label, outcome.map_err(to_job_error))
+            (Cow::Owned(label), outcome.map_err(to_job_error))
         }
     };
     inner.metrics.record(&label, &result, started.elapsed());
