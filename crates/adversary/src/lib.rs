@@ -246,9 +246,14 @@ pub fn build_with_truth(spec: &ChannelSpec) -> (Box<dyn GroupQueryChannel + Send
     }
 }
 
-/// Like [`build_with_truth`] without the truth bitmap.
+/// Like [`build_with_truth`] without the truth bitmap: an honest spec
+/// builds through [`ChannelSpec::build`], which makes no truth copy;
+/// an adversarial one still needs the truth to recruit its liars.
 pub fn build(spec: &ChannelSpec) -> Box<dyn GroupQueryChannel + Send> {
-    build_with_truth(spec).0
+    match spec.adversary {
+        None => spec.build(),
+        Some(_) => build_with_truth(spec).0,
+    }
 }
 
 /// Builds the channel drawing the honest channel seed and positive

@@ -10,6 +10,8 @@
 //! p = (ln e_real - ln b) / ln(1 - 1/b)
 //! ```
 
+use std::borrow::Cow;
+
 use rand::RngCore;
 
 use crate::batch::EngineScratch;
@@ -33,7 +35,9 @@ pub enum InitialEstimate {
 pub struct Abns {
     /// Initial `p` estimate.
     pub p0: InitialEstimate,
-    name: String,
+    /// Borrowed for the paper's two configurations, so building one for
+    /// a job allocates nothing.
+    name: Cow<'static, str>,
 }
 
 impl Abns {
@@ -52,14 +56,14 @@ impl Abns {
         let name = match p0 {
             InitialEstimate::FactorOfT(f) => {
                 if f == 1.0 {
-                    "ABNS(p0=t)".to_string()
+                    Cow::Borrowed("ABNS(p0=t)")
                 } else if f == 2.0 {
-                    "ABNS(p0=2t)".to_string()
+                    Cow::Borrowed("ABNS(p0=2t)")
                 } else {
-                    format!("ABNS(p0={f}t)")
+                    Cow::Owned(format!("ABNS(p0={f}t)"))
                 }
             }
-            InitialEstimate::Fixed(v) => format!("ABNS(p0={v})"),
+            InitialEstimate::Fixed(v) => Cow::Owned(format!("ABNS(p0={v})")),
         };
         Self { p0, name }
     }

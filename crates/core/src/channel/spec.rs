@@ -214,8 +214,10 @@ impl ChannelSpec {
     }
 
     /// Builds the channel described by this spec from its stored seeds.
+    /// The channel owns the one placement bitmap; no truth copy is made.
     pub fn build(&self) -> Box<dyn GroupQueryChannel + Send> {
-        self.build_with_truth().0
+        let mut placement = SmallRng::seed_from_u64(self.placement_seed);
+        self.channel_from(self.placement(&mut placement), self.channel_seed)
     }
 
     /// Like [`build`](Self::build), additionally returning the ground-truth
@@ -244,16 +246,31 @@ impl ChannelSpec {
         channel_seed: u64,
         placement: &mut R,
     ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
+        // One placement pass: the channel owns the bitmap, the caller
+        // gets the one copy it needs as ground truth.
+        let bitmap = self.placement(placement);
+        let truth = bitmap.clone();
+        (self.channel_from(bitmap, channel_seed), truth)
+    }
+
+    /// The positive bitmap, drawn from `placement`; refuses adversarial
+    /// specs before drawing anything.
+    fn placement<R: Rng + ?Sized>(&self, placement: &mut R) -> Vec<bool> {
         assert!(
             self.adversary.is_none(),
             "adversarial ChannelSpec must be built via tcast_adversary::build_with_truth \
              (core cannot construct Byzantine wrappers)"
         );
-        // One placement pass: the channel owns the bitmap, the caller
-        // gets the one copy it needs as ground truth.
-        let bitmap = floyd_bitmap(self.n, self.x, placement);
-        let truth = bitmap.clone();
-        let channel: Box<dyn GroupQueryChannel + Send> = match self.loss {
+        floyd_bitmap(self.n, self.x, placement)
+    }
+
+    /// The honest channel owning `bitmap`.
+    fn channel_from(
+        &self,
+        bitmap: Vec<bool>,
+        channel_seed: u64,
+    ) -> Box<dyn GroupQueryChannel + Send> {
+        match self.loss {
             None => Box::new(IdealChannel::from_bitmap(bitmap, self.model, channel_seed)),
             Some(loss) => Box::new(LossyChannel::from_bitmap(
                 bitmap,
@@ -261,8 +278,7 @@ impl ChannelSpec {
                 loss,
                 channel_seed,
             )),
-        };
-        (channel, truth)
+        }
     }
 }
 

@@ -62,7 +62,7 @@ fn scale_job(k: usize) -> QueryJob {
 fn expected_reports() -> Vec<QueryReport> {
     let service = QueryService::new(ServiceConfig::with_workers(1));
     service
-        .submit((0..DISTINCT_JOBS).map(scale_job).collect())
+        .submit((0..DISTINCT_JOBS).map(scale_job).collect::<Vec<_>>())
         .expect("service open")
         .wait()
         .into_iter()

@@ -212,6 +212,11 @@ pub type NetJobResult = Result<QueryReport, NetError>;
 struct Slot {
     state: StdMutex<Option<NetJobResult>>,
     cv: StdCondvar,
+    /// Set by [`NetBatch::handles`] once a second handle shares the
+    /// slot: every waiter then clones the result instead of taking it.
+    /// An explicit flag, because `Arc::strong_count` also counts the
+    /// reader thread's `Pending` entry, which it drops on its own time.
+    shared: AtomicBool,
 }
 
 impl Slot {
@@ -219,6 +224,7 @@ impl Slot {
         Arc::new(Self {
             state: StdMutex::new(None),
             cv: StdCondvar::new(),
+            shared: AtomicBool::new(false),
         })
     }
 
@@ -236,6 +242,16 @@ impl Slot {
         }
     }
 
+    /// The resolved result: moved out when this waiter is the slot's
+    /// only handle, cloned when [`NetBatch::handles`] shared it.
+    fn consume(&self, state: &mut Option<NetJobResult>) -> Option<NetJobResult> {
+        if self.shared.load(Ordering::Acquire) {
+            state.clone()
+        } else {
+            state.take()
+        }
+    }
+
     fn wait(&self) -> NetJobResult {
         let mut state = self.lock();
         while state.is_none() {
@@ -244,7 +260,7 @@ impl Slot {
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        state.clone().expect("slot resolved")
+        self.consume(&mut state).expect("slot resolved")
     }
 
     fn wait_timeout(&self, timeout: Duration) -> Option<NetJobResult> {
@@ -261,11 +277,14 @@ impl Slot {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             state = next;
         }
-        state.clone()
+        self.consume(&mut state)
     }
 }
 
 /// A handle to one in-flight remote job.
+///
+/// Waiting consumes the handle and moves the report out of its slot;
+/// only handles shared through [`NetBatch::handles`] clone it.
 #[must_use = "a network job handle does nothing unless waited on"]
 pub struct NetJobHandle {
     slot: Arc<Slot>,
@@ -317,8 +336,11 @@ impl NetBatch {
     pub fn handles(&self) -> Vec<NetJobHandle> {
         self.handles
             .iter()
-            .map(|h| NetJobHandle {
-                slot: h.slot.clone(),
+            .map(|h| {
+                h.slot.shared.store(true, Ordering::Release);
+                NetJobHandle {
+                    slot: h.slot.clone(),
+                }
             })
             .collect()
     }
@@ -466,8 +488,8 @@ fn negotiate(
 struct Conn {
     addr: SocketAddr,
     config: NetClientConfig,
-    /// Write half; `None` while the connection is down.
-    write: Mutex<Option<TcpStream>>,
+    /// Write half plus its frame buffer.
+    write: Mutex<Writer>,
     pending: Mutex<HashMap<u64, Pending>>,
     reader: Mutex<Option<JoinHandle<()>>>,
     dead: AtomicBool,
@@ -487,6 +509,15 @@ struct Conn {
     /// Seeded uniquely per connection so pooled connections never share
     /// a retry schedule.
     jitter: AtomicU64,
+}
+
+/// A connection's write half and the buffer every outbound frame is
+/// encoded into, reused under the write lock so sending allocates
+/// nothing once the buffer holds one frame.
+struct Writer {
+    /// `None` while the connection is down.
+    stream: Option<TcpStream>,
+    buf: Vec<u8>,
 }
 
 /// A unique, unpredictable nonzero seed per connection: hash of a
@@ -529,7 +560,10 @@ impl Conn {
         let conn = Arc::new(Self {
             addr,
             config,
-            write: Mutex::new(None),
+            write: Mutex::new(Writer {
+                stream: None,
+                buf: Vec::new(),
+            }),
             pending: Mutex::new(HashMap::new()),
             reader: Mutex::new(None),
             dead: AtomicBool::new(true),
@@ -572,7 +606,7 @@ impl Conn {
         stream
             .set_read_timeout(Some(Duration::from_millis(25)))
             .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
-        *self.write.lock() = Some(
+        self.write.lock().stream = Some(
             stream
                 .try_clone()
                 .map_err(|e| NetError::ConnectionLost(e.to_string()))?,
@@ -597,21 +631,25 @@ impl Conn {
         Ok(())
     }
 
-    /// Writes `frame`; returns wire bytes written.
+    /// Writes `frame`, encoded into the connection's reused buffer;
+    /// returns wire bytes written.
     fn send(&self, frame: &Frame) -> Result<usize, NetError> {
         let mut guard = self.write.lock();
-        let stream = guard
-            .as_mut()
-            .ok_or_else(|| NetError::ConnectionLost("connection is down".into()))?;
-        match write_frame(stream, frame).and_then(|n| stream.flush().map(|()| n)) {
-            Ok(n) => {
+        let Writer { stream, buf } = &mut *guard;
+        let Some(socket) = stream.as_mut() else {
+            return Err(NetError::ConnectionLost("connection is down".into()));
+        };
+        buf.clear();
+        frame.encode_into(buf, PROTOCOL_V4);
+        match socket.write_all(buf).and_then(|()| socket.flush()) {
+            Ok(()) => {
                 if let Some(c) = &self.counters {
-                    c.frame_out(n as u64);
+                    c.frame_out(buf.len() as u64);
                 }
-                Ok(n)
+                Ok(buf.len())
             }
             Err(e) => {
-                *guard = None;
+                *stream = None;
                 self.dead.store(true, Ordering::SeqCst);
                 Err(NetError::ConnectionLost(format!("write failed: {e}")))
             }
@@ -697,7 +735,12 @@ impl Conn {
                                 ))));
                             });
                         }
-                        Frame::Goodbye => break None,
+                        // The server says Goodbye only once every job it
+                        // admitted on this connection is answered, so a
+                        // job still pending here was never admitted:
+                        // refused by a draining server, like a
+                        // `ShuttingDown` error.
+                        Frame::Goodbye => break Some(NetError::ServerShutdown),
                         other => {
                             break Some(NetError::Protocol(format!(
                                 "unexpected server frame: {other:?}"
@@ -717,7 +760,7 @@ impl Conn {
             }
         };
         self.dead.store(true, Ordering::SeqCst);
-        *self.write.lock() = None;
+        self.write.lock().stream = None;
         let error = reason.unwrap_or_else(|| NetError::ConnectionLost("connection closed".into()));
         let drained: Vec<Pending> = self.pending.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
@@ -778,7 +821,7 @@ impl Conn {
         let _ = self.send(&Frame::Goodbye);
         // Half-close so the server sees EOF after our Goodbye; the reader
         // exits on the server's Goodbye (or the poll tick + empty pending).
-        if let Some(stream) = self.write.lock().take() {
+        if let Some(stream) = self.write.lock().stream.take() {
             let _ = stream.shutdown(Shutdown::Write);
         }
         let handle = self.reader.lock().take();
@@ -848,37 +891,34 @@ impl NetClient {
     /// be revived resolve to [`NetError::ConnectionLost`] rather than
     /// failing the whole batch.
     pub fn submit(&self, jobs: Vec<QueryJob>) -> NetBatch {
-        let mut handles = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-            let conn =
-                &self.conns[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.conns.len()];
-            if conn.dead.load(Ordering::SeqCst) {
-                if let Err(e) = conn.reconnect() {
-                    handles.push(NetJobHandle::failed(e));
-                    continue;
-                }
-            }
-            let slot = conn.register(request_id, job);
-            match conn.send(&Frame::Submit { request_id, job }) {
-                Ok(n) => tcast_obs::event(
-                    job.trace,
-                    "net.submit",
-                    &[("bytes", n as u64), ("request_id", request_id)],
-                ),
-                Err(e) => conn.take_pending(request_id, |p| p.slot.resolve(Err(e))),
-            }
-            handles.push(NetJobHandle { slot });
+        NetBatch {
+            handles: jobs.into_iter().map(|job| self.submit_one(job)).collect(),
         }
-        NetBatch { handles }
     }
 
-    /// Convenience: submit one job and return its handle.
+    /// Submits one job on the next pooled connection and returns its
+    /// handle once the job is on the wire — the primitive
+    /// [`submit`](Self::submit) maps over. A dead connection is
+    /// re-dialed once; if that fails the handle resolves to
+    /// [`NetError::ConnectionLost`].
     pub fn submit_one(&self, job: QueryJob) -> NetJobHandle {
-        self.submit(vec![job])
-            .handles
-            .pop()
-            .expect("one handle per job")
+        let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
+        let conn = &self.conns[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.conns.len()];
+        if conn.dead.load(Ordering::SeqCst) {
+            if let Err(e) = conn.reconnect() {
+                return NetJobHandle::failed(e);
+            }
+        }
+        let slot = conn.register(request_id, job);
+        match conn.send(&Frame::Submit { request_id, job }) {
+            Ok(n) => tcast_obs::event(
+                job.trace,
+                "net.submit",
+                &[("bytes", n as u64), ("request_id", request_id)],
+            ),
+            Err(e) => conn.take_pending(request_id, |p| p.slot.resolve(Err(e))),
+        }
+        NetJobHandle { slot }
     }
 
     /// Total responses that arrived with a lower request id than an

@@ -459,15 +459,17 @@ impl IoThread {
     fn run(mut self) {
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut slots: Vec<usize> = Vec::new();
+        // Swapped with the inbox's list each pass, so both keep their
+        // capacity and a watcher's push does not allocate.
+        let mut completed: Vec<Arc<ConnShared>> = Vec::new();
         loop {
             let fresh: Vec<TcpStream> = std::mem::take(&mut *self.inbox.new_conns.lock());
             for stream in fresh {
                 self.register(stream);
             }
 
-            let completed: Vec<Arc<ConnShared>> =
-                std::mem::take(&mut *self.inbox.completions.lock());
-            for shared in completed {
+            std::mem::swap(&mut completed, &mut *self.inbox.completions.lock());
+            for shared in completed.drain(..) {
                 shared.notified.store(false, Ordering::Release);
                 let current = self
                     .conns
@@ -937,7 +939,10 @@ impl IoThread {
                 inbox.waker.wake();
             })
         };
-        match self.service.try_submit_watched(vec![job], watcher) {
+        match self
+            .service
+            .try_submit_watched(std::iter::once(job), watcher)
+        {
             Ok(_batch) => {} // responses flow through the watcher
             Err(SubmitError::QueueFull(_)) => {
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -965,6 +970,25 @@ impl IoThread {
                 if let Some(conn) = self.conns[slot].as_mut() {
                     queue_frame(&self.counters, conn, &shutting_down(request_id));
                 }
+            }
+        }
+    }
+
+    /// Reads the frames a draining connection left in its socket buffer
+    /// and refuses every submit among them with `ShuttingDown`, so the
+    /// `Goodbye` that follows answers nothing the peer is still waiting
+    /// on. Called once, just before that `Goodbye`.
+    fn refuse_unread(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        while let Ok(Some((frame, n))) = conn
+            .reader
+            .read_from(&mut conn.stream, self.config.max_frame_payload)
+        {
+            self.counters.frame_in(n as u64);
+            if let Frame::Submit { request_id, .. } = frame {
+                queue_frame(&self.counters, conn, &shutting_down(request_id));
             }
         }
     }
@@ -1016,6 +1040,10 @@ impl IoThread {
                 && conn.shared.outbound.lock().is_empty();
             if drained {
                 if goodbye && !conn.goodbye_queued {
+                    self.refuse_unread(slot);
+                    let Some(conn) = self.conns[slot].as_mut() else {
+                        return;
+                    };
                     conn.goodbye_queued = true;
                     queue_frame(&self.counters, conn, &Frame::Goodbye);
                     self.flush(slot);

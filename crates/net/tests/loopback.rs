@@ -179,9 +179,24 @@ fn a_connection_pipelines_64_inflight_requests_with_out_of_order_completion() {
 fn busy_backpressure_is_retried_transparently() {
     // In-flight window of 1 forces the server to bounce overlapping
     // submits with `Busy`; the client's retry loop must still land every
-    // job, with results identical to an unconstrained run.
-    let (server, _service) =
-        start_server(2, NetServerConfig::default().with_max_inflight_per_conn(1));
+    // job, with results identical to an unconstrained run. The service's
+    // only worker is held by a gate task until a `Busy` has been resent,
+    // so the first admitted job provably fills the window while the
+    // others arrive.
+    let (server, service) =
+        start_server(1, NetServerConfig::default().with_max_inflight_per_conn(1));
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let gate: Box<dyn FnOnce() -> JobOutput + Send> = Box::new(move || {
+        started_tx.send(()).ok();
+        release_rx.recv().ok();
+        JobOutput::Value(0.0)
+    });
+    let gate_batch = service
+        .submit_tasks("gate", vec![gate])
+        .expect("service open");
+    started_rx.recv().expect("gate task reached the worker");
+
     let client = NetClient::connect(
         server.local_addr(),
         NetClientConfig::default()
@@ -203,8 +218,19 @@ fn busy_backpressure_is_retried_transparently() {
         .collect();
     let expected = in_process(&jobs);
 
-    let got: Vec<QueryReport> = client
-        .submit(jobs)
+    let batch = client.submit(jobs);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while client.busy_resends() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no Busy resend while the only worker was held"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    release_tx.send(()).expect("gate still waiting");
+    gate_batch.wait();
+
+    let got: Vec<QueryReport> = batch
         .wait()
         .into_iter()
         .map(|r| r.expect("remote job succeeded despite backpressure"))

@@ -11,8 +11,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::{
-    population, Abns, ChannelSpec, EngineScratch, ExecutionProfile, ExpIncrease, OracleBins,
-    ProbAbns, QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
+    Abns, ChannelSpec, EngineScratch, ExecutionProfile, ExpIncrease, OracleBins, ProbAbns,
+    QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 use tcast_stats::Summary;
 
@@ -67,19 +67,47 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Builds the live algorithm. `truth` is the channel's ground-truth
-    /// positive bitmap, needed only by the oracle.
-    fn build(self, truth: Vec<bool>) -> Box<dyn ThresholdQuerier + Send> {
-        match self {
-            AlgorithmSpec::TwoTBins => Box::new(TwoTBins),
-            AlgorithmSpec::ExpIncrease => Box::new(ExpIncrease::standard()),
-            AlgorithmSpec::ExpIncreasePause => Box::new(ExpIncrease::pause_and_continue(0.4)),
-            AlgorithmSpec::ExpIncreaseFourFold => Box::new(ExpIncrease::four_fold()),
-            AlgorithmSpec::AbnsP0T => Box::new(Abns::p0_t()),
-            AlgorithmSpec::AbnsP02T => Box::new(Abns::p0_2t()),
-            AlgorithmSpec::ProbAbns => Box::new(ProbAbns::standard()),
-            AlgorithmSpec::OracleBins => Box::new(OracleBins::new(truth)),
-        }
+    /// Builds the live algorithm on the stack and hands it to `run`.
+    /// `truth` is the channel's ground-truth positive bitmap, present
+    /// exactly when the algorithm is the oracle.
+    fn with_live<R>(
+        self,
+        truth: Option<Vec<bool>>,
+        run: impl FnOnce(&dyn ThresholdQuerier) -> R,
+    ) -> R {
+        let (exp, abns, prob, oracle);
+        let algorithm: &dyn ThresholdQuerier = match self {
+            AlgorithmSpec::TwoTBins => &TwoTBins,
+            AlgorithmSpec::ExpIncrease => {
+                exp = ExpIncrease::standard();
+                &exp
+            }
+            AlgorithmSpec::ExpIncreasePause => {
+                exp = ExpIncrease::pause_and_continue(0.4);
+                &exp
+            }
+            AlgorithmSpec::ExpIncreaseFourFold => {
+                exp = ExpIncrease::four_fold();
+                &exp
+            }
+            AlgorithmSpec::AbnsP0T => {
+                abns = Abns::p0_t();
+                &abns
+            }
+            AlgorithmSpec::AbnsP02T => {
+                abns = Abns::p0_2t();
+                &abns
+            }
+            AlgorithmSpec::ProbAbns => {
+                prob = ProbAbns::standard();
+                &prob
+            }
+            AlgorithmSpec::OracleBins => {
+                oracle = OracleBins::new(truth.expect("the oracle runs with the truth"));
+                &oracle
+            }
+        };
+        run(algorithm)
     }
 }
 
@@ -242,54 +270,42 @@ impl QueryJob {
         policy
     }
 
-    /// Executes the session; fully determined by the job's fields. The
-    /// job's trace id becomes the thread's current trace for the
-    /// duration, so the engine's spans and round events correlate to it.
+    /// Executes the session; fully determined by the job's fields. This
+    /// is [`execute_in`](Self::execute_in) over a fresh [`EngineScratch`].
+    pub fn execute(&self) -> QueryReport {
+        self.execute_in(&mut EngineScratch::new())
+    }
+
+    /// Executes the session over pooled engine buffers: the batch-native
+    /// path workers use, reusing `scratch` across jobs so steady-state
+    /// execution stops allocating per query. A scratch is capacity, never
+    /// state, so any scratch gives the same report (pinned by
+    /// `tests/batch_parity.rs`). The job's trace id becomes the thread's
+    /// current trace for the duration, so the engine's spans and round
+    /// events correlate to it.
     ///
     /// Channels are built through `tcast-adversary`, so a spec carrying
     /// an [`tcast::AdversaryConfig`] gets its Byzantine wrapper here and
     /// the spec's [`tcast::DefensePolicy`] shapes the session; honest
     /// specs build byte-identically to [`ChannelSpec::build_with_truth`].
-    pub fn execute(&self) -> QueryReport {
-        let _scope = tcast_obs::scoped_trace(self.trace);
-        let (mut channel, truth) = tcast_adversary::build_with_truth(&self.channel);
-        let algorithm = self.algorithm.build(truth);
-        let mut rng = SmallRng::seed_from_u64(self.session_seed);
-        let options = ExecutionProfile::new()
-            .with_retry(self.retry_policy())
-            .with_defense(self.channel.defense)
-            .options();
-        algorithm.run_with_options(
-            &population(self.channel.n),
-            self.t,
-            channel.as_mut(),
-            &mut rng,
-            options,
-        )
-    }
-
-    /// [`execute`](Self::execute) over pooled engine buffers: the
-    /// batch-native path workers use, reusing `scratch` across jobs so
-    /// steady-state execution stops allocating per query. Bit-identical
-    /// to [`execute`](Self::execute) — a scratch is capacity, never state
-    /// (pinned by `tests/batch_parity.rs`).
+    /// Only the oracle gets a ground-truth copy.
     pub fn execute_in(&self, scratch: &mut EngineScratch) -> QueryReport {
         let _scope = tcast_obs::scoped_trace(self.trace);
-        let (mut channel, truth) = tcast_adversary::build_with_truth(&self.channel);
-        let algorithm = self.algorithm.build(truth);
+        let (mut channel, truth) = match self.algorithm {
+            AlgorithmSpec::OracleBins => {
+                let (channel, truth) = tcast_adversary::build_with_truth(&self.channel);
+                (channel, Some(truth))
+            }
+            _ => (tcast_adversary::build(&self.channel), None),
+        };
         let mut rng = SmallRng::seed_from_u64(self.session_seed);
         let profile = ExecutionProfile::new()
             .with_retry(self.retry_policy())
             .with_defense(self.channel.defense);
         let nodes = scratch.take_population(self.channel.n);
-        let report = algorithm.run_with_profile(
-            &nodes,
-            self.t,
-            channel.as_mut(),
-            &mut rng,
-            profile,
-            scratch,
-        );
+        let report = self.algorithm.with_live(truth, |algorithm| {
+            algorithm.run_with_profile(&nodes, self.t, channel.as_mut(), &mut rng, profile, scratch)
+        });
         scratch.restore_population(nodes);
         report
     }

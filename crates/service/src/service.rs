@@ -34,7 +34,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -238,14 +238,41 @@ enum Payload {
     },
 }
 
-struct ResultSet {
-    slots: Vec<Option<JobResult>>,
+/// One job's place in its unit: the job until a worker claims it, its
+/// result once it finished. Claim and result share the slot, so a unit
+/// is one allocation of slots, not one for jobs and one for results.
+enum Slot {
+    Queued(Payload),
+    Claimed,
+    Done(JobResult),
+}
+
+impl Slot {
+    fn query_job(&self) -> Option<&QueryJob> {
+        match self {
+            Slot::Queued(Payload::Query(job)) => Some(job),
+            _ => None,
+        }
+    }
+
+    fn result(&self) -> Option<&JobResult> {
+        match self {
+            Slot::Done(result) => Some(result),
+            _ => None,
+        }
+    }
+}
+
+/// A unit's slots and how many of them are done, under one lock.
+struct Board {
+    slots: Vec<Slot>,
     completed: usize,
 }
 
 /// One submitted batch: claimable slots plus the result board.
 struct WorkUnit {
-    slots: Vec<Mutex<Option<Payload>>>,
+    /// Jobs in the unit; fixed at construction.
+    len: usize,
     /// Next unclaimed slot; claimed with `fetch_add`, so workers steal
     /// jobs from the same unit without coordination.
     next: AtomicUsize,
@@ -253,48 +280,78 @@ struct WorkUnit {
     /// from here, so time spent waiting for admission or parked in the
     /// queue counts against them.
     submitted_at: Instant,
-    results: Mutex<ResultSet>,
+    board: Mutex<Board>,
     done: Condvar,
     /// Completion hook for watched batches; `None` for plain submits.
     watcher: Option<CompletionWatcher>,
+    /// Set once [`Batch::handles`] shares the unit: [`Batch::wait`] then
+    /// clones the results instead of moving them out.
+    shared: AtomicBool,
 }
 
 impl WorkUnit {
-    fn new(payloads: Vec<Payload>, watcher: Option<CompletionWatcher>) -> Arc<Self> {
-        let n = payloads.len();
+    fn new(slots: Vec<Slot>, watcher: Option<CompletionWatcher>) -> Arc<Self> {
         Arc::new(Self {
-            slots: payloads.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+            len: slots.len(),
             next: AtomicUsize::new(0),
             submitted_at: Instant::now(),
-            results: Mutex::new(ResultSet {
-                slots: (0..n).map(|_| None).collect(),
+            board: Mutex::new(Board {
+                slots,
                 completed: 0,
             }),
             done: Condvar::new(),
             watcher,
+            shared: AtomicBool::new(false),
         })
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     fn wait_all(&self) -> Vec<JobResult> {
-        let mut rs = self.results.lock();
+        let mut board = self.board.lock();
         self.done
-            .wait_while(&mut rs, |rs| rs.completed < rs.slots.len());
-        rs.slots
-            .iter()
-            .map(|r| r.clone().expect("all slots completed"))
+            .wait_while(&mut board, |b| b.completed < b.slots.len());
+        if self.shared.load(Ordering::Acquire) {
+            return board
+                .slots
+                .iter()
+                .map(|s| s.result().expect("all slots completed").clone())
+                .collect();
+        }
+        board
+            .slots
+            .iter_mut()
+            .map(|s| match std::mem::replace(s, Slot::Claimed) {
+                Slot::Done(result) => result,
+                _ => unreachable!("all slots completed"),
+            })
             .collect()
     }
 
     fn wait_one(&self, index: usize) -> JobResult {
-        let mut rs = self.results.lock();
+        let mut board = self.board.lock();
         self.done
-            .wait_while(&mut rs, |rs| rs.slots[index].is_none());
-        rs.slots[index].clone().expect("slot completed")
+            .wait_while(&mut board, |b| b.slots[index].result().is_none());
+        board.slots[index].result().expect("slot completed").clone()
     }
+
+    /// Takes back the jobs of a unit that was never queued.
+    fn take_jobs(&self) -> Vec<QueryJob> {
+        into_jobs(std::mem::take(&mut self.board.lock().slots))
+    }
+}
+
+/// The jobs of a query batch that never ran.
+fn into_jobs(slots: Vec<Slot>) -> Vec<QueryJob> {
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Queued(Payload::Query(job)) => job,
+            _ => unreachable!("a rejected query batch holds only its queued jobs"),
+        })
+        .collect()
 }
 
 /// One tenant's slice of the admission queue: a unit queue per priority
@@ -370,8 +427,11 @@ impl Batch {
         self.unit.wait_all()
     }
 
-    /// Per-job completion handles, in submission order.
+    /// Per-job completion handles, in submission order. The batch can
+    /// still be waited on afterwards; it then clones the results the
+    /// handles also see.
     pub fn handles(&self) -> Vec<JobHandle> {
+        self.unit.shared.store(true, Ordering::Release);
         (0..self.unit.len())
             .map(|index| JobHandle {
                 unit: self.unit.clone(),
@@ -537,33 +597,37 @@ impl QueryService {
     /// `options.watcher` is invoked on the worker thread as each job
     /// finishes (in completion order, which may differ from submission
     /// order); the returned [`Batch`] still resolves in submission order.
-    pub fn submit_with(
-        &self,
-        jobs: Vec<QueryJob>,
-        options: SubmitOptions,
-    ) -> Result<Batch, SubmitError> {
+    ///
+    /// `jobs` is any exact-size iterator of jobs — a `Vec`, or
+    /// `std::iter::once(job)` for one job — written straight into the
+    /// batch's slots; a rejection hands them back as a `Vec`.
+    pub fn submit_with<I>(&self, jobs: I, options: SubmitOptions) -> Result<Batch, SubmitError>
+    where
+        I: IntoIterator<Item = QueryJob>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let slots: Vec<Slot> = jobs
+            .into_iter()
+            .map(|job| Slot::Queued(Payload::Query(job)))
+            .collect();
+        let queued = || slots.iter().filter_map(Slot::query_job);
         if let Some(reg) = &self.inner.tenants {
-            if let Err(tenant) = charge_quotas(reg, &jobs) {
+            if let Err(tenant) = charge_quotas(reg, queued()) {
                 self.inner
                     .metrics
-                    .record_quota_rejections(reg.name_of(tenant), jobs.len() as u64);
+                    .record_quota_rejections(reg.name_of(tenant), slots.len() as u64);
                 tcast_obs::event_current("service.quota_rejected", &[("tenant", tenant.0 as u64)]);
-                return Err(SubmitError::QuotaExceeded(jobs));
+                return Err(SubmitError::QuotaExceeded(into_jobs(slots)));
             }
         }
         // The batch's scheduling lane (tenant + priority band) comes
         // from its first job; the network tier submits one job per
         // batch, so mixed batches only arise from in-process callers.
-        let lane = jobs
-            .first()
+        let lane = queued()
+            .next()
             .map_or((None, Priority::Normal), |j| (j.tenant, j.priority));
         let result = self
-            .enqueue(
-                jobs.into_iter().map(Payload::Query).collect(),
-                options.blocking,
-                options.watcher,
-                lane,
-            )
+            .enqueue(slots, options.blocking, options.watcher, lane)
             .map_err(Self::submit_error);
         if let (Err(err), Some(reg)) = (&result, &self.inner.tenants) {
             // Rejected after admission: return the in-flight slots the
@@ -588,18 +652,26 @@ impl QueryService {
     /// possible errors are [`SubmitError::Closed`] and — when a tenant
     /// registry is attached — [`SubmitError::QuotaExceeded`] (quota
     /// rejection sheds load immediately rather than blocking).
-    pub fn submit(&self, jobs: Vec<QueryJob>) -> Result<Batch, SubmitError> {
+    pub fn submit<I>(&self, jobs: I) -> Result<Batch, SubmitError>
+    where
+        I: IntoIterator<Item = QueryJob>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.submit_with(jobs, SubmitOptions::new())
     }
 
     /// Like [`submit`](Self::submit), additionally invoking `on_complete`
     /// on the worker thread as each job finishes. Delegates to
     /// [`submit_with`](Self::submit_with) with a watcher.
-    pub fn submit_watched(
+    pub fn submit_watched<I>(
         &self,
-        jobs: Vec<QueryJob>,
+        jobs: I,
         on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError> {
+    ) -> Result<Batch, SubmitError>
+    where
+        I: IntoIterator<Item = QueryJob>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.submit_with(jobs, SubmitOptions::new().watched(on_complete))
     }
 
@@ -607,11 +679,15 @@ impl QueryService {
     /// The network front-end uses this to pipeline responses without one
     /// blocked thread per in-flight request. Delegates to
     /// [`submit_with`](Self::submit_with).
-    pub fn try_submit_watched(
+    pub fn try_submit_watched<I>(
         &self,
-        jobs: Vec<QueryJob>,
+        jobs: I,
         on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError> {
+    ) -> Result<Batch, SubmitError>
+    where
+        I: IntoIterator<Item = QueryJob>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.submit_with(
             jobs,
             SubmitOptions::new().nonblocking().watched(on_complete),
@@ -621,18 +697,16 @@ impl QueryService {
     /// Like [`submit`](Self::submit) but never blocks: a full queue hands
     /// the jobs back in [`SubmitError::QueueFull`]. Delegates to
     /// [`submit_with`](Self::submit_with).
-    pub fn try_submit(&self, jobs: Vec<QueryJob>) -> Result<Batch, SubmitError> {
+    pub fn try_submit<I>(&self, jobs: I) -> Result<Batch, SubmitError>
+    where
+        I: IntoIterator<Item = QueryJob>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.submit_with(jobs, SubmitOptions::new().nonblocking())
     }
 
-    fn submit_error((payloads, closed): (Vec<Payload>, bool)) -> SubmitError {
-        let jobs = payloads
-            .into_iter()
-            .map(|p| match p {
-                Payload::Query(j) => j,
-                Payload::Custom { .. } => unreachable!("query-only batch"),
-            })
-            .collect();
+    fn submit_error((unit, closed): (Arc<WorkUnit>, bool)) -> SubmitError {
+        let jobs = unit.take_jobs();
         if closed {
             SubmitError::Closed(jobs)
         } else {
@@ -648,25 +722,29 @@ impl QueryService {
         label: &str,
         tasks: Vec<Box<dyn FnOnce() -> JobOutput + Send>>,
     ) -> Result<Batch, ServiceClosed> {
-        let payloads = tasks
+        let slots = tasks
             .into_iter()
-            .map(|task| Payload::Custom {
-                label: label.to_string(),
-                task,
+            .map(|task| {
+                Slot::Queued(Payload::Custom {
+                    label: label.to_string(),
+                    task,
+                })
             })
             .collect();
-        self.enqueue(payloads, true, None, (None, Priority::Normal))
+        self.enqueue(slots, true, None, (None, Priority::Normal))
             .map_err(|_| ServiceClosed)
     }
 
+    /// Queues a unit of `slots`; a rejected unit comes back with whether
+    /// the service was closed (else the queue was full).
     fn enqueue(
         &self,
-        payloads: Vec<Payload>,
+        slots: Vec<Slot>,
         block: bool,
         watcher: Option<CompletionWatcher>,
         lane: (Option<TenantId>, Priority),
-    ) -> Result<Batch, (Vec<Payload>, bool)> {
-        let unit = WorkUnit::new(payloads, watcher);
+    ) -> Result<Batch, (Arc<WorkUnit>, bool)> {
+        let unit = WorkUnit::new(slots, watcher);
         if unit.len() == 0 {
             return Ok(Batch { unit });
         }
@@ -675,7 +753,7 @@ impl QueryService {
         loop {
             if st.shutdown {
                 drop(st);
-                return Err((take_payloads(&unit), true));
+                return Err((unit, true));
             }
             // Admit when within capacity, or unconditionally when the
             // queue is empty so oversized batches cannot deadlock.
@@ -684,7 +762,7 @@ impl QueryService {
             }
             if !block {
                 drop(st);
-                return Err((take_payloads(&unit), false));
+                return Err((unit, false));
             }
             self.inner.not_full.wait(&mut st);
         }
@@ -734,8 +812,21 @@ impl Drop for QueryService {
 /// Charges each job's tenant quotas (grouped per tenant, so a batch is
 /// admitted or rejected atomically). On any rejection the charges
 /// already taken are refunded and the offending tenant is reported.
-/// Jobs on the default lane (no tenant) are never charged.
-fn charge_quotas(reg: &TenantRegistry, jobs: &[QueryJob]) -> Result<(), TenantId> {
+/// Jobs on the default lane (no tenant) are never charged. A batch of
+/// one tenant — every network submit — is charged in one call, with no
+/// grouping map.
+fn charge_quotas<'a>(
+    reg: &TenantRegistry,
+    jobs: impl Iterator<Item = &'a QueryJob> + Clone,
+) -> Result<(), TenantId> {
+    let mut tenants = jobs.clone().filter_map(|job| job.tenant);
+    let Some(first) = tenants.next() else {
+        return Ok(());
+    };
+    if tenants.all(|t| t == first) {
+        let n = jobs.filter(|job| job.tenant.is_some()).count();
+        return reg.admit(first, n).map_err(|_| first);
+    }
     let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
     for job in jobs {
         if let Some(t) = job.tenant {
@@ -754,14 +845,6 @@ fn charge_quotas(reg: &TenantRegistry, jobs: &[QueryJob]) -> Result<(), TenantId
         charged.push((id, n));
     }
     Ok(())
-}
-
-/// Pulls the payloads back out of a never-enqueued unit (submit rejected).
-fn take_payloads(unit: &WorkUnit) -> Vec<Payload> {
-    unit.slots
-        .iter()
-        .map(|s| s.lock().take().expect("unit never ran"))
-        .collect()
 }
 
 fn worker_loop(inner: &Inner) {
@@ -861,10 +944,10 @@ fn claim_drr(inner: &Inner, st: &mut QueueState) -> Option<(Arc<WorkUnit>, usize
 }
 
 fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunner) {
-    let payload = unit.slots[index]
-        .lock()
-        .take()
-        .expect("each slot is claimed exactly once");
+    let payload = match std::mem::replace(&mut unit.board.lock().slots[index], Slot::Claimed) {
+        Slot::Queued(payload) => payload,
+        _ => unreachable!("each slot is claimed exactly once"),
+    };
     let started = Instant::now();
     let (label, result): (Cow<'static, str>, _) = match payload {
         Payload::Query(job) => {
@@ -929,9 +1012,9 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     if let Some(watcher) = &unit.watcher {
         let _ = catch_unwind(AssertUnwindSafe(|| watcher(index, &result)));
     }
-    let mut rs = unit.results.lock();
-    rs.slots[index] = Some(result);
-    rs.completed += 1;
+    let mut board = unit.board.lock();
+    board.slots[index] = Slot::Done(result);
+    board.completed += 1;
     unit.done.notify_all();
 }
 
@@ -1092,7 +1175,9 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_work() {
         let service = QueryService::new(ServiceConfig::with_workers(2));
-        let batch = service.submit((0..64).map(job).collect()).unwrap();
+        let batch = service
+            .submit((0..64).map(job).collect::<Vec<_>>())
+            .unwrap();
         let snap = service.shutdown();
         // Every job ran before the workers exited.
         let row = snap.rows.iter().find(|r| r.label == "2tBins").unwrap();
@@ -1489,11 +1574,11 @@ mod tests {
         // Two jobs fit; once they complete their slots free up and the
         // next two are admitted — completion releases in-flight charges.
         service
-            .submit((1..=2).map(|i| job(i).with_tenant(t)).collect())
+            .submit((1..=2).map(|i| job(i).with_tenant(t)).collect::<Vec<_>>())
             .unwrap()
             .wait();
         service
-            .submit((3..=4).map(|i| job(i).with_tenant(t)).collect())
+            .submit((3..=4).map(|i| job(i).with_tenant(t)).collect::<Vec<_>>())
             .unwrap()
             .wait();
 
@@ -1512,7 +1597,7 @@ mod tests {
             QueryService::with_tenants(ServiceConfig::with_workers(1), Arc::new(registry));
 
         service
-            .submit((1..=2).map(|i| job(i).with_tenant(t)).collect())
+            .submit((1..=2).map(|i| job(i).with_tenant(t)).collect::<Vec<_>>())
             .unwrap()
             .wait();
         match service.submit(vec![job(3).with_tenant(t)]) {
@@ -1532,7 +1617,12 @@ mod tests {
         // bands in play) produce byte-for-byte the reports the plain
         // FIFO service produces.
         let plain = QueryService::new(ServiceConfig::with_workers(2));
-        let plain_reports = reports(plain.submit((0..16).map(job).collect()).unwrap().wait());
+        let plain_reports = reports(
+            plain
+                .submit((0..16).map(job).collect::<Vec<_>>())
+                .unwrap()
+                .wait(),
+        );
 
         let mut registry = TenantRegistry::new();
         let a = registry.register(TenantSpec::new("a", b"ka"));

@@ -3,13 +3,12 @@
 //! A group query counts the positives and picks the captured one in
 //! place, so no query allocates, the first included; building a job's
 //! channel from a spec is one placement bitmap, one truth copy and the
-//! box. A tallying global allocator counts every heap allocation made
-//! while each step runs.
-//!
-//! The file holds exactly one `#[test]`: the counter is process-wide, and
-//! a second test running on a parallel thread would allocate into it.
+//! box. A tallying global allocator counts every heap allocation the
+//! measuring thread makes while each step runs; allocations on other
+//! threads of the test harness are not counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,9 +25,22 @@ struct TallyingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. `const`, with no
+    /// destructor, so reading it never allocates or re-enters the
+    /// allocator.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn tally() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for TallyingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: forwards the caller's layout contract to `System`.
         unsafe { System.alloc(layout) }
     }
@@ -40,13 +52,13 @@ unsafe impl GlobalAlloc for TallyingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: as `dealloc`; the new size contract is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: forwards the caller's layout contract to `System`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -59,10 +71,12 @@ const N: usize = 128;
 const X: usize = 16;
 const QUERIES: usize = 10_000;
 
-/// Heap allocations made while `f` runs.
+/// Heap allocations this thread made while `f` runs.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     let out = f();
+    COUNTING.with(|c| c.set(false));
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
