@@ -7,21 +7,14 @@
 use crate::engine::RunOptions;
 use crate::retry::{DefensePolicy, RetryPolicy};
 
-/// One bundle of execution knobs: verified-silence retries, adversary
-/// defenses, and batch tuning.
-///
-/// The engine-facing half ([`retry`](Self::retry) and
-/// [`defense`](Self::defense)) converts losslessly to and from
-/// [`RunOptions`]; the batch half ([`batch_size`](Self::batch_size)) is
-/// consumed by [`crate::BatchRunner`] and the service-side batch dequeue
-/// and is ignored by single-query execution.
+/// One bundle of execution knobs: verified-silence retries and adversary
+/// defenses. It converts losslessly to and from [`RunOptions`].
 ///
 /// ```
 /// use tcast::{ExecutionProfile, RetryPolicy};
 ///
 /// let profile = ExecutionProfile::new()
-///     .with_retry(RetryPolicy::verified(2))
-///     .with_batch_size(16);
+///     .with_retry(RetryPolicy::verified(2));
 /// assert_eq!(profile.options().retry, RetryPolicy::verified(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,23 +24,14 @@ pub struct ExecutionProfile {
     pub retry: RetryPolicy,
     /// Verdict-hardening policy (default: [`DefensePolicy::none`]).
     pub defense: DefensePolicy,
-    /// Preferred number of jobs a service worker claims per queue lock
-    /// (default: [`ExecutionProfile::DEFAULT_BATCH`]). Clamped to at
-    /// least 1. Single-query entrypoints ignore it.
-    pub batch_size: usize,
 }
 
 impl ExecutionProfile {
-    /// Default batch size used by the service worker dequeue.
-    pub const DEFAULT_BATCH: usize = 8;
-
-    /// The trusting single-knob-free profile: no retries, no defenses,
-    /// default batch size.
+    /// The trusting profile: no retries, no defenses.
     pub fn new() -> Self {
         Self {
             retry: RetryPolicy::none(),
             defense: DefensePolicy::none(),
-            batch_size: Self::DEFAULT_BATCH,
         }
     }
 
@@ -62,14 +46,6 @@ impl ExecutionProfile {
     #[must_use]
     pub fn with_defense(mut self, defense: DefensePolicy) -> Self {
         self.defense = defense;
-        self
-    }
-
-    /// Returns the profile with the given worker batch size (clamped to
-    /// at least 1).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -117,12 +93,5 @@ mod tests {
         let back = ExecutionProfile::from(options);
         assert_eq!(back.retry, profile.retry);
         assert_eq!(back.defense, profile.defense);
-        assert_eq!(back.batch_size, ExecutionProfile::DEFAULT_BATCH);
-    }
-
-    #[test]
-    fn batch_size_is_clamped_to_one() {
-        assert_eq!(ExecutionProfile::new().with_batch_size(0).batch_size, 1);
-        assert_eq!(ExecutionProfile::new().with_batch_size(64).batch_size, 64);
     }
 }

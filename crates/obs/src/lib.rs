@@ -588,6 +588,32 @@ pub fn scoped_trace(trace: TraceId) -> ScopedTrace {
     ScopedTrace { prev }
 }
 
+/// Guard restoring the previous current span and trace on drop.
+#[must_use = "dropping the guard immediately restores the previous span and trace"]
+pub struct Detached {
+    span: u64,
+    trace: TraceId,
+}
+
+impl Drop for Detached {
+    fn drop(&mut self) {
+        CURRENT_SPAN.with(|s| s.set(self.span));
+        CURRENT_TRACE.with(|t| t.set(self.trace));
+    }
+}
+
+/// Clear the calling thread's current span and trace until the returned
+/// guard drops. A thread that runs another caller's work while inside a
+/// span of its own uses it, so that the work's spans are local roots
+/// (parented by their propagated context, see [`Span::enter_remote`])
+/// instead of nesting under the unrelated enclosing span.
+pub fn detached() -> Detached {
+    Detached {
+        span: CURRENT_SPAN.with(|s| s.replace(0)),
+        trace: CURRENT_TRACE.with(|t| t.replace(TraceId::NONE)),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Spans + events
 // ---------------------------------------------------------------------------
@@ -1057,6 +1083,38 @@ mod tests {
         );
         assert_eq!(records[1].parent, records[0].span, "inner nests locally");
         check_nesting(&records).expect("remote-parented roots pass nesting checks");
+        drop(guard);
+    }
+
+    #[test]
+    fn detached_spans_are_local_roots_and_the_context_comes_back() {
+        let sink = Arc::new(MemorySink::new());
+        let guard = add_sink(sink.clone());
+        let outer_trace = TraceId::fresh();
+        let trace = TraceId::fresh();
+        let remote_parent = 0xfeed_u64;
+        {
+            let outer = Span::enter(outer_trace, "outer");
+            {
+                let _detached = detached();
+                assert_eq!(current_trace(), TraceId::NONE);
+                let root =
+                    Span::enter_remote(trace, "work", SpanContext::child_of(remote_parent), &[]);
+                assert!(root.is_recording());
+            }
+            assert_eq!(current_trace(), outer_trace);
+            let nested = Span::enter_current("after");
+            assert_eq!(nested.trace(), outer_trace);
+            drop(nested);
+            drop(outer);
+        }
+        let work = sink.for_trace(trace);
+        assert_eq!(work.len(), 2);
+        assert_eq!(work[0].parent, remote_parent, "not the enclosing span");
+        check_nesting(&work).expect("the detached tree nests");
+        let outer = sink.for_trace(outer_trace);
+        assert_eq!(outer[1].parent, outer[0].span, "the enclosing span resumes");
+        check_nesting(&outer).expect("the enclosing tree nests");
         drop(guard);
     }
 

@@ -189,11 +189,9 @@ impl QueryJob {
     }
 
     /// Returns the job running under `profile`: the profile's retry and
-    /// defense policies replace the channel spec's. The batch-size knob
-    /// is service-side scheduling (see `ServiceConfig::with_batch_size`)
-    /// and does not shape the job. Both policies participate in
-    /// [`QueryJob::cache_key`] via the channel spec, so two jobs differing
-    /// only in profile never collide in the session cache.
+    /// defense policies replace the channel spec's. Both policies
+    /// participate in [`QueryJob::cache_key`] via the channel spec, so two
+    /// jobs differing only in profile never collide in the session cache.
     pub fn with_profile(mut self, profile: ExecutionProfile) -> Self {
         self.channel.retry = profile.retry;
         self.channel.defense = profile.defense;

@@ -4,11 +4,20 @@
 //!
 //! Submitted batches become [`WorkUnit`]s in the admission queue guarded
 //! by one `parking_lot` mutex. Workers claim jobs by bumping the unit's
-//! atomic claim index — work stealing over an index rather than
-//! per-worker deques, which keeps claiming O(1) and makes job order
+//! claim index under that mutex — work stealing over an index rather
+//! than per-worker deques, which keeps claiming O(1) and makes job order
 //! irrelevant to results (each job carries its own seeds). Two condvars
 //! implement the bounded-queue protocol: `not_empty` parks idle workers,
 //! `not_full` parks producers once `queue_capacity` jobs are waiting.
+//!
+//! A thread blocked in [`Batch::wait`] or [`JobHandle::wait`] is an
+//! executor too: while its own unit is the one the scheduler would serve
+//! next, it claims and runs that unit's jobs through the same claim and
+//! execution path a worker uses, and parks only when its unit is done,
+//! fully claimed, or not next. A thread is woken only when it is parked
+//! and can proceed: an enqueue of one job wakes one worker, and a
+//! completion wakes a unit's waiter only once the unit is finished (or,
+//! when per-job handles share it, on every job).
 //!
 //! ## Scheduling
 //!
@@ -32,6 +41,7 @@
 //! claiming until no unit remains, then exit.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -66,10 +76,12 @@ pub struct ServiceConfig {
     /// ([`QueryJob::cache_key`]), and execution is a pure function of it.
     pub session_cache: usize,
     /// Maximum jobs a worker claims per scheduler pass (one lock hold),
-    /// then executes back to back over its pooled engine buffers.
-    /// Scheduling order, per-job queue-wait accounting, deadlines, and
-    /// report bits are identical at any batch size; larger batches only
-    /// amortize lock traffic. `1` restores job-at-a-time dequeueing.
+    /// then executes back to back over its pooled engine buffers
+    /// (default 8). Scheduling order, per-job queue-wait accounting,
+    /// deadlines, and report bits are identical at any batch size;
+    /// larger batches only amortize lock traffic. `1` restores
+    /// job-at-a-time dequeueing. A waiting thread that helps claims one
+    /// job at a time whatever this is.
     pub batch_size: usize,
 }
 
@@ -79,7 +91,7 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 4096,
             session_cache: 0,
-            batch_size: tcast::ExecutionProfile::DEFAULT_BATCH,
+            batch_size: 8,
         }
     }
 }
@@ -273,8 +285,8 @@ struct Board {
 struct WorkUnit {
     /// Jobs in the unit; fixed at construction.
     len: usize,
-    /// Next unclaimed slot; claimed with `fetch_add`, so workers steal
-    /// jobs from the same unit without coordination.
+    /// Next unclaimed slot. Bumped only by [`claim_drr`] under the state
+    /// lock, so slots are claimed in index order.
     next: AtomicUsize,
     /// When the batch was handed to `submit`. Job deadlines are measured
     /// from here, so time spent waiting for admission or parked in the
@@ -383,6 +395,21 @@ struct QueueState {
     shutdown: bool,
 }
 
+impl QueueState {
+    /// Queues `unit` on tenant `key`'s priority `band`. A newly busy
+    /// tenant joins the back of the rotation with a full turn's worth of
+    /// deficit, `weight`.
+    fn push(&mut self, key: Option<u32>, band: usize, unit: Arc<WorkUnit>, weight: u32) {
+        self.queued_jobs += unit.len();
+        let rotation = &mut self.rotation;
+        let queue = self.queues.entry(key).or_insert_with(|| {
+            rotation.push_back(key);
+            TenantQueue::new(weight)
+        });
+        queue.bands[band].push_back(unit);
+    }
+}
+
 struct Inner {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -401,6 +428,26 @@ struct Inner {
 }
 
 impl Inner {
+    /// An empty queue and fresh metrics; no worker threads.
+    fn new(config: &ServiceConfig, tenants: Option<Arc<TenantRegistry>>) -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                queues: BTreeMap::new(),
+                rotation: VecDeque::new(),
+                queued_jobs: 0,
+                shutdown: false,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity: config.queue_capacity,
+            metrics: Arc::new(MetricsRegistry::new()),
+            cache: (config.session_cache > 0)
+                .then(|| Mutex::new(SessionCache::new(config.session_cache))),
+            tenants,
+            batch: config.batch_size.max(1),
+        }
+    }
+
     /// DRR weight of `key`: the registry's for a known tenant, 1 for
     /// the default lane (and for any tenant when no registry is set).
     fn weight_of(&self, key: Option<u32>) -> u32 {
@@ -418,12 +465,17 @@ impl Inner {
 #[must_use = "a batch does nothing unless waited on"]
 pub struct Batch {
     unit: Arc<WorkUnit>,
+    /// The service the batch was submitted to, so a waiting thread can
+    /// run the batch's jobs itself.
+    inner: Arc<Inner>,
 }
 
 impl Batch {
     /// Blocks until every job in the batch finished; returns results in
-    /// submission order.
+    /// submission order. While the batch is the one the scheduler would
+    /// serve next, the calling thread runs its jobs instead of sleeping.
     pub fn wait(self) -> Vec<JobResult> {
+        help(&self.inner, &self.unit, self.unit.len());
         self.unit.wait_all()
     }
 
@@ -435,6 +487,7 @@ impl Batch {
         (0..self.unit.len())
             .map(|index| JobHandle {
                 unit: self.unit.clone(),
+                inner: self.inner.clone(),
                 index,
             })
             .collect()
@@ -455,13 +508,16 @@ impl Batch {
 #[must_use = "a job handle does nothing unless waited on"]
 pub struct JobHandle {
     unit: Arc<WorkUnit>,
+    inner: Arc<Inner>,
     index: usize,
 }
 
 impl JobHandle {
     /// Blocks until this job finished; other jobs in the batch may still
-    /// be running.
+    /// be running. Like [`Batch::wait`], the calling thread runs the
+    /// batch's jobs up to this one while the batch is served next.
     pub fn wait(self) -> JobResult {
+        help(&self.inner, &self.unit, self.index + 1);
         self.unit.wait_one(self.index)
     }
 
@@ -523,22 +579,7 @@ impl QueryService {
             config.workers
         };
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(QueueState {
-                queues: BTreeMap::new(),
-                rotation: VecDeque::new(),
-                queued_jobs: 0,
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: config.queue_capacity,
-            metrics: Arc::new(MetricsRegistry::new()),
-            cache: (config.session_cache > 0)
-                .then(|| Mutex::new(SessionCache::new(config.session_cache))),
-            tenants,
-            batch: config.batch_size.max(1),
-        });
+        let inner = Arc::new(Inner::new(&config, tenants));
         let handles = (0..workers)
             .map(|i| {
                 let inner = inner.clone();
@@ -745,8 +786,9 @@ impl QueryService {
         lane: (Option<TenantId>, Priority),
     ) -> Result<Batch, (Arc<WorkUnit>, bool)> {
         let unit = WorkUnit::new(slots, watcher);
+        let inner = self.inner.clone();
         if unit.len() == 0 {
-            return Ok(Batch { unit });
+            return Ok(Batch { unit, inner });
         }
         let key = lane.0.map(|t| t.0);
         let mut st = self.inner.state.lock();
@@ -766,21 +808,17 @@ impl QueryService {
             }
             self.inner.not_full.wait(&mut st);
         }
-        st.queued_jobs += unit.len();
-        let weight = self.inner.weight_of(key);
-        let QueueState {
-            queues, rotation, ..
-        } = &mut *st;
-        let queue = queues.entry(key).or_insert_with(|| {
-            // A newly busy tenant joins the back of the rotation with a
-            // full turn's worth of deficit.
-            rotation.push_back(key);
-            TenantQueue::new(weight)
-        });
-        queue.bands[lane.1.band()].push_back(unit.clone());
+        st.push(key, lane.1.band(), unit.clone(), self.inner.weight_of(key));
         drop(st);
-        self.inner.not_empty.notify_all();
-        Ok(Batch { unit })
+        // One job needs one worker; a parked worker that wakes for a
+        // bigger unit claims up to a batch of it and leaves the rest to
+        // the others (and to the unit's waiter).
+        if unit.len() == 1 {
+            self.inner.not_empty.notify_one();
+        } else {
+            self.inner.not_empty.notify_all();
+        }
+        Ok(Batch { unit, inner })
     }
 
     /// Graceful shutdown: refuses new work, drains every queued job, then
@@ -859,11 +897,10 @@ fn worker_loop(inner: &Inner) {
             let mut st = inner.state.lock();
             loop {
                 if claims.len() < inner.batch {
-                    if let Some(claim) = claim_drr(inner, &mut st) {
+                    if let Some(claim) = claim_drr(inner, &mut st, |_| true) {
                         // Claiming in one lock hold preserves DRR order
                         // exactly: the claims execute below in the order
                         // claim_drr produced them.
-                        st.queued_jobs -= 1;
                         claims.push(claim);
                         continue;
                     }
@@ -878,68 +915,123 @@ fn worker_loop(inner: &Inner) {
             // Shutdown with the queue drained.
             return;
         }
-        inner.not_full.notify_all();
-        inner.metrics.record_batch_size(claims.len());
-        // The batch span marks the claim under its own fresh trace and
-        // closes *before* execution: per-job `service.execute` spans
-        // must stay root spans so each job's trace ring drains before
-        // its response leaves the worker (the invariant the net-tier
-        // trace tests pin).
-        drop(tcast_obs::Span::enter_fields(
-            tcast_obs::TraceId::fresh(),
-            "engine.batch",
-            &[("size", claims.len() as u64)],
-        ));
-        for (unit, index) in claims.drain(..) {
-            execute(inner, &unit, index, &mut runner);
-        }
+        run_claims(inner, claims.drain(..), &mut runner);
     }
 }
 
+thread_local! {
+    /// Scratch for the jobs a waiting thread runs. It stays borrowed
+    /// while a helped job runs, so a helped job that itself waits on a
+    /// batch finds it taken and parks instead of helping.
+    static HELPER: RefCell<BatchRunner> = RefCell::new(BatchRunner::new(ExecutionProfile::new()));
+}
+
+/// Runs `unit`'s jobs on the calling thread, one claim at a time, while
+/// the scheduler would serve `unit` next and its first `until` slots are
+/// not all claimed. Returns as soon as either stops holding; the caller
+/// then parks on the unit's result board.
+fn help(inner: &Inner, unit: &Arc<WorkUnit>, until: usize) {
+    let _ = HELPER.try_with(|runner| {
+        let Ok(mut runner) = runner.try_borrow_mut() else {
+            return;
+        };
+        loop {
+            let claim = {
+                let mut st = inner.state.lock();
+                if unit.next.load(Ordering::Relaxed) >= until {
+                    return;
+                }
+                claim_drr(inner, &mut st, |next| std::ptr::eq(next, &**unit))
+            };
+            let Some(claim) = claim else {
+                return;
+            };
+            // The job's spans must not nest under whatever span the
+            // waiting caller has open: they are local roots under the
+            // job's own propagated context, as on a worker.
+            let _detached = tcast_obs::detached();
+            run_claims(inner, std::iter::once(claim), &mut runner);
+        }
+    });
+}
+
 /// Claims the next job under deficit round robin (caller holds the
-/// state lock). The tenant at the rotation front is served from its
-/// most-urgent non-empty band; each claim spends one unit of the
-/// tenant's deficit and an exhausted deficit recharges to the tenant's
-/// weight and sends it to the back of the rotation. A tenant whose
-/// bands drain completely is retired from the rotation (and re-joins on
-/// its next submit). With one busy tenant this is exactly strict FIFO.
-fn claim_drr(inner: &Inner, st: &mut QueueState) -> Option<(Arc<WorkUnit>, usize)> {
-    loop {
-        let key = *st.rotation.front()?;
-        let queue = st.queues.get_mut(&key).expect("rotation tracks queues");
-        let mut claimed = None;
-        'bands: for band in queue.bands.iter_mut() {
-            while let Some(front) = band.front() {
-                let i = front.next.fetch_add(1, Ordering::Relaxed);
-                if i < front.len() {
-                    let unit = front.clone();
-                    if i + 1 == unit.len() {
-                        band.pop_front();
-                    }
-                    claimed = Some((unit, i));
-                    break 'bands;
-                }
-                // Exhausted unit (all slots claimed): drop and rescan.
-                band.pop_front();
-            }
-        }
-        match claimed {
-            Some(claim) => {
-                queue.deficit = queue.deficit.saturating_sub(1);
-                if queue.deficit == 0 {
-                    queue.deficit = inner.weight_of(key);
-                    st.rotation.pop_front();
-                    st.rotation.push_back(key);
-                }
-                return Some(claim);
-            }
-            None => {
-                // Every band drained: retire the tenant until it
-                // submits again.
-                st.queues.remove(&key);
-                st.rotation.pop_front();
-            }
-        }
+/// state lock), provided `accept` takes the unit the claim would come
+/// from; otherwise it claims nothing and changes nothing. The tenant at
+/// the rotation front is served from its most-urgent non-empty band;
+/// each claim spends one unit of the tenant's deficit and an exhausted
+/// deficit recharges to the tenant's weight and sends it to the back of
+/// the rotation. A tenant whose bands drained is retired from the
+/// rotation by the next claim (and re-joins on its next submit). With
+/// one busy tenant this is exactly strict FIFO.
+fn claim_drr(
+    inner: &Inner,
+    st: &mut QueueState,
+    accept: impl Fn(&WorkUnit) -> bool,
+) -> Option<(Arc<WorkUnit>, usize)> {
+    // The first tenant in the rotation with a queued unit, and whether
+    // `accept` takes that unit; the tenants ahead of it have drained.
+    let next = st.rotation.iter().enumerate().find_map(|(pos, key)| {
+        let bands = &st.queues[key].bands;
+        let unit = bands.iter().find_map(VecDeque::front)?;
+        Some((pos, accept(unit)))
+    });
+    let drained = match next {
+        Some((_, false)) => return None,
+        Some((pos, true)) => pos,
+        None => st.rotation.len(),
+    };
+    // Removing entries one by one (not `clear`) keeps the map's root
+    // node, so the next submit re-inserts without allocating.
+    for key in st.rotation.drain(..drained) {
+        st.queues.remove(&key);
+    }
+    next?;
+    let key = *st.rotation.front().expect("a tenant with queued work");
+    let queue = st.queues.get_mut(&key).expect("rotation tracks queues");
+    let band = queue
+        .bands
+        .iter_mut()
+        .find(|band| !band.is_empty())
+        .expect("the tenant has a queued unit");
+    // A unit leaves its band with its last claim, so the front always
+    // has an unclaimed slot.
+    let unit = band.front().expect("non-empty band").clone();
+    let index = unit.next.fetch_add(1, Ordering::Relaxed);
+    if index + 1 == unit.len() {
+        band.pop_front();
+    }
+    queue.deficit = queue.deficit.saturating_sub(1);
+    if queue.deficit == 0 {
+        queue.deficit = inner.weight_of(key);
+        st.rotation.pop_front();
+        st.rotation.push_back(key);
+    }
+    st.queued_jobs -= 1;
+    Some((unit, index))
+}
+
+/// Runs claimed jobs back to back on `runner`: the one execution path,
+/// for a worker's batch and a waiting thread's single claim alike.
+fn run_claims(
+    inner: &Inner,
+    claims: impl ExactSizeIterator<Item = (Arc<WorkUnit>, usize)>,
+    runner: &mut BatchRunner,
+) {
+    inner.not_full.notify_all();
+    inner.metrics.record_batch_size(claims.len());
+    // The batch span marks the claim under its own fresh trace and
+    // closes *before* execution: per-job `service.execute` spans must
+    // stay root spans so each job's trace ring drains before its
+    // response leaves the thread (the invariant the net-tier trace
+    // tests pin).
+    drop(tcast_obs::Span::enter_fields(
+        tcast_obs::TraceId::fresh(),
+        "engine.batch",
+        &[("size", claims.len() as u64)],
+    ));
+    for (unit, index) in claims {
+        execute(inner, &unit, index, runner);
     }
 }
 
@@ -1015,7 +1107,11 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     let mut board = unit.board.lock();
     board.slots[index] = Slot::Done(result);
     board.completed += 1;
-    unit.done.notify_all();
+    // Only a finished unit lets `wait_all` proceed; per-job handles
+    // (`wait_one`) can proceed on any completion once shared.
+    if board.completed == unit.len() || unit.shared.load(Ordering::Acquire) {
+        unit.done.notify_all();
+    }
 }
 
 /// Runs one query job, consulting the session cache when configured.
@@ -1608,6 +1704,111 @@ mod tests {
         let snap = service.metrics();
         let row = snap.tenant_rows.iter().find(|r| r.tenant == "t").unwrap();
         assert_eq!((row.jobs, row.quota_rejections), (2, 1));
+    }
+
+    /// Everything a claim may change, without unit identities: the
+    /// rotation, each queued tenant's deficit and its bands' units as
+    /// (len, next claim index), and the queued-job count.
+    type Shape = (
+        Vec<Option<u32>>,
+        Vec<(Option<u32>, u32, Vec<Vec<(usize, usize)>>)>,
+        usize,
+    );
+
+    fn shape(st: &QueueState) -> Shape {
+        let queues = st
+            .queues
+            .iter()
+            .map(|(key, q)| {
+                let bands = q
+                    .bands
+                    .iter()
+                    .map(|band| {
+                        band.iter()
+                            .map(|u| (u.len(), u.next.load(Ordering::Relaxed)))
+                            .collect()
+                    })
+                    .collect();
+                (*key, q.deficit, bands)
+            })
+            .collect();
+        (
+            st.rotation.iter().copied().collect(),
+            queues,
+            st.queued_jobs,
+        )
+    }
+
+    #[test]
+    fn a_helper_claims_exactly_what_a_worker_would_and_only_then() {
+        let mut registry = TenantRegistry::new();
+        let a = registry.register(TenantSpec::new("a", b"ka"));
+        let b = registry.register(TenantSpec::new("b", b"kb").weight(2));
+        let registry = Arc::new(registry);
+        let unit = |jobs: u64| {
+            WorkUnit::new(
+                (0..jobs)
+                    .map(|i| Slot::Queued(Payload::Query(job(i))))
+                    .collect(),
+                None,
+            )
+        };
+        // Two identical queues: the worker side claims with "any", the
+        // helper side only for the unit the worker side just served.
+        // Tenant a: a 2-job normal unit and a 1-job high unit; tenant b
+        // (weight 2): a 3-job unit.
+        // No worker threads: the queues move only when the test claims.
+        let config = ServiceConfig::default();
+        let worker = Inner::new(&config, Some(registry.clone()));
+        let helper = Inner::new(&config, Some(registry));
+        let mut units = Vec::new();
+        for inner in [&worker, &helper] {
+            let queued = [
+                (a, Priority::Normal, unit(2)),
+                (b, Priority::Normal, unit(3)),
+                (a, Priority::High, unit(1)),
+            ];
+            let mut st = inner.state.lock();
+            for (tenant, priority, u) in &queued {
+                let key = Some(tenant.0);
+                st.push(key, priority.band(), u.clone(), inner.weight_of(key));
+            }
+            units.push(queued.map(|(_, _, u)| u));
+        }
+        let (worker_units, helper_units) = (&units[0], &units[1]);
+
+        let mut claims = 0;
+        loop {
+            let mut ws = worker.state.lock();
+            let mut hs = helper.state.lock();
+            assert_eq!(shape(&ws), shape(&hs));
+            let Some((served, index)) = claim_drr(&worker, &mut ws, |_| true) else {
+                assert!(claim_drr(&helper, &mut hs, |_| true).is_none());
+                break;
+            };
+            let which = worker_units
+                .iter()
+                .position(|u| Arc::ptr_eq(u, &served))
+                .expect("a queued unit");
+            // Helpers of every other unit claim nothing and change
+            // nothing: not the rotation, not a deficit, not a claim index.
+            let before = shape(&hs);
+            for (k, other) in helper_units.iter().enumerate().filter(|(k, _)| *k != which) {
+                let got = claim_drr(&helper, &mut hs, |u| std::ptr::eq(u, &**other));
+                assert!(got.is_none(), "unit {k} is not next at claim {claims}");
+                assert_eq!(shape(&hs), before);
+            }
+            // The helper of the served unit gets the same slot and leaves
+            // the same state behind.
+            let mine = &helper_units[which];
+            let (got, got_index) = claim_drr(&helper, &mut hs, |u| std::ptr::eq(u, &**mine))
+                .expect("the served unit's helper claims");
+            assert!(Arc::ptr_eq(&got, mine));
+            assert_eq!(got_index, index);
+            assert_eq!(shape(&hs), shape(&ws));
+            claims += 1;
+        }
+        assert_eq!(claims, 6, "every queued job claimed once");
     }
 
     #[test]
