@@ -49,10 +49,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use tcast::channel::ChannelArena;
 use tcast::channel::PairedGroupQueryChannel;
 use tcast::{
-    random_positive_set, AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel,
-    GroupQueryChannel, NodeId, Observation,
+    AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, GroupQueryChannel, NodeId,
+    Observation,
 };
 
 /// Counters describing what the adversary actually did during a session;
@@ -73,15 +74,20 @@ pub struct AdversaryStats {
 /// them, so the honest channel's own seed stream is untouched — wrapping
 /// never changes what the honest participants would have done, only what
 /// the initiator sees.
+///
+/// The liar set is `u64` node-set words of storage `L`: owned
+/// (`Vec<u64>`, the default) or borrowed from the [`ChannelArena`] the
+/// liars were recruited in (`&[u64]`).
 #[derive(Debug)]
-pub struct AdversaryChannel<C> {
+pub struct AdversaryChannel<C, L = Vec<u64>> {
     inner: C,
     config: AdversaryConfig,
-    /// Per-node lying flag (false responders / colluders); empty for the
-    /// other models.
-    liars: Vec<bool>,
-    /// The adversary's own deterministic randomness (capture lotteries
-    /// among liars, jam duty draws) — separate from the honest channel's.
+    /// Lying nodes (false responders / colluders); empty for the other
+    /// models.
+    liars: L,
+    /// The adversary's own deterministic randomness (liar recruitment,
+    /// then capture lotteries among liars and jam duty draws) — separate
+    /// from the honest channel's.
     rng: SmallRng,
     /// Remaining suppressions for the silent-drop model.
     budget_left: u64,
@@ -95,23 +101,18 @@ impl<C: GroupQueryChannel> AdversaryChannel<C> {
     /// [`ChannelSpec::build_with_truth`]); the false-responder models
     /// recruit their liars among the *idle* nodes — a node that is truly
     /// positive has no need to lie — choosing them deterministically
-    /// from `config.seed`.
+    /// from `config.seed` (see [`ChannelArena::recruit`]).
     pub fn new(inner: C, truth: &[bool], config: AdversaryConfig) -> Self {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let liar_count = match config.model {
-            AdversaryModel::FalseResponders { count } => count as usize,
-            AdversaryModel::Colluders { size } => size as usize,
-            _ => 0,
-        };
-        let mut liars = Vec::new();
-        if liar_count > 0 {
-            let idle: Vec<usize> = (0..truth.len()).filter(|&i| !truth[i]).collect();
-            let picks = random_positive_set(idle.len(), liar_count.min(idle.len()), &mut rng);
-            liars = vec![false; truth.len()];
-            for p in picks {
-                liars[idle[p.index()]] = true;
-            }
-        }
+        let mut arena = ChannelArena::from_truth(truth);
+        let rng = recruit(&mut arena, config);
+        Self::over(inner, arena.into_words().1, config, rng)
+    }
+}
+
+impl<C: GroupQueryChannel, L: AsRef<[u64]>> AdversaryChannel<C, L> {
+    /// Wraps `inner` with `config`'s behaviour over recruited `liars`;
+    /// `rng` continues the stream the recruitment drew from.
+    fn over(inner: C, liars: L, config: AdversaryConfig, rng: SmallRng) -> Self {
         let budget_left = match config.model {
             AdversaryModel::SilentDrop { budget } => budget,
             _ => 0,
@@ -138,15 +139,19 @@ impl<C: GroupQueryChannel> AdversaryChannel<C> {
 
     /// Number of recruited lying nodes (false responders / colluders).
     pub fn liar_count(&self) -> usize {
-        self.liars.iter().filter(|&&l| l).count()
+        let liars = self.liars.as_ref();
+        liars.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether `id` is a recruited liar.
+    fn lies(&self, id: NodeId) -> bool {
+        let (liars, i) = (self.liars.as_ref(), id.index());
+        liars.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
     /// Folds the liars' simultaneous replies into an honest observation.
     fn overlay_lies(&mut self, members: &[NodeId], obs: Observation) -> Observation {
-        let lying = members
-            .iter()
-            .filter(|id| self.liars.get(id.index()).copied().unwrap_or(false))
-            .count();
+        let lying = members.iter().filter(|&&id| self.lies(id)).count();
         if lying == 0 {
             return obs;
         }
@@ -161,9 +166,9 @@ impl<C: GroupQueryChannel> AdversaryChannel<C> {
                     let pick = self.rng.random_range(0..lying);
                     let liar = members
                         .iter()
-                        .filter(|id| self.liars.get(id.index()).copied().unwrap_or(false))
-                        .nth(pick)
                         .copied()
+                        .filter(|&id| self.lies(id))
+                        .nth(pick)
                         .expect("pick < lying");
                     Observation::Captured(liar)
                 } else {
@@ -182,7 +187,7 @@ impl<C: GroupQueryChannel> AdversaryChannel<C> {
     }
 }
 
-impl<C: GroupQueryChannel> GroupQueryChannel for AdversaryChannel<C> {
+impl<C: GroupQueryChannel, L: AsRef<[u64]>> GroupQueryChannel for AdversaryChannel<C, L> {
     fn query(&mut self, members: &[NodeId]) -> Observation {
         let obs = self.inner.query(members);
         match self.config.model {
@@ -222,38 +227,100 @@ impl<C: GroupQueryChannel> GroupQueryChannel for AdversaryChannel<C> {
 
 /// Pairing degrades to two adversary-wrapped single queries: the
 /// adversary perturbs each exchange independently.
-impl<C: GroupQueryChannel> PairedGroupQueryChannel for AdversaryChannel<C> {}
+impl<C: GroupQueryChannel, L: AsRef<[u64]>> PairedGroupQueryChannel for AdversaryChannel<C, L> {}
+
+/// Liars a model recruits: the false-responder group's size, else none.
+fn liar_count(model: AdversaryModel) -> usize {
+    match model {
+        AdversaryModel::FalseResponders { count } => count as usize,
+        AdversaryModel::Colluders { size } => size as usize,
+        _ => 0,
+    }
+}
+
+/// Seeds the adversary's generator from `config.seed` and, for the
+/// false-responder models, recruits the liars into `arena` from it.
+/// Returns the generator, positioned after the recruitment draws.
+fn recruit(arena: &mut ChannelArena, config: AdversaryConfig) -> SmallRng {
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let count = liar_count(config.model);
+    if count > 0 {
+        arena.recruit(count, &mut rng);
+    }
+    rng
+}
+
+/// [`fill_from`] with the spec's stored seeds: placement from
+/// `placement_seed`, the adversary from its configured seed.
+fn fill(spec: &ChannelSpec, arena: &mut ChannelArena) -> Option<(AdversaryConfig, SmallRng)> {
+    let placement = &mut SmallRng::seed_from_u64(spec.placement_seed);
+    fill_from(spec, arena, placement, |_, seed| seed)
+}
+
+/// The one construction every builder runs: places `spec`'s positives
+/// into `arena` from `placement`, then recruits its adversary's liars
+/// with the seed `reseed` derives from the configured one (drawing from
+/// `placement` only for adversarial specs). Returns the adversary's
+/// final config and generator.
+fn fill_from<R: Rng + ?Sized>(
+    spec: &ChannelSpec,
+    arena: &mut ChannelArena,
+    placement: &mut R,
+    reseed: impl FnOnce(&mut R, u64) -> u64,
+) -> Option<(AdversaryConfig, SmallRng)> {
+    arena.place(spec.n, spec.x, placement);
+    spec.adversary.map(|config| {
+        let config = AdversaryConfig {
+            seed: reseed(placement, config.seed),
+            ..config
+        };
+        (config, recruit(arena, config))
+    })
+}
+
+/// Builds `spec`'s channel into a worker's `arena` and runs `f` on it
+/// with the ground truth's words. The truth and liar sets are the
+/// arena's reused words, which the channel borrows, and the channel
+/// lives on the stack, so a warm arena builds it without allocating.
+/// Draws exactly like [`build_with_truth`], so both give the same
+/// channel.
+pub fn with_channel<T>(
+    spec: &ChannelSpec,
+    arena: &mut ChannelArena,
+    f: impl FnOnce(&mut dyn GroupQueryChannel, &[u64]) -> T,
+) -> T {
+    let adversary = fill(spec, arena);
+    let (truth, liars) = (arena.truth(), arena.liars());
+    spec.with_honest(truth, spec.channel_seed, |honest| match adversary {
+        None => f(honest, truth),
+        Some((config, rng)) => f(
+            &mut AdversaryChannel::over(honest, liars, config, rng),
+            truth,
+        ),
+    })
+}
 
 /// Builds the channel described by `spec`, wrapping it in an
-/// [`AdversaryChannel`] when the spec carries an adversary. Honest specs
-/// delegate to core's [`ChannelSpec::build_with_truth`] untouched, so
-/// existing seed streams stay byte-identical.
+/// [`AdversaryChannel`] when the spec carries an adversary, and returns
+/// it with the ground-truth bitmap. Honest specs draw exactly like
+/// core's [`ChannelSpec::build_with_truth`], so existing seed streams
+/// stay byte-identical.
 ///
 /// The adversary's draws use `spec.adversary.seed` directly, making
 /// rebuildings of the same spec replay bit-identically.
 pub fn build_with_truth(spec: &ChannelSpec) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-    match spec.adversary {
-        None => spec.build_with_truth(),
-        Some(config) => {
-            let honest = ChannelSpec {
-                adversary: None,
-                ..*spec
-            };
-            let (inner, truth) = honest.build_with_truth();
-            let wrapped = AdversaryChannel::new(inner, &truth, config);
-            (Box::new(wrapped), truth)
-        }
-    }
+    let mut arena = ChannelArena::new();
+    let adversary = fill(spec, &mut arena);
+    owned(spec, arena, spec.channel_seed, adversary)
 }
 
-/// Like [`build_with_truth`] without the truth bitmap: an honest spec
-/// builds through [`ChannelSpec::build`], which makes no truth copy;
-/// an adversarial one still needs the truth to recruit its liars.
+/// Like [`build_with_truth`] without the truth bitmap, so no truth copy
+/// is made.
 pub fn build(spec: &ChannelSpec) -> Box<dyn GroupQueryChannel + Send> {
-    match spec.adversary {
-        None => spec.build(),
-        Some(_) => build_with_truth(spec).0,
-    }
+    let mut arena = ChannelArena::new();
+    let adversary = fill(spec, &mut arena);
+    let (truth, liars) = arena.into_words();
+    boxed(spec, truth, liars, spec.channel_seed, adversary)
 }
 
 /// Builds the channel drawing the honest channel seed and positive
@@ -270,21 +337,39 @@ pub fn sample_with<R: Rng + ?Sized>(
     spec: &ChannelSpec,
     rng: &mut R,
 ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-    match spec.adversary {
-        None => spec.sample_with(rng),
-        Some(config) => {
-            let honest = ChannelSpec {
-                adversary: None,
-                ..*spec
-            };
-            let (inner, truth) = honest.sample_with(rng);
-            let config = AdversaryConfig {
-                seed: config.seed ^ rng.random::<u64>(),
-                ..config
-            };
-            let wrapped = AdversaryChannel::new(inner, &truth, config);
-            (Box::new(wrapped), truth)
-        }
+    let channel_seed = rng.random();
+    let mut arena = ChannelArena::new();
+    let adversary = fill_from(spec, &mut arena, rng, |rng, seed| {
+        seed ^ rng.random::<u64>()
+    });
+    owned(spec, arena, channel_seed, adversary)
+}
+
+/// The boxed channel owning `arena`'s words, with the truth as a bitmap.
+fn owned(
+    spec: &ChannelSpec,
+    arena: ChannelArena,
+    channel_seed: u64,
+    adversary: Option<(AdversaryConfig, SmallRng)>,
+) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
+    let truth = arena.truth_bools();
+    let (words, liars) = arena.into_words();
+    (boxed(spec, words, liars, channel_seed, adversary), truth)
+}
+
+/// `spec`'s honest channel owning `truth`, wrapped over `liars` when
+/// [`fill_from`] returned an adversary.
+fn boxed(
+    spec: &ChannelSpec,
+    truth: Vec<u64>,
+    liars: Vec<u64>,
+    channel_seed: u64,
+    adversary: Option<(AdversaryConfig, SmallRng)>,
+) -> Box<dyn GroupQueryChannel + Send> {
+    let honest = spec.honest_boxed(truth, channel_seed);
+    match adversary {
+        None => honest,
+        Some((config, rng)) => Box::new(AdversaryChannel::over(honest, liars, config, rng)),
     }
 }
 

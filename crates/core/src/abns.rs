@@ -75,20 +75,26 @@ impl Abns {
         }
     }
 
-    /// The round policy: `b = p + 1` with `p` refreshed from Eq. (6).
-    fn policy(&self, t: usize) -> impl FnMut(&Session, Option<&RoundStats>) -> usize {
-        let mut p = self.initial_p(t).max(0.0);
-        move |session, last| {
-            if let Some(stats) = last {
-                p = estimate_p(
-                    stats.silent_bins,
-                    stats.queried_bins,
-                    session.remaining_len(),
-                );
-            }
-            // Line 6: b_i = p_i + 1.
-            (p.round() as usize).saturating_add(1)
+    /// The round policy for threshold `t`.
+    pub(crate) fn policy(&self, t: usize) -> impl FnMut(&Session, Option<&RoundStats>) -> usize {
+        policy(self.initial_p(t))
+    }
+}
+
+/// The ABNS round policy from the initial estimate `p0`: `b = p + 1`
+/// with `p` refreshed from Eq. (6).
+pub(crate) fn policy(p0: f64) -> impl FnMut(&Session, Option<&RoundStats>) -> usize {
+    let mut p = p0.max(0.0);
+    move |session, last| {
+        if let Some(stats) = last {
+            p = estimate_p(
+                stats.silent_bins,
+                stats.queried_bins,
+                session.remaining_len(),
+            );
         }
+        // Line 6: b_i = p_i + 1.
+        (p.round() as usize).saturating_add(1)
     }
 }
 

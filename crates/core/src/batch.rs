@@ -8,7 +8,7 @@
 //!
 //! * [`BatchRunner::run`] — run any [`ThresholdQuerier`] over the pooled
 //!   scratch; the only steady-state allocation left is the returned
-//!   report's own trace vector.
+//!   report's own trace, copied out at its exact length.
 //! * [`BatchRunner::run_policy_encoded`] — drive a bin policy and encode
 //!   the report **directly into a caller-supplied wire buffer** in
 //!   `tcast::codec` layout, skipping the report object entirely: zero
@@ -20,7 +20,7 @@
 
 use rand::RngCore;
 
-use crate::channel::GroupQueryChannel;
+use crate::channel::{ChannelArena, GroupQueryChannel};
 use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
@@ -38,13 +38,19 @@ pub struct EngineScratch {
     pub(crate) remaining: Vec<NodeId>,
     /// Per-round keep buffer.
     pub(crate) scratch: Vec<NodeId>,
-    /// Round trace buffer (reclaimed only on the encoded path; the
-    /// report-returning path moves it into the report).
+    /// Round trace buffer; a report gets an exact-length copy.
     pub(crate) trace: Vec<RoundTrace>,
     /// Silently-eliminated pool for verified-silence confirmation.
     pub(crate) eliminated: Vec<NodeId>,
+    /// A group chosen outside the engine: ProbABNS's probe, then its
+    /// survivors.
+    pub(crate) group: Vec<NodeId>,
+    /// Node-set words marking `group`'s members.
+    pub(crate) marks: Vec<u64>,
     /// Pooled population buffer for [`EngineScratch::take_population`].
     population: Vec<NodeId>,
+    /// The worker's channel arena, for [`EngineScratch::take_arena`].
+    arena: ChannelArena,
 }
 
 impl EngineScratch {
@@ -63,6 +69,7 @@ impl EngineScratch {
             trace: Vec::with_capacity(32),
             eliminated: Vec::with_capacity(n),
             population: Vec::with_capacity(n),
+            ..Self::default()
         }
     }
 
@@ -80,6 +87,18 @@ impl EngineScratch {
     /// Returns a buffer taken by [`EngineScratch::take_population`].
     pub fn restore_population(&mut self, buf: Vec<NodeId>) {
         self.population = buf;
+    }
+
+    /// Takes the pooled [`ChannelArena`], so a job's channel can borrow
+    /// its words while the engine borrows the rest of this scratch.
+    /// Return it with [`EngineScratch::restore_arena`] after the query.
+    pub fn take_arena(&mut self) -> ChannelArena {
+        std::mem::take(&mut self.arena)
+    }
+
+    /// Returns an arena taken by [`EngineScratch::take_arena`].
+    pub fn restore_arena(&mut self, arena: ChannelArena) {
+        self.arena = arena;
     }
 }
 

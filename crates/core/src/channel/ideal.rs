@@ -3,19 +3,24 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{ChannelStats, GroupQueryChannel};
+use super::{words, ChannelStats, GroupQueryChannel};
 use crate::types::{CollisionModel, NodeId, Observation};
 
 /// Error-free group-query channel over a fixed ground-truth assignment of
-/// positives.
+/// positives, held as `u64` words (see the `words` module).
 ///
 /// * 1+ model: any positive member ⇒ [`Observation::Activity`].
 /// * 2+ model: a lone positive is always decoded; `k >= 2` positives are
 ///   decoded with the configured capture probability (one of them chosen
 ///   uniformly), otherwise observed as undecodable activity.
+///
+/// `P` is the truth's storage: the channel owns its words (`Vec<u64>`,
+/// the default) or borrows them from a worker's
+/// [`ChannelArena`](super::ChannelArena) (`&[u64]`).
 #[derive(Debug, Clone)]
-pub struct IdealChannel {
-    positive: Vec<bool>,
+pub struct IdealChannel<P = Vec<u64>> {
+    positive: P,
+    n: usize,
     model: CollisionModel,
     rng: SmallRng,
     stats: ChannelStats,
@@ -24,25 +29,15 @@ pub struct IdealChannel {
 impl IdealChannel {
     /// Creates a channel over `n` nodes (ids `0..n`), none positive yet.
     pub fn new(n: usize, model: CollisionModel, seed: u64) -> Self {
-        Self::from_bitmap(vec![false; n], model, seed)
-    }
-
-    /// Creates a channel over `positive.len()` nodes that takes ownership
-    /// of a ground-truth bitmap, so construction copies it nowhere.
-    pub(crate) fn from_bitmap(positive: Vec<bool>, model: CollisionModel, seed: u64) -> Self {
-        Self {
-            positive,
-            model,
-            rng: SmallRng::seed_from_u64(seed),
-            stats: ChannelStats::default(),
-        }
+        Self::over(vec![0; words::words_for(n)], n, model, seed)
     }
 
     /// Marks exactly the given nodes positive (all others negative).
     pub fn set_positives(&mut self, positives: &[NodeId]) {
-        self.positive.fill(false);
+        words::reset(&mut self.positive, self.n);
         for id in positives {
-            self.positive[id.index()] = true;
+            assert!(id.index() < self.n, "node {id} outside 0..{}", self.n);
+            words::insert(&mut self.positive, id.index());
         }
     }
 
@@ -55,44 +50,52 @@ impl IdealChannel {
         seed: u64,
         rng: &mut R,
     ) -> Self {
-        let ch = Self::from_bitmap(super::spec::floyd_bitmap(n, x, rng), model, seed);
-        debug_assert_eq!(ch.positive.iter().filter(|&&p| p).count(), x);
-        ch
-    }
-
-    /// Ground-truth check (used by the oracle algorithm and by tests).
-    pub fn is_positive(&self, id: NodeId) -> bool {
-        self.positive[id.index()]
-    }
-
-    /// Ground-truth positive count among an arbitrary node set.
-    pub fn count_positives(&self, members: &[NodeId]) -> usize {
-        members
-            .iter()
-            .filter(|id| self.positive[id.index()])
-            .count()
+        let mut positive = Vec::new();
+        words::floyd(&mut positive, n, x, rng);
+        Self::over(positive, n, model, seed)
     }
 
     /// Clones the ground-truth bitmap (for constructing a matching oracle).
     pub fn positives_bitmap(&self) -> Vec<bool> {
-        self.positive.clone()
+        words::to_bools(&self.positive, self.n)
     }
 }
 
-impl GroupQueryChannel for IdealChannel {
+impl<P: AsRef<[u64]>> IdealChannel<P> {
+    /// Creates a channel over nodes `0..n` whose truth is `positive`'s
+    /// words, so construction copies them nowhere.
+    pub(crate) fn over(positive: P, n: usize, model: CollisionModel, seed: u64) -> Self {
+        Self {
+            positive,
+            n,
+            model,
+            rng: SmallRng::seed_from_u64(seed),
+            stats: ChannelStats::default(),
+        }
+    }
+
+    /// Ground-truth check (used by the oracle algorithm and by tests).
+    pub fn is_positive(&self, id: NodeId) -> bool {
+        words::contains(self.positive.as_ref(), id)
+    }
+
+    /// Ground-truth positive count among an arbitrary node set.
+    pub fn count_positives(&self, members: &[NodeId]) -> usize {
+        words::count(self.positive.as_ref(), members)
+    }
+}
+
+impl<P: AsRef<[u64]>> GroupQueryChannel for IdealChannel<P> {
     fn query(&mut self, members: &[NodeId]) -> Observation {
         self.stats.queries += 1;
-        let positive = &self.positive;
-        let repliers = || members.iter().copied().filter(|id| positive[id.index()]);
+        let positive = self.positive.as_ref();
         // 1+ observes only "is any member positive?", so stop at the first.
         let k = match self.model {
-            CollisionModel::OnePlus => usize::from(repliers().next().is_some()),
-            CollisionModel::TwoPlus(_) => repliers().count(),
+            CollisionModel::OnePlus => usize::from(words::any(positive, members)),
+            CollisionModel::TwoPlus(_) => words::count(positive, members),
         };
         observe(k, self.model, &mut self.rng, |i| {
-            repliers()
-                .nth(i)
-                .expect("index drawn below the replier count")
+            words::nth(positive, members, i)
         })
     }
 

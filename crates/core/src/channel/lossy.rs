@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use super::ideal::observe;
-use super::{ChannelStats, GroupQueryChannel};
+use super::{words, ChannelStats, GroupQueryChannel};
 use crate::types::{CollisionModel, NodeId, Observation};
 
 /// Loss parameters for [`LossyChannel`].
@@ -44,9 +44,14 @@ impl Default for LossConfig {
 }
 
 /// Group-query channel with independent per-reply losses.
+///
+/// Like [`super::IdealChannel`], the truth is `u64` words the channel
+/// owns (`P = Vec<u64>`) or borrows from a
+/// [`ChannelArena`](super::ChannelArena) (`P = &[u64]`).
 #[derive(Debug, Clone)]
-pub struct LossyChannel {
-    positive: Vec<bool>,
+pub struct LossyChannel<P = Vec<u64>> {
+    positive: P,
+    n: usize,
     model: CollisionModel,
     loss: LossConfig,
     rng: SmallRng,
@@ -58,13 +63,25 @@ pub struct LossyChannel {
 impl LossyChannel {
     /// Creates a lossy channel over `n` nodes, none positive yet.
     pub fn new(n: usize, model: CollisionModel, loss: LossConfig, seed: u64) -> Self {
-        Self::from_bitmap(vec![false; n], model, loss, seed)
+        Self::over(vec![0; words::words_for(n)], n, model, loss, seed)
     }
 
-    /// Creates a lossy channel over `positive.len()` nodes that takes
-    /// ownership of a ground-truth bitmap.
-    pub(crate) fn from_bitmap(
-        positive: Vec<bool>,
+    /// Marks exactly the given nodes positive.
+    pub fn set_positives(&mut self, positives: &[NodeId]) {
+        words::reset(&mut self.positive, self.n);
+        for id in positives {
+            assert!(id.index() < self.n, "node {id} outside 0..{}", self.n);
+            words::insert(&mut self.positive, id.index());
+        }
+    }
+}
+
+impl<P: AsRef<[u64]>> LossyChannel<P> {
+    /// Creates a lossy channel over nodes `0..n` whose truth is
+    /// `positive`'s words.
+    pub(crate) fn over(
+        positive: P,
+        n: usize,
         model: CollisionModel,
         loss: LossConfig,
         seed: u64,
@@ -79,20 +96,13 @@ impl LossyChannel {
         );
         Self {
             positive,
+            n,
             model,
             loss,
             rng: SmallRng::seed_from_u64(seed),
             stats: ChannelStats::default(),
             false_negative_groups: 0,
             false_positive_groups: 0,
-        }
-    }
-
-    /// Marks exactly the given nodes positive.
-    pub fn set_positives(&mut self, positives: &[NodeId]) {
-        self.positive.fill(false);
-        for id in positives {
-            self.positive[id.index()] = true;
         }
     }
 
@@ -109,21 +119,19 @@ impl LossyChannel {
 
     /// Ground-truth check.
     pub fn is_positive(&self, id: NodeId) -> bool {
-        self.positive[id.index()]
+        words::contains(self.positive.as_ref(), id)
     }
 }
 
-impl GroupQueryChannel for LossyChannel {
+impl<P: AsRef<[u64]>> GroupQueryChannel for LossyChannel<P> {
     fn query(&mut self, members: &[NodeId]) -> Observation {
         self.stats.queries += 1;
-        let truly_positive = members
-            .iter()
-            .filter(|id| self.positive[id.index()])
-            .count();
+        let positive = self.positive.as_ref();
+        let truly_positive = words::count(positive, members);
         // The loss draws run once to count the heard replies. A capture
         // replays them from a copy of the generator taken beforehand to
         // find the picked reply, so no list of heard ids is ever built.
-        let (positive, miss) = (&self.positive, self.loss.reply_miss_prob);
+        let miss = self.loss.reply_miss_prob;
         let mut replay = self.rng.clone();
         let k = heard(members, positive, miss, &mut self.rng).count();
         if k == 0 {
@@ -164,14 +172,14 @@ impl GroupQueryChannel for LossyChannel {
 /// order: one `random_bool(miss)` per positive member.
 fn heard<'a>(
     members: &'a [NodeId],
-    positive: &'a [bool],
+    positive: &'a [u64],
     miss: f64,
     rng: &'a mut SmallRng,
 ) -> impl Iterator<Item = NodeId> + 'a {
     members
         .iter()
         .copied()
-        .filter(move |id| positive[id.index()] && !rng.random_bool(miss))
+        .filter(move |&id| words::contains(positive, id) && !rng.random_bool(miss))
 }
 
 #[cfg(test)]

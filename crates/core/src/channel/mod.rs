@@ -11,11 +11,19 @@
 //! * the full-stack adapter in the `tcast-rcd` crate, which realizes the
 //!   same trait on top of backcast/pollcast over the simulated CC2420 PHY,
 //!   used for Figure 4 and the error-rate table.
+//!
+//! The abstract channels hold their ground truth as `u64` node-set words
+//! (`words`), either owned or borrowed from a worker's reused
+//! [`ChannelArena`]; [`ChannelSpec::with_honest`] and
+//! [`ChannelSpec::honest_boxed`] are where a spec becomes a channel.
 
+mod arena;
 mod ideal;
 mod lossy;
 mod spec;
+pub(crate) mod words;
 
+pub use arena::ChannelArena;
 pub use ideal::IdealChannel;
 pub use lossy::{LossConfig, LossyChannel};
 pub use spec::{random_positive_set, AdversaryConfig, AdversaryModel, ChannelSpec};
@@ -57,13 +65,29 @@ pub trait PairedGroupQueryChannel: GroupQueryChannel {
     }
 }
 
-impl PairedGroupQueryChannel for IdealChannel {}
-impl PairedGroupQueryChannel for LossyChannel {}
+impl<P: AsRef<[u64]>> PairedGroupQueryChannel for IdealChannel<P> {}
+impl<P: AsRef<[u64]>> PairedGroupQueryChannel for LossyChannel<P> {}
 
 /// Boxed channels forward the contract, so wrappers (e.g. the Byzantine
 /// models in `tcast-adversary`) can layer over `Box<dyn
 /// GroupQueryChannel + Send>` without unboxing.
 impl<C: GroupQueryChannel + ?Sized> GroupQueryChannel for Box<C> {
+    fn query(&mut self, members: &[NodeId]) -> Observation {
+        (**self).query(members)
+    }
+
+    fn model(&self) -> CollisionModel {
+        (**self).model()
+    }
+
+    fn queries_issued(&self) -> u64 {
+        (**self).queries_issued()
+    }
+}
+
+/// A borrowed channel forwards the contract too, so a wrapper can layer
+/// over a `&mut dyn GroupQueryChannel` built on the stack.
+impl<C: GroupQueryChannel + ?Sized> GroupQueryChannel for &mut C {
     fn query(&mut self, members: &[NodeId]) -> Observation {
         (**self).query(members)
     }

@@ -10,7 +10,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{GroupQueryChannel, IdealChannel, LossConfig, LossyChannel};
+use super::{words, ChannelArena, GroupQueryChannel, IdealChannel, LossConfig, LossyChannel};
 use crate::retry::{DefensePolicy, RetryPolicy};
 use crate::types::{CollisionModel, NodeId};
 
@@ -66,7 +66,8 @@ pub enum AdversaryModel {
     },
 }
 
-/// Uniform `x`-subset of `0..n` chosen with Floyd's algorithm.
+/// Uniform `x`-subset of `0..n` chosen with Floyd's algorithm, in
+/// ascending id order.
 ///
 /// Consumes exactly `x` draws from `rng`, independent of `n`, which keeps
 /// seed streams stable when sweeps vary the population size.
@@ -75,27 +76,9 @@ pub enum AdversaryModel {
 ///
 /// Panics when `x > n`.
 pub fn random_positive_set<R: Rng + ?Sized>(n: usize, x: usize, rng: &mut R) -> Vec<NodeId> {
-    floyd_bitmap(n, x, rng)
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &p)| p.then_some(NodeId(i as u32)))
-        .collect()
-}
-
-/// [`random_positive_set`] as the membership bitmap the channels own:
-/// the same `x` draws, written straight into an `n`-entry `Vec<bool>`.
-pub(crate) fn floyd_bitmap<R: Rng + ?Sized>(n: usize, x: usize, rng: &mut R) -> Vec<bool> {
-    assert!(x <= n, "cannot place {x} positives among {n} nodes");
-    let mut positive = vec![false; n];
-    for j in (n - x)..n {
-        let k = rng.random_range(0..=j);
-        if positive[k] {
-            positive[j] = true;
-        } else {
-            positive[k] = true;
-        }
-    }
-    positive
+    let mut set = Vec::new();
+    words::floyd(&mut set, n, x, rng);
+    words::to_ids(&set, n)
 }
 
 /// Plain-data description of an abstract group-query channel.
@@ -214,17 +197,17 @@ impl ChannelSpec {
     }
 
     /// Builds the channel described by this spec from its stored seeds.
-    /// The channel owns the one placement bitmap; no truth copy is made.
+    /// The channel owns the placement's words; no truth copy is made.
     pub fn build(&self) -> Box<dyn GroupQueryChannel + Send> {
-        let mut placement = SmallRng::seed_from_u64(self.placement_seed);
-        self.channel_from(self.placement(&mut placement), self.channel_seed)
+        let arena = self.placed(&mut SmallRng::seed_from_u64(self.placement_seed));
+        self.honest_boxed(arena.into_words().0, self.channel_seed)
     }
 
     /// Like [`build`](Self::build), additionally returning the ground-truth
     /// positive bitmap (needed to construct a matching oracle).
     pub fn build_with_truth(&self) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-        let mut placement = SmallRng::seed_from_u64(self.placement_seed);
-        self.construct(self.channel_seed, &mut placement)
+        let arena = self.placed(&mut SmallRng::seed_from_u64(self.placement_seed));
+        self.owned(arena, self.channel_seed)
     }
 
     /// Builds the channel drawing the channel seed and then the positive
@@ -238,47 +221,79 @@ impl ChannelSpec {
         rng: &mut R,
     ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
         let channel_seed = rng.random();
-        self.construct(channel_seed, rng)
+        let arena = self.placed(rng);
+        self.owned(arena, channel_seed)
     }
 
-    fn construct<R: Rng + ?Sized>(
+    /// Builds the honest channel this spec describes (its adversary, if
+    /// any, is not applied) over borrowed truth words — a worker's
+    /// [`ChannelArena`] — on the stack, and runs `f` on it. The trait
+    /// object dispatches straight to the concrete channel, as a boxed one
+    /// does.
+    pub fn with_honest<T>(
         &self,
+        truth: &[u64],
         channel_seed: u64,
-        placement: &mut R,
-    ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-        // One placement pass: the channel owns the bitmap, the caller
-        // gets the one copy it needs as ground truth.
-        let bitmap = self.placement(placement);
-        let truth = bitmap.clone();
-        (self.channel_from(bitmap, channel_seed), truth)
-    }
-
-    /// The positive bitmap, drawn from `placement`; refuses adversarial
-    /// specs before drawing anything.
-    fn placement<R: Rng + ?Sized>(&self, placement: &mut R) -> Vec<bool> {
-        assert!(
-            self.adversary.is_none(),
-            "adversarial ChannelSpec must be built via tcast_adversary::build_with_truth \
-             (core cannot construct Byzantine wrappers)"
-        );
-        floyd_bitmap(self.n, self.x, placement)
-    }
-
-    /// The honest channel owning `bitmap`.
-    fn channel_from(
-        &self,
-        bitmap: Vec<bool>,
-        channel_seed: u64,
-    ) -> Box<dyn GroupQueryChannel + Send> {
+        f: impl FnOnce(&mut dyn GroupQueryChannel) -> T,
+    ) -> T {
         match self.loss {
-            None => Box::new(IdealChannel::from_bitmap(bitmap, self.model, channel_seed)),
-            Some(loss) => Box::new(LossyChannel::from_bitmap(
-                bitmap,
+            None => f(&mut IdealChannel::over(
+                truth,
+                self.n,
+                self.model,
+                channel_seed,
+            )),
+            Some(loss) => f(&mut LossyChannel::over(
+                truth,
+                self.n,
                 self.model,
                 loss,
                 channel_seed,
             )),
         }
+    }
+
+    /// [`with_honest`](Self::with_honest)'s channel, boxed and owning its
+    /// truth words.
+    pub fn honest_boxed(
+        &self,
+        truth: Vec<u64>,
+        channel_seed: u64,
+    ) -> Box<dyn GroupQueryChannel + Send> {
+        match self.loss {
+            None => Box::new(IdealChannel::over(truth, self.n, self.model, channel_seed)),
+            Some(loss) => Box::new(LossyChannel::over(
+                truth,
+                self.n,
+                self.model,
+                loss,
+                channel_seed,
+            )),
+        }
+    }
+
+    /// A fresh arena holding the positive placement drawn from
+    /// `placement`; refuses adversarial specs before drawing anything.
+    fn placed<R: Rng + ?Sized>(&self, placement: &mut R) -> ChannelArena {
+        assert!(
+            self.adversary.is_none(),
+            "adversarial ChannelSpec must be built via tcast_adversary::build_with_truth \
+             (core cannot construct Byzantine wrappers)"
+        );
+        let mut arena = ChannelArena::new();
+        arena.place(self.n, self.x, placement);
+        arena
+    }
+
+    /// The boxed channel owning `arena`'s truth, and the one copy of the
+    /// truth the caller gets as a bitmap.
+    fn owned(
+        &self,
+        arena: ChannelArena,
+        channel_seed: u64,
+    ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
+        let truth = arena.truth_bools();
+        (self.honest_boxed(arena.into_words().0, channel_seed), truth)
     }
 }
 

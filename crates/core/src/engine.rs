@@ -125,17 +125,39 @@ impl Session {
         }
     }
 
-    /// Finalizes into a report while handing every buffer except the trace
-    /// (which the report owns) back to `scratch` for the next query.
+    /// Finalizes into a report whose trace is copied out at its exact
+    /// length, `lead` (a round run before the session) first, and hands
+    /// every buffer back to `scratch` for the next query. The lead
+    /// round's queries, retries, defenses and round count join the
+    /// report's totals.
     pub(crate) fn finish_reusing(
         mut self,
         answer: bool,
+        lead: Option<RoundTrace>,
         scratch: &mut EngineScratch,
     ) -> QueryReport {
-        scratch.remaining = std::mem::take(&mut self.remaining);
-        scratch.scratch = std::mem::take(&mut self.scratch);
-        scratch.eliminated = std::mem::take(&mut self.eliminated);
-        self.into_report(answer)
+        let mut trace = Vec::with_capacity(usize::from(lead.is_some()) + self.trace.len());
+        trace.extend(lead);
+        trace.extend_from_slice(&self.trace);
+        if let Some(lead) = lead {
+            let (retries, defenses) = (lead.retries as u64, lead.defenses as u64);
+            self.queries += lead.queried_bins as u64 + retries + defenses;
+            self.retry_queries += retries;
+            self.defense_queries += defenses;
+            self.rounds += 1;
+        }
+        let report = QueryReport {
+            answer,
+            queries: self.queries,
+            rounds: self.rounds,
+            retry_queries: self.retry_queries,
+            defense_queries: self.defense_queries,
+            anomalies: self.anomalies,
+            confirmed_positives: self.confirmed,
+            trace,
+        };
+        self.reclaim(scratch);
+        report
     }
 
     /// Encodes the finished session as a wire [`QueryReport`]
@@ -775,10 +797,28 @@ pub fn drive(
 
 /// [`drive`] over pooled buffers: the session borrows its vectors from
 /// `scratch` and returns them after the report is built, so the
-/// steady-state per-query allocation is just the report's own trace
-/// vector. A fresh scratch allocates exactly what `drive` needs — an
-/// empty `Vec` holds no heap memory.
+/// steady-state per-query allocation is just the report's own trace,
+/// copied out at its exact length. A fresh scratch allocates exactly
+/// what `drive` needs — an empty `Vec` holds no heap memory.
 pub(crate) fn drive_with_scratch(
+    nodes: &[NodeId],
+    t: usize,
+    channel: ChannelMut<'_>,
+    rng: &mut dyn RngCore,
+    options: RunOptions,
+    scratch: &mut EngineScratch,
+    policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
+) -> QueryReport {
+    drive_after(None, nodes, t, channel, rng, options, scratch, policy)
+}
+
+/// [`drive_with_scratch`] for a session that follows a round run outside
+/// the engine (ProbABNS's probe): `lead` is that round's trace entry. It
+/// becomes the report's first entry and its costs join the report's
+/// totals, so the report is still built with one allocation.
+#[allow(clippy::too_many_arguments)] // drive_with_scratch + the lead round
+pub(crate) fn drive_after(
+    lead: Option<RoundTrace>,
     nodes: &[NodeId],
     t: usize,
     mut channel: ChannelMut<'_>,
@@ -791,7 +831,7 @@ pub(crate) fn drive_with_scratch(
     let session = Session::with_options(nodes, t, options, scratch);
     let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
     emit_verdict(&span, &session, answer);
-    session.finish_reusing(answer, scratch)
+    session.finish_reusing(answer, lead, scratch)
 }
 
 /// [`drive_with_scratch`] that never materializes a [`QueryReport`]: the

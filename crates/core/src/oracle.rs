@@ -16,37 +16,41 @@
 use rand::RngCore;
 
 use crate::batch::EngineScratch;
-use crate::channel::GroupQueryChannel;
+use crate::channel::{words, GroupQueryChannel};
 use crate::engine::{self, ChannelMut, RoundStats, Session};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::types::{NodeId, QueryReport};
 
-/// Oracle bin selection with ground-truth knowledge of the positive set.
+/// Oracle bin selection with ground-truth knowledge of the positive set,
+/// held as `u64` words of storage `P`: owned (`Vec<u64>`, the default)
+/// or borrowed from the channel arena the job's channel was built in
+/// (`&[u64]`), so a worker's oracle copies no truth.
 #[derive(Debug, Clone)]
-pub struct OracleBins {
-    positive: Vec<bool>,
+pub struct OracleBins<P = Vec<u64>> {
+    positive: P,
 }
 
 impl OracleBins {
     /// Builds an oracle from the ground-truth bitmap (index = node id).
     /// `IdealChannel::positives_bitmap` produces a matching bitmap.
     pub fn new(positive: Vec<bool>) -> Self {
-        Self { positive }
+        Self::over(words::from_bools(&positive))
     }
+}
 
-    fn count_positives(&self, nodes: &[NodeId]) -> usize {
-        nodes
-            .iter()
-            .filter(|id| self.positive.get(id.index()).copied().unwrap_or(false))
-            .count()
+impl<P: AsRef<[u64]>> OracleBins<P> {
+    /// Builds an oracle over ground-truth words, e.g. a
+    /// [`crate::channel::ChannelArena`]'s `truth()`.
+    pub fn over(positive: P) -> Self {
+        Self { positive }
     }
 
     /// The round policy: recount the surviving positives, then apply the
     /// piecewise optimum.
     fn policy(&self) -> impl FnMut(&Session, Option<&RoundStats>) -> usize + '_ {
         |session, _| {
-            let x = self.count_positives(session.remaining());
+            let x = words::count(self.positive.as_ref(), session.remaining());
             // Captured positives reduce the evidence still needed.
             let t_eff = session
                 .threshold()
@@ -77,7 +81,7 @@ pub fn oracle_bins(n: usize, t: usize, x: usize) -> usize {
     (b.round() as usize).clamp(1, n)
 }
 
-impl ThresholdQuerier for OracleBins {
+impl<P: AsRef<[u64]> + Sync> ThresholdQuerier for OracleBins<P> {
     fn name(&self) -> &str {
         "Oracle"
     }

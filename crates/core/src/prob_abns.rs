@@ -9,10 +9,11 @@
 
 use rand::{Rng, RngCore};
 
-use crate::abns::{Abns, InitialEstimate};
+use crate::abns;
 use crate::batch::EngineScratch;
+use crate::channel::words;
 use crate::channel::GroupQueryChannel;
-use crate::engine::RunOptions;
+use crate::engine::{self, ChannelMut, RunOptions};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::retry::RetryPolicy;
@@ -56,7 +57,7 @@ impl ThresholdQuerier for ProbAbns {
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
         profile: ExecutionProfile,
-        _scratch: &mut EngineScratch,
+        scratch: &mut EngineScratch,
     ) -> QueryReport {
         let retry = profile.retry;
         // Degenerate thresholds are decided without probing.
@@ -68,11 +69,9 @@ impl ThresholdQuerier for ProbAbns {
         }
 
         let q = self.probe_probability(t);
-        let probe: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|_| rng.random_bool(q))
-            .collect();
+        let mut probe = std::mem::take(&mut scratch.group);
+        probe.clear();
+        probe.extend(nodes.iter().copied().filter(|_| rng.random_bool(q)));
 
         let (probe_cost, probe_silent, probe_retries) = if probe.is_empty() {
             // Zero-member bin: free, trivially silent.
@@ -95,24 +94,30 @@ impl ThresholdQuerier for ProbAbns {
             (1 + spent, obs == Observation::Silent, spent)
         };
 
-        let (inner_nodes, survivors): (Vec<NodeId>, usize);
-        if probe_silent && self.eliminate_probe && !probe.is_empty() {
+        let eliminate = probe_silent && self.eliminate_probe && !probe.is_empty();
+        if eliminate {
             // Sound elimination: a (verified-)silent probe proves every
-            // sampled node negative.
-            let keep: Vec<NodeId> = nodes
-                .iter()
-                .copied()
-                .filter(|id| !probe.contains(id))
-                .collect();
-            survivors = keep.len();
-            inner_nodes = keep;
-        } else {
-            survivors = nodes.len();
-            inner_nodes = nodes.to_vec();
+            // sampled node negative. The probe is marked in words, so the
+            // survivors are one bit test per node; they replace the probe
+            // in its buffer.
+            let bound = probe.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+            words::reset(&mut scratch.marks, bound);
+            for id in &probe {
+                words::insert(&mut scratch.marks, id.index());
+            }
+            probe.clear();
+            probe.extend(
+                nodes
+                    .iter()
+                    .copied()
+                    .filter(|&id| !words::contains(&scratch.marks, id)),
+            );
         }
+        let inner_nodes: &[NodeId] = if eliminate { &probe } else { nodes };
+        let survivors = inner_nodes.len();
 
-        // The probe round happens outside `engine::drive`, so mirror its
-        // trace entry (and any retry burst) as events before the inner
+        // The probe round happens outside the engine's session, so mirror
+        // its trace entry (and any retry burst) as events before the inner
         // session starts — event order must match trace order.
         if probe_cost > 0 {
             if probe_retries > 0 {
@@ -136,6 +141,18 @@ impl ThresholdQuerier for ProbAbns {
                 ],
             );
         }
+        // The probe is exactly one round when it was actually issued; an
+        // empty probe costs neither a query nor a round nor a trace entry.
+        let lead = (probe_cost > 0).then(|| RoundTrace {
+            bins: 1,
+            queried_bins: 1,
+            silent_bins: usize::from(probe_silent),
+            eliminated: nodes.len() - survivors,
+            captured: 0,
+            retries: probe_retries as usize,
+            defenses: 0,
+            remaining: survivors,
+        });
 
         // The probe's retry spending counts against the session budget.
         let inner_retry = RetryPolicy {
@@ -146,41 +163,35 @@ impl ThresholdQuerier for ProbAbns {
             retry: inner_retry,
             defense: profile.defense,
         };
-        let mut report = if probe_silent {
+        let channel = ChannelMut::Single(channel);
+        let report = if probe_silent {
             // Likely x < t/2: ABNS seeded with p0 = t/4.
-            Abns::with_p0(InitialEstimate::Fixed(t as f64 / 4.0)).run_with_options(
-                &inner_nodes,
+            let policy = abns::policy(t as f64 / 4.0);
+            engine::drive_after(
+                lead,
+                inner_nodes,
                 t,
                 channel,
                 rng,
                 inner_options,
+                scratch,
+                policy,
             )
         } else {
             // Likely x > t/2: 2tBins is near-oracle in this regime.
-            TwoTBins.run_with_options(&inner_nodes, t, channel, rng, inner_options)
+            let policy = TwoTBins.policy();
+            engine::drive_after(
+                lead,
+                inner_nodes,
+                t,
+                channel,
+                rng,
+                inner_options,
+                scratch,
+                policy,
+            )
         };
-
-        report.queries += probe_cost;
-        report.retry_queries += probe_retries;
-        if probe_cost > 0 {
-            // The probe is exactly one round when it was actually issued; an
-            // empty probe costs neither a query nor a round nor a trace
-            // entry.
-            report.rounds += 1;
-            report.trace.insert(
-                0,
-                RoundTrace {
-                    bins: 1,
-                    queried_bins: 1,
-                    silent_bins: usize::from(probe_silent),
-                    eliminated: nodes.len() - survivors,
-                    captured: 0,
-                    retries: probe_retries as usize,
-                    defenses: 0,
-                    remaining: survivors,
-                },
-            );
-        }
+        scratch.group = probe;
         report
     }
 }

@@ -22,7 +22,7 @@ pub struct TwoTBins;
 
 impl TwoTBins {
     /// The round policy: always `2t` bins.
-    fn policy(&self) -> impl FnMut(&Session, Option<&RoundStats>) -> usize {
+    pub(crate) fn policy(&self) -> impl FnMut(&Session, Option<&RoundStats>) -> usize {
         |session, _| 2 * session.threshold()
     }
 }

@@ -68,13 +68,9 @@ impl AlgorithmSpec {
     }
 
     /// Builds the live algorithm on the stack and hands it to `run`.
-    /// `truth` is the channel's ground-truth positive bitmap, present
-    /// exactly when the algorithm is the oracle.
-    fn with_live<R>(
-        self,
-        truth: Option<Vec<bool>>,
-        run: impl FnOnce(&dyn ThresholdQuerier) -> R,
-    ) -> R {
+    /// `truth` is the words of the channel's ground truth; only the
+    /// oracle reads them.
+    fn with_live<R>(self, truth: &[u64], run: impl FnOnce(&dyn ThresholdQuerier) -> R) -> R {
         let (exp, abns, prob, oracle);
         let algorithm: &dyn ThresholdQuerier = match self {
             AlgorithmSpec::TwoTBins => &TwoTBins,
@@ -103,7 +99,7 @@ impl AlgorithmSpec {
                 &prob
             }
             AlgorithmSpec::OracleBins => {
-                oracle = OracleBins::new(truth.expect("the oracle runs with the truth"));
+                oracle = OracleBins::over(truth);
                 &oracle
             }
         };
@@ -276,35 +272,33 @@ impl QueryJob {
 
     /// Executes the session over pooled engine buffers: the batch-native
     /// path workers use, reusing `scratch` across jobs so steady-state
-    /// execution stops allocating per query. A scratch is capacity, never
-    /// state, so any scratch gives the same report (pinned by
-    /// `tests/batch_parity.rs`). The job's trace id becomes the thread's
-    /// current trace for the duration, so the engine's spans and round
-    /// events correlate to it.
+    /// execution allocates only the report's trace. A scratch is
+    /// capacity, never state, so any scratch gives the same report
+    /// (pinned by `tests/batch_parity.rs`). The job's trace id becomes
+    /// the thread's current trace for the duration, so the engine's spans
+    /// and round events correlate to it.
     ///
-    /// Channels are built through `tcast-adversary`, so a spec carrying
-    /// an [`tcast::AdversaryConfig`] gets its Byzantine wrapper here and
+    /// The channel is built into the scratch's channel arena through
+    /// [`tcast_adversary::with_channel`], so a spec carrying an
+    /// [`tcast::AdversaryConfig`] gets its Byzantine wrapper here and
     /// the spec's [`tcast::DefensePolicy`] shapes the session; honest
-    /// specs build byte-identically to [`ChannelSpec::build_with_truth`].
-    /// Only the oracle gets a ground-truth copy.
+    /// specs build exactly like [`ChannelSpec::build_with_truth`]. The
+    /// oracle reads the arena's truth words; nothing copies them.
     pub fn execute_in(&self, scratch: &mut EngineScratch) -> QueryReport {
         let _scope = tcast_obs::scoped_trace(self.trace);
-        let (mut channel, truth) = match self.algorithm {
-            AlgorithmSpec::OracleBins => {
-                let (channel, truth) = tcast_adversary::build_with_truth(&self.channel);
-                (channel, Some(truth))
-            }
-            _ => (tcast_adversary::build(&self.channel), None),
-        };
+        let mut arena = scratch.take_arena();
         let mut rng = SmallRng::seed_from_u64(self.session_seed);
         let profile = ExecutionProfile::new()
             .with_retry(self.retry_policy())
             .with_defense(self.channel.defense);
         let nodes = scratch.take_population(self.channel.n);
-        let report = self.algorithm.with_live(truth, |algorithm| {
-            algorithm.run_with_profile(&nodes, self.t, channel.as_mut(), &mut rng, profile, scratch)
+        let report = tcast_adversary::with_channel(&self.channel, &mut arena, |channel, truth| {
+            self.algorithm.with_live(truth, |algorithm| {
+                algorithm.run_with_profile(&nodes, self.t, channel, &mut rng, profile, scratch)
+            })
         });
         scratch.restore_population(nodes);
+        scratch.restore_arena(arena);
         report
     }
 }

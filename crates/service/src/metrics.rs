@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,11 +123,25 @@ impl Entry {
     }
 }
 
-/// One counter shard: a private label map so the owning threads never
-/// contend with other shards' threads.
+/// One counter shard: a private label map and service-wide
+/// distributions, so the owning threads never contend with other shards'
+/// threads. The distributions are made on the shard's first sample, so
+/// a registry costs no histograms for shards no thread records into.
 #[derive(Default)]
 struct Shard {
     entries: Mutex<BTreeMap<String, Arc<Entry>>>,
+    service: Mutex<Option<ServiceDists>>,
+}
+
+impl Shard {
+    /// Records into this shard's service-wide distributions.
+    fn record_service(&self, record: impl FnOnce(&mut ServiceDists)) {
+        record(
+            self.service
+                .lock()
+                .get_or_insert_with(ServiceDists::default),
+        );
+    }
 }
 
 /// Round-robin shard assignment, fixed per thread on first use.
@@ -367,8 +381,8 @@ pub struct TenantMetricsRow {
 
 /// Service-global execution-shape distributions: queue wait across every
 /// executed query job (all tenants and the default lane folded together)
-/// and jobs claimed per worker dequeue batch. One sample per job / per
-/// batch keeps the single mutex contention-free in practice.
+/// and jobs claimed per worker dequeue batch. Each shard records its own
+/// threads' samples; snapshots fold the shards.
 struct ServiceDists {
     queue_wait: (Summary, Histogram),
     batch_size: (Summary, Histogram),
@@ -398,8 +412,12 @@ pub struct MetricsRegistry {
     shards: Vec<Shard>,
     net: Mutex<BTreeMap<String, Arc<NetCounters>>>,
     tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
-    service: Mutex<ServiceDists>,
     slo: Mutex<Option<Arc<tcast_obs::SloTracker>>>,
+    /// Set once a tracker is attached, so [`MetricsRegistry::slo`] skips
+    /// the lock on every job of a registry without one. The `Release`
+    /// store in `attach_slo` pairs with the `Acquire` load in `slo`; the
+    /// tracker itself is read under the `slo` mutex.
+    slo_attached: AtomicBool,
 }
 
 impl Default for MetricsRegistry {
@@ -408,8 +426,8 @@ impl Default for MetricsRegistry {
             shards: (0..METRICS_SHARDS).map(|_| Shard::default()).collect(),
             net: Mutex::new(BTreeMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
-            service: Mutex::new(ServiceDists::default()),
             slo: Mutex::new(None),
+            slo_attached: AtomicBool::new(false),
         }
     }
 }
@@ -540,10 +558,14 @@ impl MetricsRegistry {
     /// `tcast_slo_*` Prometheus series).
     pub fn attach_slo(&self, tracker: Arc<tcast_obs::SloTracker>) {
         *self.slo.lock() = Some(tracker);
+        self.slo_attached.store(true, Ordering::Release);
     }
 
     /// The attached SLO tracker, if any.
     pub fn slo(&self) -> Option<Arc<tcast_obs::SloTracker>> {
+        if !self.slo_attached.load(Ordering::Acquire) {
+            return None;
+        }
         self.slo.lock().clone()
     }
 
@@ -583,18 +605,20 @@ impl MetricsRegistry {
     /// weighted shard selection.
     pub fn record_queue_wait(&self, queue_wait: Duration) {
         let micros = queue_wait.as_secs_f64() * 1e6;
-        let mut svc = self.service.lock();
-        svc.queue_wait.0.record(micros);
-        svc.queue_wait.1.record(micros);
+        self.shards[current_shard()].record_service(|svc| {
+            svc.queue_wait.0.record(micros);
+            svc.queue_wait.1.record(micros);
+        });
     }
 
     /// Records the number of jobs one worker claimed in a single dequeue
     /// batch (the batch-native execution path's fan-in shape).
     pub fn record_batch_size(&self, jobs: usize) {
         let jobs = jobs as f64;
-        let mut svc = self.service.lock();
-        svc.batch_size.0.record(jobs);
-        svc.batch_size.1.record(jobs);
+        self.shards[current_shard()].record_service(|svc| {
+            svc.batch_size.0.record(jobs);
+            svc.batch_size.1.record(jobs);
+        });
     }
 
     /// Returns (registering on first use) the live connection counters for
@@ -621,17 +645,15 @@ impl MetricsRegistry {
             let tenants = self.tenants.lock();
             tenants.iter().map(|(name, e)| e.snapshot(name)).collect()
         };
-        let (queue_wait_us, queue_wait_hist, batch_size, batch_size_hist) = {
-            let svc = self.service.lock();
-            (
-                svc.queue_wait.0,
-                svc.queue_wait.1.clone(),
-                svc.batch_size.0,
-                svc.batch_size.1.clone(),
-            )
-        };
+        let mut svc = ServiceDists::default();
         let mut folded: BTreeMap<String, MetricsRow> = BTreeMap::new();
         for shard in &self.shards {
+            if let Some(part) = &*shard.service.lock() {
+                svc.queue_wait.0.merge(&part.queue_wait.0);
+                svc.queue_wait.1.merge(&part.queue_wait.1);
+                svc.batch_size.0.merge(&part.batch_size.0);
+                svc.batch_size.1.merge(&part.batch_size.1);
+            }
             let entries = shard.entries.lock();
             for (label, e) in entries.iter() {
                 let part = e.to_row(label);
@@ -648,10 +670,10 @@ impl MetricsRegistry {
             net_rows,
             tenant_rows,
             slo_rows: self.slo().map(|t| t.snapshot()).unwrap_or_default(),
-            queue_wait_us,
-            queue_wait_hist,
-            batch_size,
-            batch_size_hist,
+            queue_wait_us: svc.queue_wait.0,
+            queue_wait_hist: svc.queue_wait.1,
+            batch_size: svc.batch_size.0,
+            batch_size_hist: svc.batch_size.1,
         }
     }
 }

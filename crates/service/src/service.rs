@@ -1044,9 +1044,10 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     let (label, result): (Cow<'static, str>, _) = match payload {
         Payload::Query(job) => {
             let label = job.algorithm.name();
-            // Queue wait = submission to execution start; measured once so
-            // the deadline check and the trace agree on the number.
-            let queue_wait = unit.submitted_at.elapsed();
+            // Queue wait = submission to execution start, read off the
+            // one clock read that also starts the job's latency; measured
+            // once so the deadline check and the trace agree on the number.
+            let queue_wait = started.saturating_duration_since(unit.submitted_at);
             let queue_wait_us = queue_wait.as_micros() as u64;
             // The job's span context (when the submitter propagated
             // one) parents this span under the submitter's own — e.g.

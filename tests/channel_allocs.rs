@@ -1,40 +1,44 @@
-//! Allocation guard for the honest channels.
+//! Allocation guard for the channels and the job path built on them.
 //!
 //! A group query counts the positives and picks the captured one in
 //! place, so no query allocates, the first included; building a job's
 //! channel from a spec is one placement bitmap, one truth copy and the
-//! box. A tallying global allocator counts every heap allocation the
-//! measuring thread makes while each step runs; allocations on other
-//! threads of the test harness are not counted.
+//! box. A worker builds into its reused channel arena instead, which
+//! allocates nothing once warm, so a warm `QueryJob::execute_in` makes
+//! one allocation: the report's trace. A tallying global allocator
+//! counts every heap allocation the measuring thread makes while each
+//! step runs; allocations on other threads of the test harness are not
+//! counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use tcast::channel::ChannelArena;
 use tcast::{
-    population, ChannelSpec, CollisionModel, GroupQueryChannel, IdealChannel, LossConfig,
-    LossyChannel, NodeId,
+    population, AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, DefensePolicy,
+    EngineScratch, GroupQueryChannel, IdealChannel, LossConfig, LossyChannel, NodeId, RetryPolicy,
 };
+use tcast_service::{AlgorithmSpec, QueryJob};
 
 struct TallyingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocations are counted. `const`, with no
-    /// destructor, so reading it never allocates or re-enters the
-    /// allocator.
+    /// Whether this thread's allocations are counted, and how many were.
+    /// Both per thread, so tests measuring in parallel never see each
+    /// other's allocations. `const`, with no destructor, so reading them
+    /// never allocates or re-enters the allocator.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn tally() {
     if COUNTING.with(Cell::get) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -73,11 +77,11 @@ const QUERIES: usize = 10_000;
 
 /// Heap allocations this thread made while `f` runs.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 /// Seeded groups of every size the engine produces, built up front so
@@ -143,4 +147,98 @@ fn honest_channels_allocate_nothing_per_query_and_three_times_per_build() {
         allocs <= 3,
         "ChannelSpec::build_with_truth made {allocs} allocations (at most 3)"
     );
+}
+
+/// One spec of each kind a job's channel is built from: ideal under both
+/// collision models, lossy, a jammer and a false responder, the last
+/// three with the verified retries and hardened defenses the adversarial
+/// workloads run with. Two population sizes, so a warm arena has grown
+/// to the larger one.
+fn specs() -> Vec<ChannelSpec> {
+    let two_plus = CollisionModel::two_plus_default();
+    let adversary = |model, seed| AdversaryConfig { model, seed };
+    let mut specs = Vec::new();
+    for (i, (n, x)) in [(N, X - 1), (4 * N, 4 * X)].into_iter().enumerate() {
+        let seed = i as u64;
+        let hardened = [
+            ChannelSpec::lossy(n, x, two_plus, LossConfig::default()),
+            ChannelSpec::adversarial(
+                n,
+                x,
+                two_plus,
+                None,
+                adversary(AdversaryModel::Jammer { duty_mille: 350 }, 7 + seed),
+            ),
+            ChannelSpec::adversarial(
+                n,
+                x / 2,
+                two_plus,
+                None,
+                adversary(AdversaryModel::FalseResponders { count: 3 }, 9 + seed),
+            ),
+        ];
+        // No positives: ProbABNS's probe is silent and hands over to ABNS.
+        specs.push(ChannelSpec::ideal(n, 0, CollisionModel::OnePlus));
+        specs.push(ChannelSpec::ideal(n, x, CollisionModel::OnePlus));
+        specs.push(ChannelSpec::ideal(n, x, two_plus));
+        specs.extend(hardened.into_iter().map(|spec| {
+            spec.with_retry(RetryPolicy::verified(2))
+                .with_defense(DefensePolicy::hardened())
+        }));
+    }
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| spec.seeded(11 + i as u64, 23 + i as u64))
+        .collect()
+}
+
+#[test]
+fn warm_arena_builds_allocate_nothing() {
+    let groups = groups();
+    let specs = specs();
+    let mut arena = ChannelArena::new();
+    for spec in &specs {
+        tcast_adversary::with_channel(spec, &mut arena, |_, _| ());
+    }
+    for spec in &specs {
+        let (allocs, ()) = allocations(|| {
+            tcast_adversary::with_channel(spec, &mut arena, |channel, truth| {
+                black_box(truth);
+                for members in groups.iter().take(200) {
+                    black_box(channel.query(black_box(members)));
+                }
+            })
+        });
+        assert_eq!(allocs, 0, "{spec:?}: {allocs} allocations");
+    }
+}
+
+#[test]
+fn warm_execute_in_allocates_only_the_report_trace() {
+    let jobs: Vec<QueryJob> = specs()
+        .into_iter()
+        .flat_map(|spec| {
+            let t = spec.n / 8;
+            AlgorithmSpec::ALL
+                .into_iter()
+                .enumerate()
+                .map(move |(i, algorithm)| QueryJob::new(algorithm, spec, t, 31 + i as u64))
+        })
+        .collect();
+    let mut scratch = EngineScratch::new();
+    for job in &jobs {
+        drop(job.execute_in(&mut scratch));
+    }
+    for job in &jobs {
+        let (allocs, report) = allocations(|| job.execute_in(&mut scratch));
+        assert!(!report.trace.is_empty(), "{job:?}");
+        assert_eq!(
+            allocs,
+            1,
+            "{} on {:?}: {allocs} allocations",
+            job.algorithm.name(),
+            job.channel
+        );
+    }
 }

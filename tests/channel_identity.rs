@@ -9,14 +9,21 @@
 //! channels must match it over seeded random member slices, including
 //! empty ones. Construction is pinned the same way: Floyd placement and
 //! the spec builders must consume a shared generator exactly as before.
+//! Channels built into a reused channel arena, on `u64` words, must
+//! answer and draw like the `Vec<bool>` construction they replaced,
+//! liar recruitment and every adversary model included, and an oracle
+//! reading the arena's truth must pick the same bin counts as one over a
+//! copy.
 
 use rand::rngs::SmallRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, RngCore, SeedableRng};
 
+use tcast::channel::ChannelArena;
 use tcast::{
-    population, random_positive_set, CaptureModel, ChannelSpec, CollisionModel, GroupQueryChannel,
-    IdealChannel, LossConfig, LossyChannel, NodeId, Observation,
+    population, random_positive_set, AdversaryConfig, AdversaryModel, CaptureModel, ChannelSpec,
+    CollisionModel, GroupQueryChannel, IdealChannel, LossConfig, LossyChannel, NodeId, Observation,
+    OracleBins, QueryReport, ThresholdQuerier,
 };
 
 const N: usize = 64;
@@ -334,6 +341,228 @@ fn spec_builders_draw_in_the_same_order_as_before() {
             let positives = reference_positive_set(N, x, &mut before);
             assert_spec_matches(&spec, built, drawn_seed, &positives);
             assert_eq!(now.next_u64(), before.next_u64(), "{spec:?}: RNG state");
+        }
+    }
+}
+
+/// The earlier Byzantine wrapper over the reference channel: liars
+/// recruited through a list of the idle nodes and kept as a `Vec<bool>`.
+struct ReferenceAdversary {
+    honest: Reference,
+    config: AdversaryConfig,
+    liars: Vec<bool>,
+    rng: SmallRng,
+    budget_left: u64,
+}
+
+impl ReferenceAdversary {
+    fn new(honest: Reference, config: AdversaryConfig) -> Self {
+        let truth = honest.positive.clone();
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let liar_count = match config.model {
+            AdversaryModel::FalseResponders { count } => count as usize,
+            AdversaryModel::Colluders { size } => size as usize,
+            _ => 0,
+        };
+        let mut liars = Vec::new();
+        if liar_count > 0 {
+            let idle: Vec<usize> = (0..truth.len()).filter(|&i| !truth[i]).collect();
+            let picks = reference_positive_set(idle.len(), liar_count.min(idle.len()), &mut rng);
+            liars = vec![false; truth.len()];
+            for p in picks {
+                liars[idle[p.index()]] = true;
+            }
+        }
+        let budget_left = match config.model {
+            AdversaryModel::SilentDrop { budget } => budget,
+            _ => 0,
+        };
+        Self {
+            honest,
+            config,
+            liars,
+            rng,
+            budget_left,
+        }
+    }
+
+    fn lies(&self, id: NodeId) -> bool {
+        self.liars.get(id.index()).copied().unwrap_or(false)
+    }
+
+    fn query(&mut self, members: &[NodeId]) -> Observation {
+        let obs = self.honest.query(members);
+        match self.config.model {
+            AdversaryModel::SilentDrop { .. } => {
+                if obs != Observation::Silent && self.budget_left > 0 {
+                    self.budget_left -= 1;
+                    Observation::Silent
+                } else {
+                    obs
+                }
+            }
+            AdversaryModel::FalseResponders { .. } | AdversaryModel::Colluders { .. } => {
+                let lying = members.iter().filter(|&&id| self.lies(id)).count();
+                if lying == 0 {
+                    return obs;
+                }
+                match (obs, self.honest.model) {
+                    (Observation::Silent, CollisionModel::OnePlus) => Observation::Activity,
+                    (Observation::Silent, CollisionModel::TwoPlus(capture)) => {
+                        if self.rng.random_bool(capture.capture_probability(lying)) {
+                            let pick = self.rng.random_range(0..lying);
+                            let liars: Vec<NodeId> = members
+                                .iter()
+                                .copied()
+                                .filter(|&id| self.lies(id))
+                                .collect();
+                            Observation::Captured(liars[pick])
+                        } else {
+                            Observation::Activity
+                        }
+                    }
+                    _ => Observation::Activity,
+                }
+            }
+            AdversaryModel::Jammer { duty_mille } => {
+                if duty_mille > 0 && self.rng.random_range(0..1000) < u64::from(duty_mille) {
+                    Observation::Activity
+                } else {
+                    obs
+                }
+            }
+        }
+    }
+}
+
+/// Every adversary model, over a few liar-group sizes and duty cycles.
+fn adversary_models() -> [AdversaryModel; 6] {
+    [
+        AdversaryModel::FalseResponders { count: 1 },
+        AdversaryModel::FalseResponders { count: 9 },
+        AdversaryModel::Colluders { size: 15 },
+        AdversaryModel::Jammer { duty_mille: 350 },
+        AdversaryModel::Jammer { duty_mille: 1000 },
+        AdversaryModel::SilentDrop { budget: 5 },
+    ]
+}
+
+/// Whether node `i` is in the node-set words `words`.
+fn word_bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+}
+
+/// `QUERIES` seeded random-member queries against both channels.
+fn assert_same_observations(
+    name: &str,
+    channel: &mut dyn GroupQueryChannel,
+    reference: &mut ReferenceAdversary,
+    seed: u64,
+) {
+    let mut members_rng = SmallRng::seed_from_u64(seed ^ 0xad5e);
+    for q in 0..300 {
+        let members = random_members(&mut members_rng);
+        assert_eq!(
+            channel.query(&members),
+            reference.query(&members),
+            "{name}: query {q} over {members:?}"
+        );
+    }
+}
+
+#[test]
+fn arena_built_channels_match_the_bitmap_construction() {
+    let lossy = LossConfig {
+        false_activity_prob: 0.3,
+        ..LossConfig::default()
+    };
+    // One arena for every case, as a worker reuses it across jobs.
+    let mut arena = ChannelArena::new();
+    for (i, &x) in XS.iter().enumerate() {
+        for (j, model) in adversary_models().into_iter().enumerate() {
+            for (collision, loss) in [
+                (CollisionModel::OnePlus, None),
+                (CollisionModel::two_plus_default(), None),
+                (CollisionModel::two_plus_default(), Some(lossy)),
+            ] {
+                let seed = (100 * i + j) as u64;
+                let config = AdversaryConfig {
+                    model,
+                    seed: 7 + seed,
+                };
+                let (placement_seed, channel_seed) = (500 + seed, 900 + seed);
+                let spec = ChannelSpec::adversarial(N, x, collision, loss, config)
+                    .seeded(placement_seed, channel_seed);
+                let name = format!("{spec:?}");
+                let positives =
+                    reference_positive_set(N, x, &mut SmallRng::seed_from_u64(placement_seed));
+                let reference = || {
+                    let honest = Reference::new(&positives, collision, loss, channel_seed);
+                    ReferenceAdversary::new(honest, config)
+                };
+
+                // Stored seeds, into the reused arena.
+                let mut expected = reference();
+                tcast_adversary::with_channel(&spec, &mut arena, |channel, truth| {
+                    let truth: Vec<bool> = (0..N).map(|i| word_bit(truth, i)).collect();
+                    assert_eq!(truth, expected.honest.positive, "{name}: truth");
+                    assert_same_observations(&name, channel, &mut expected, seed);
+                });
+
+                // The owned builder draws the same.
+                let (mut owned, truth) = tcast_adversary::build_with_truth(&spec);
+                let mut expected = reference();
+                assert_eq!(truth, expected.honest.positive, "{name}: owned truth");
+                assert_same_observations(&name, owned.as_mut(), &mut expected, seed);
+
+                // Shared generator: channel seed, placement, then one draw
+                // mixed into the adversary seed, leaving the generator
+                // where the bitmap construction left it.
+                let mut now = SmallRng::seed_from_u64(seed);
+                let (mut sampled, _) = tcast_adversary::sample_with(&spec, &mut now);
+                let mut before = SmallRng::seed_from_u64(seed);
+                let drawn_seed: u64 = before.random();
+                let positives = reference_positive_set(N, x, &mut before);
+                let config = AdversaryConfig {
+                    seed: config.seed ^ before.random::<u64>(),
+                    ..config
+                };
+                let honest = Reference::new(&positives, collision, loss, drawn_seed);
+                let mut expected = ReferenceAdversary::new(honest, config);
+                assert_same_observations(&name, sampled.as_mut(), &mut expected, seed);
+                assert_eq!(now.next_u64(), before.next_u64(), "{name}: RNG state");
+            }
+        }
+    }
+}
+
+#[test]
+fn oracle_over_borrowed_truth_matches_oracle_over_a_copy() {
+    let mut arena = ChannelArena::new();
+    for (i, &x) in XS.iter().enumerate() {
+        for model in [CollisionModel::OnePlus, CollisionModel::two_plus_default()] {
+            let spec = ChannelSpec::ideal(N, x, model).seeded(40 + i as u64, 60 + i as u64);
+            let (t, session_seed) = (8, 80 + i as u64);
+
+            let borrowed = tcast_adversary::with_channel(&spec, &mut arena, |channel, truth| {
+                OracleBins::over(truth).run(
+                    &population(N),
+                    t,
+                    channel,
+                    &mut SmallRng::seed_from_u64(session_seed),
+                )
+            });
+
+            let (mut channel, truth) = spec.build_with_truth();
+            let copied = OracleBins::new(truth).run(
+                &population(N),
+                t,
+                channel.as_mut(),
+                &mut SmallRng::seed_from_u64(session_seed),
+            );
+            let bins = |r: &QueryReport| r.trace.iter().map(|round| round.bins).collect::<Vec<_>>();
+            assert_eq!(bins(&borrowed), bins(&copied), "{spec:?}: bin counts");
+            assert_eq!(borrowed, copied, "{spec:?}");
         }
     }
 }
