@@ -42,7 +42,7 @@
 //! let mut rng = SmallRng::seed_from_u64(42);
 //! let report = TwoTBins.run_with_options(
 //!     &population(128), 16, &mut channel, &mut rng,
-//!     ExecutionProfile::new().with_defense(spec.defense).options());
+//!     ExecutionProfile::new().with_defense(spec.defense));
 //! assert!(report.anomalies > 0, "the canary catches an always-on jammer");
 //! ```
 
@@ -92,21 +92,6 @@ pub struct AdversaryChannel<C, L = Vec<u64>> {
     /// Remaining suppressions for the silent-drop model.
     budget_left: u64,
     stats: AdversaryStats,
-}
-
-impl<C: GroupQueryChannel> AdversaryChannel<C> {
-    /// Wraps `inner` with the behaviour described by `config`.
-    ///
-    /// `truth` is the honest positive bitmap (as returned by
-    /// [`ChannelSpec::build_with_truth`]); the false-responder models
-    /// recruit their liars among the *idle* nodes — a node that is truly
-    /// positive has no need to lie — choosing them deterministically
-    /// from `config.seed` (see [`ChannelArena::recruit`]).
-    pub fn new(inner: C, truth: &[bool], config: AdversaryConfig) -> Self {
-        let mut arena = ChannelArena::from_truth(truth);
-        let rng = recruit(&mut arena, config);
-        Self::over(inner, arena.into_words().1, config, rng)
-    }
 }
 
 impl<C: GroupQueryChannel, L: AsRef<[u64]>> AdversaryChannel<C, L> {
@@ -300,39 +285,32 @@ pub fn with_channel<T>(
     })
 }
 
-/// Builds the channel described by `spec`, wrapping it in an
-/// [`AdversaryChannel`] when the spec carries an adversary, and returns
-/// it with the ground-truth bitmap. Honest specs draw exactly like
-/// core's [`ChannelSpec::build_with_truth`], so existing seed streams
-/// stay byte-identical.
+/// Builds the channel described by `spec` from its stored seeds,
+/// wrapping it in an [`AdversaryChannel`] when the spec carries an
+/// adversary, and returns it with the ground-truth bitmap. The channel
+/// owns its words.
 ///
-/// The adversary's draws use `spec.adversary.seed` directly, making
-/// rebuildings of the same spec replay bit-identically.
+/// The positives are placed from `spec.placement_seed` and the honest
+/// channel draws from `spec.channel_seed`; the adversary's draws use
+/// `spec.adversary.seed` directly, making rebuildings of the same spec
+/// replay bit-identically.
 pub fn build_with_truth(spec: &ChannelSpec) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
     let mut arena = ChannelArena::new();
     let adversary = fill(spec, &mut arena);
     owned(spec, arena, spec.channel_seed, adversary)
 }
 
-/// Like [`build_with_truth`] without the truth bitmap, so no truth copy
-/// is made.
-pub fn build(spec: &ChannelSpec) -> Box<dyn GroupQueryChannel + Send> {
-    let mut arena = ChannelArena::new();
-    let adversary = fill(spec, &mut arena);
-    let (truth, liars) = arena.into_words();
-    boxed(spec, truth, liars, spec.channel_seed, adversary)
-}
-
-/// Builds the channel drawing the honest channel seed and positive
-/// placement from `rng` (the sweep drivers' historical draw order — see
-/// [`ChannelSpec::sample_with`]), then wraps it when the spec carries an
-/// adversary.
+/// Builds the channel drawing the honest channel seed and then the
+/// positive placement from `rng`, ignoring the spec's stored seeds, and
+/// wraps it when the spec carries an adversary.
 ///
+/// This is the draw order the experiment sweeps have always used: one
+/// `u64` for the channel seed, then Floyd placement, from one per-run
+/// generator, so figures regenerated through a spec stay byte-identical.
 /// The adversary seed mixes `spec.adversary.seed` with one extra draw
-/// taken *after* the honest construction, so honest specs consume `rng`
-/// exactly like core's `sample_with` (byte-identical sweeps), while
-/// adversarial sweeps get per-run liar placements that still depend on
-/// the configured seed.
+/// taken *after* the honest construction, so honest specs consume
+/// nothing more, while adversarial sweeps get per-run liar placements
+/// that still depend on the configured seed.
 pub fn sample_with<R: Rng + ?Sized>(
     spec: &ChannelSpec,
     rng: &mut R,
@@ -345,7 +323,9 @@ pub fn sample_with<R: Rng + ?Sized>(
     owned(spec, arena, channel_seed, adversary)
 }
 
-/// The boxed channel owning `arena`'s words, with the truth as a bitmap.
+/// `spec`'s honest channel owning `arena`'s truth words, wrapped over its
+/// liar words when [`fill_from`] returned an adversary, with the truth as
+/// a bitmap.
 fn owned(
     spec: &ChannelSpec,
     arena: ChannelArena,
@@ -354,23 +334,12 @@ fn owned(
 ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
     let truth = arena.truth_bools();
     let (words, liars) = arena.into_words();
-    (boxed(spec, words, liars, channel_seed, adversary), truth)
-}
-
-/// `spec`'s honest channel owning `truth`, wrapped over `liars` when
-/// [`fill_from`] returned an adversary.
-fn boxed(
-    spec: &ChannelSpec,
-    truth: Vec<u64>,
-    liars: Vec<u64>,
-    channel_seed: u64,
-    adversary: Option<(AdversaryConfig, SmallRng)>,
-) -> Box<dyn GroupQueryChannel + Send> {
-    let honest = spec.honest_boxed(truth, channel_seed);
-    match adversary {
+    let honest = spec.honest_boxed(words, channel_seed);
+    let channel = match adversary {
         None => honest,
         Some((config, rng)) => Box::new(AdversaryChannel::over(honest, liars, config, rng)),
-    }
+    };
+    (channel, truth)
 }
 
 #[cfg(test)]
@@ -499,23 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn honest_specs_pass_through_byte_identically() {
-        use rand::rngs::SmallRng;
-        use rand::{RngCore, SeedableRng};
-        let spec = ChannelSpec::ideal(64, 10, CollisionModel::OnePlus);
-        let mut rng_here = SmallRng::seed_from_u64(7);
-        let mut rng_core = SmallRng::seed_from_u64(7);
-        let (mut a, truth_a) = sample_with(&spec, &mut rng_here);
-        let (mut b, truth_b) = spec.sample_with(&mut rng_core);
-        assert_eq!(truth_a, truth_b);
-        let members = population(64);
-        for _ in 0..20 {
-            assert_eq!(a.query(&members), b.query(&members));
-        }
-        assert_eq!(rng_here.next_u64(), rng_core.next_u64(), "same rng state");
-    }
-
-    #[test]
     fn stats_count_what_happened() {
         let spec = ChannelSpec::adversarial(
             8,
@@ -527,12 +479,11 @@ mod tests {
                 seed: 0,
             },
         );
-        let honest = ChannelSpec {
-            adversary: None,
-            ..spec
-        };
-        let (inner, truth) = honest.build_with_truth();
-        let mut ch = AdversaryChannel::new(inner, &truth, spec.adversary.unwrap());
+        let mut arena = ChannelArena::new();
+        let (config, rng) = fill(&spec, &mut arena).expect("adversarial spec");
+        let (truth, liars) = arena.into_words();
+        let inner = spec.honest_boxed(truth, spec.channel_seed);
+        let mut ch = AdversaryChannel::over(inner, liars, config, rng);
         let all = population(8);
         for _ in 0..7 {
             ch.query(&all);
@@ -540,5 +491,69 @@ mod tests {
         assert_eq!(ch.stats().suppressed, 5);
         assert_eq!(ch.liar_count(), 0);
         assert_eq!(ch.queries_issued(), 7);
+    }
+
+    #[test]
+    fn build_is_deterministic() {
+        let spec = ChannelSpec::ideal(64, 10, CollisionModel::OnePlus).seeded(7, 8);
+        let (mut a, truth_a) = build_with_truth(&spec);
+        let (mut b, truth_b) = build_with_truth(&spec);
+        assert_eq!(truth_a, truth_b);
+        let members = population(64);
+        for _ in 0..20 {
+            assert_eq!(a.query(&members), b.query(&members));
+        }
+    }
+
+    #[test]
+    fn truth_matches_channel_behaviour() {
+        let spec = ChannelSpec::ideal(16, 4, CollisionModel::OnePlus).seeded(3, 4);
+        let (mut ch, truth) = build_with_truth(&spec);
+        assert_eq!(truth.iter().filter(|&&p| p).count(), 4);
+        for (i, &positive) in truth.iter().enumerate() {
+            let obs = ch.query(&[NodeId(i as u32)]);
+            assert_eq!(obs == Observation::Activity, positive);
+        }
+    }
+
+    #[test]
+    fn sample_with_matches_historical_draw_order() {
+        // The spec path must consume rng exactly like the original inline
+        // construction: one u64 for the channel seed, then Floyd placement.
+        use rand::RngCore;
+        use tcast::IdealChannel;
+        let spec = ChannelSpec::ideal(128, 20, CollisionModel::OnePlus);
+        let mut rng_spec = SmallRng::seed_from_u64(42);
+        let mut rng_inline = SmallRng::seed_from_u64(42);
+
+        let (mut via_spec, _) = sample_with(&spec, &mut rng_spec);
+        let ch_seed = rng_inline.random();
+        let mut inline = IdealChannel::with_random_positives(
+            128,
+            20,
+            CollisionModel::OnePlus,
+            ch_seed,
+            &mut rng_inline,
+        );
+
+        let members = population(128);
+        for _ in 0..20 {
+            assert_eq!(via_spec.query(&members), inline.query(&members));
+        }
+        // And the generators must be left in identical states.
+        assert_eq!(rng_spec.next_u64(), rng_inline.next_u64());
+    }
+
+    #[test]
+    fn lossy_spec_builds_lossy_channel() {
+        let loss = tcast::LossConfig {
+            reply_miss_prob: 1.0,
+            false_activity_prob: 0.0,
+        };
+        let spec = ChannelSpec::lossy(8, 8, CollisionModel::OnePlus, loss).seeded(1, 2);
+        let (mut ch, truth) = build_with_truth(&spec);
+        assert!(truth.iter().all(|&p| p));
+        // Every reply is lost, so even an all-positive group looks silent.
+        assert_eq!(ch.query(&population(8)), Observation::Silent);
     }
 }

@@ -7,8 +7,7 @@ use rand::SeedableRng;
 
 use tcast::{
     population, Abns, AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, DefensePolicy,
-    ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, RunOptions, ThresholdQuerier,
-    TwoTBins,
+    ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 
 const N: usize = 64;
@@ -17,7 +16,7 @@ const T: usize = 8;
 fn run(
     algorithm: &dyn ThresholdQuerier,
     model: AdversaryModel,
-    options: RunOptions,
+    profile: ExecutionProfile,
     seed: u64,
 ) -> QueryReport {
     let spec = ChannelSpec::adversarial(
@@ -29,7 +28,7 @@ fn run(
     );
     let (mut channel, _truth) = tcast_adversary::build_with_truth(&spec);
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-    algorithm.run_with_options(&population(N), T, &mut channel, &mut rng, options)
+    algorithm.run_with_options(&population(N), T, &mut channel, &mut rng, profile)
 }
 
 #[test]
@@ -41,7 +40,7 @@ fn targeted_silence_defeats_the_bare_engine() {
         let r = run(
             &TwoTBins,
             AdversaryModel::SilentDrop { budget: 10_000 },
-            RunOptions::new(),
+            ExecutionProfile::new(),
             seed,
         );
         r.assert_consistent();
@@ -58,9 +57,7 @@ fn verified_retries_outlast_a_bounded_silence_budget() {
     // consecutive silent probes. A budget-B adversary cannot sustain the
     // lie once max_retries >= B: the budget drains and the truth lands.
     let budget = 2u64;
-    let options = ExecutionProfile::new()
-        .with_retry(RetryPolicy::verified(2))
-        .options();
+    let profile = ExecutionProfile::new().with_retry(RetryPolicy::verified(2));
     for algorithm in [
         &TwoTBins as &dyn ThresholdQuerier,
         &ExpIncrease::default(),
@@ -70,7 +67,7 @@ fn verified_retries_outlast_a_bounded_silence_budget() {
             let r = run(
                 algorithm,
                 AdversaryModel::SilentDrop { budget },
-                options,
+                profile,
                 seed,
             );
             r.assert_consistent();
@@ -89,10 +86,9 @@ fn hardened_defenses_keep_reports_consistent_under_every_model() {
     // The accounting invariant (queries == first-pass + retries + defenses)
     // must hold with canary, activity-confirmation, and verdict-confirmation
     // all active, whatever the adversary does to the observations.
-    let options = ExecutionProfile::new()
+    let profile = ExecutionProfile::new()
         .with_retry(RetryPolicy::verified(2))
-        .with_defense(DefensePolicy::hardened())
-        .options();
+        .with_defense(DefensePolicy::hardened());
     for model in [
         AdversaryModel::FalseResponders { count: 3 },
         AdversaryModel::Colluders { size: T as u32 - 1 },
@@ -106,7 +102,7 @@ fn hardened_defenses_keep_reports_consistent_under_every_model() {
                 &ExpIncrease::default(),
                 &Abns::p0_t(),
             ] {
-                let r = run(algorithm, model, options, seed);
+                let r = run(algorithm, model, profile, seed);
                 r.assert_consistent();
                 assert!(
                     r.defense_queries > 0,
@@ -124,9 +120,7 @@ fn canary_flags_a_full_duty_jammer_every_round() {
         let r = run(
             &TwoTBins,
             AdversaryModel::Jammer { duty_mille: 1000 },
-            ExecutionProfile::new()
-                .with_defense(DefensePolicy::hardened())
-                .options(),
+            ExecutionProfile::new().with_defense(DefensePolicy::hardened()),
             seed,
         );
         r.assert_consistent();
@@ -140,10 +134,9 @@ fn defended_verdicts_are_exact_against_a_bounded_drop_adversary() {
     // Acceptance-style check at small scale: with permutation (inherent),
     // verified retries, and confirmation rounds, a non-colluding bounded
     // adversary can no longer flip any exact algorithm's verdict.
-    let options = ExecutionProfile::new()
+    let profile = ExecutionProfile::new()
         .with_retry(RetryPolicy::verified(2))
-        .with_defense(DefensePolicy::hardened())
-        .options();
+        .with_defense(DefensePolicy::hardened());
     for algorithm in [
         &TwoTBins as &dyn ThresholdQuerier,
         &ExpIncrease::default(),
@@ -153,7 +146,7 @@ fn defended_verdicts_are_exact_against_a_bounded_drop_adversary() {
             let r = run(
                 algorithm,
                 AdversaryModel::SilentDrop { budget: 2 },
-                options,
+                profile,
                 seed,
             );
             r.assert_consistent();

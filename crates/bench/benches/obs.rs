@@ -9,18 +9,14 @@
 //!   path writes fixed-size `Copy` records into a thread-local ring —
 //!   no allocation, no locks until the ring drains.
 //!
-//! The `service_overhead` section times the same end-to-end service
-//! batch with and without a collector and prints the relative cost, so
-//! regressions in either mode are visible in one run.
+//! The end-to-end cost of tracing a service batch is e2ebench's
+//! `trace.overhead` ladder rung.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
-use tcast::{ChannelSpec, CollisionModel};
 use tcast_obs::{add_sink, Record, Span, TraceId, TraceSink};
-use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
 
 /// Counts drained records and drops them, so enabled-mode benches
 /// measure the record path rather than sink memory growth.
@@ -62,53 +58,5 @@ fn span_hot_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// A mixed service batch, as in the service throughput bench.
-fn batch(jobs: usize) -> Vec<QueryJob> {
-    (0..jobs)
-        .map(|i| {
-            QueryJob::new(
-                AlgorithmSpec::ALL[i % AlgorithmSpec::ALL.len()],
-                ChannelSpec::ideal(128, (i * 7) % 32, CollisionModel::OnePlus)
-                    .seeded(i as u64, (i as u64) << 17),
-                16,
-                0x9E37_79B9 ^ i as u64,
-            )
-        })
-        .collect()
-}
-
-fn service_overhead(_c: &mut Criterion) {
-    let template = batch(128);
-    let service = QueryService::new(ServiceConfig::with_workers(2));
-    let measure = || {
-        let rounds = 5;
-        let start = Instant::now();
-        for _ in 0..rounds {
-            let results = service
-                .submit(template.clone())
-                .expect("service open")
-                .wait();
-            black_box(results);
-        }
-        start.elapsed().as_secs_f64() / rounds as f64
-    };
-
-    let _warmup = measure();
-    let noop_s = measure();
-    let sink = Arc::new(CountingSink(std::sync::atomic::AtomicU64::new(0)));
-    let guard = add_sink(sink.clone());
-    let enabled_s = measure();
-    drop(guard);
-
-    let records = sink.0.load(std::sync::atomic::Ordering::Relaxed);
-    println!(
-        "obs_service_overhead/128-job batch            no sink: {:.3} ms, \
-         collector installed: {:.3} ms ({:+.1}% enabled cost, {records} records collected)",
-        noop_s * 1e3,
-        enabled_s * 1e3,
-        (enabled_s / noop_s - 1.0) * 100.0,
-    );
-}
-
-criterion_group!(benches, span_hot_path, service_overhead);
+criterion_group!(benches, span_hot_path);
 criterion_main!(benches);

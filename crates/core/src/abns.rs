@@ -137,7 +137,7 @@ impl ThresholdQuerier for Abns {
             t,
             ChannelMut::Single(channel),
             rng,
-            profile.options(),
+            profile,
             scratch,
             self.policy(t),
         )

@@ -105,10 +105,9 @@ impl EngineScratch {
 /// Drives many queries over one shared [`EngineScratch`].
 ///
 /// One runner serves one worker thread: construct it once, then call
-/// [`run`](Self::run) (or the policy-level entrypoints) per query. The
-/// runner's [`ExecutionProfile`] is the default for [`run`](Self::run)
-/// and [`run_policy`](Self::run_policy); per-query overrides go through
-/// [`run_with`](Self::run_with).
+/// [`run`](Self::run) (or [`run_policy_encoded`](Self::run_policy_encoded))
+/// per query. The runner's [`ExecutionProfile`] is the default for both;
+/// per-query overrides go through [`run_with`](Self::run_with).
 ///
 /// ```
 /// use rand::rngs::SmallRng;
@@ -146,16 +145,6 @@ impl BatchRunner {
         }
     }
 
-    /// The runner's default execution profile.
-    pub fn profile(&self) -> ExecutionProfile {
-        self.profile
-    }
-
-    /// Replaces the runner's default execution profile.
-    pub fn set_profile(&mut self, profile: ExecutionProfile) {
-        self.profile = profile;
-    }
-
     /// The pooled buffers, for callers that thread the scratch through
     /// [`ThresholdQuerier::run_with_profile`] themselves.
     pub fn scratch(&mut self) -> &mut EngineScratch {
@@ -190,27 +179,6 @@ impl BatchRunner {
         querier.run_with_profile(nodes, t, channel, rng, profile, &mut self.scratch)
     }
 
-    /// Drives a bin-count policy directly (the engine-level entrypoint,
-    /// mirroring [`engine::drive`]) over the pooled scratch.
-    pub fn run_policy(
-        &mut self,
-        nodes: &[NodeId],
-        t: usize,
-        channel: ChannelMut<'_>,
-        rng: &mut dyn RngCore,
-        policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
-    ) -> QueryReport {
-        engine::drive_with_scratch(
-            nodes,
-            t,
-            channel,
-            rng,
-            self.profile.options(),
-            &mut self.scratch,
-            policy,
-        )
-    }
-
     /// Drives a bin-count policy and appends the finished report to `out`
     /// as `tcast::codec` wire bytes (exactly what `QueryReport::encode`
     /// would produce) without materializing a [`QueryReport`]. This is
@@ -230,7 +198,7 @@ impl BatchRunner {
             t,
             channel,
             rng,
-            self.profile.options(),
+            self.profile,
             &mut self.scratch,
             out,
             policy,

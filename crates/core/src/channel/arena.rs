@@ -7,9 +7,9 @@
 //! arena keeps those words instead: [`ChannelArena::place`] and
 //! [`ChannelArena::recruit`] refill them with the same draws as before,
 //! and [`ChannelSpec::with_honest`] builds a channel that borrows them.
-//! The owned builders ([`ChannelSpec::build`] and friends) run the same
-//! placement into a fresh arena and move its words into the channel
-//! ([`ChannelSpec::honest_boxed`]).
+//! The owned builders (`tcast_adversary::build_with_truth` and
+//! `sample_with`) run the same placement into a fresh arena and move its
+//! words into the channel ([`ChannelSpec::honest_boxed`]).
 
 use rand::Rng;
 
@@ -38,15 +38,6 @@ impl ChannelArena {
     /// An empty arena; its words grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An arena holding `truth` (indexed by node id) and no liars.
-    pub fn from_truth(truth: &[bool]) -> Self {
-        Self {
-            n: truth.len(),
-            truth: words::from_bools(truth),
-            ..Self::default()
-        }
     }
 
     /// Places `x` positives uniformly among nodes `0..n` with Floyd's

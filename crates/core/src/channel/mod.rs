@@ -15,7 +15,9 @@
 //! The abstract channels hold their ground truth as `u64` node-set words
 //! (`words`), either owned or borrowed from a worker's reused
 //! [`ChannelArena`]; [`ChannelSpec::with_honest`] and
-//! [`ChannelSpec::honest_boxed`] are where a spec becomes a channel.
+//! [`ChannelSpec::honest_boxed`] build a spec's honest channel. Whole
+//! specs, adversary included, become channels only through
+//! `tcast_adversary::{with_channel, build_with_truth, sample_with}`.
 
 mod arena;
 mod ideal;

@@ -5,12 +5,13 @@
 //! another thread, after a queue hop, or inside a retry. [`ChannelSpec`]
 //! captures a channel as pure data (`Copy + Send`) so the construction
 //! site needs no borrowed state, and rebuilding the same spec always
-//! yields a bit-identical channel.
+//! yields a bit-identical channel. `tcast_adversary::with_channel`,
+//! `build_with_truth` and `sample_with` turn a spec into a live channel,
+//! applying its adversary when it carries one.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use super::{words, ChannelArena, GroupQueryChannel, IdealChannel, LossConfig, LossyChannel};
+use super::{words, GroupQueryChannel, IdealChannel, LossConfig, LossyChannel};
 use crate::retry::{DefensePolicy, RetryPolicy};
 use crate::types::{CollisionModel, NodeId};
 
@@ -19,8 +20,8 @@ use crate::types::{CollisionModel, NodeId};
 /// Lives in `tcast` (not `tcast-adversary`) so it can ride inside
 /// [`ChannelSpec`] through the wire codec and session cache keys; the
 /// live wrapper that *implements* the behaviour is
-/// `tcast_adversary::AdversaryChannel`, and core's own builders refuse
-/// adversarial specs (see [`ChannelSpec::build_with_truth`]).
+/// `tcast_adversary::AdversaryChannel`, which the `tcast_adversary`
+/// builders apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdversaryConfig {
     /// Which Byzantine behaviour the wrapped channel exhibits.
@@ -107,12 +108,13 @@ pub struct ChannelSpec {
     /// into the [`crate::ExecutionProfile`] they run sessions with.
     pub retry: RetryPolicy,
     /// Byzantine participant model wrapped around the honest channel;
-    /// `None` is the honest baseline. Building an adversarial spec
-    /// requires `tcast_adversary::build_with_truth` — core's own
-    /// builders panic on it rather than silently dropping the adversary.
+    /// `None` is the honest baseline. The `tcast_adversary` builders
+    /// apply it; [`ChannelSpec::with_honest`] builds only the honest
+    /// channel underneath.
     pub adversary: Option<AdversaryConfig>,
     /// Verdict-hardening defenses executors should run sessions with.
-    /// Plain data like `retry`: passed to the engine via `RunOptions`.
+    /// Plain data like `retry`: folded into the
+    /// [`crate::ExecutionProfile`] sessions run with.
     pub defense: DefensePolicy,
 }
 
@@ -196,40 +198,11 @@ impl ChannelSpec {
         self.encode(out);
     }
 
-    /// Builds the channel described by this spec from its stored seeds.
-    /// The channel owns the placement's words; no truth copy is made.
-    pub fn build(&self) -> Box<dyn GroupQueryChannel + Send> {
-        let arena = self.placed(&mut SmallRng::seed_from_u64(self.placement_seed));
-        self.honest_boxed(arena.into_words().0, self.channel_seed)
-    }
-
-    /// Like [`build`](Self::build), additionally returning the ground-truth
-    /// positive bitmap (needed to construct a matching oracle).
-    pub fn build_with_truth(&self) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-        let arena = self.placed(&mut SmallRng::seed_from_u64(self.placement_seed));
-        self.owned(arena, self.channel_seed)
-    }
-
-    /// Builds the channel drawing the channel seed and then the positive
-    /// placement from `rng`, ignoring the stored seeds.
-    ///
-    /// This is the draw order the experiment sweeps have always used
-    /// (channel seed first, placement second, from one per-run generator),
-    /// so figures regenerated through a spec stay byte-identical.
-    pub fn sample_with<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-        let channel_seed = rng.random();
-        let arena = self.placed(rng);
-        self.owned(arena, channel_seed)
-    }
-
     /// Builds the honest channel this spec describes (its adversary, if
     /// any, is not applied) over borrowed truth words — a worker's
-    /// [`ChannelArena`] — on the stack, and runs `f` on it. The trait
-    /// object dispatches straight to the concrete channel, as a boxed one
-    /// does.
+    /// [`ChannelArena`](super::ChannelArena) — on the stack, and runs `f`
+    /// on it. The trait object dispatches straight to the concrete
+    /// channel, as a boxed one does.
     pub fn with_honest<T>(
         &self,
         truth: &[u64],
@@ -271,37 +244,13 @@ impl ChannelSpec {
             )),
         }
     }
-
-    /// A fresh arena holding the positive placement drawn from
-    /// `placement`; refuses adversarial specs before drawing anything.
-    fn placed<R: Rng + ?Sized>(&self, placement: &mut R) -> ChannelArena {
-        assert!(
-            self.adversary.is_none(),
-            "adversarial ChannelSpec must be built via tcast_adversary::build_with_truth \
-             (core cannot construct Byzantine wrappers)"
-        );
-        let mut arena = ChannelArena::new();
-        arena.place(self.n, self.x, placement);
-        arena
-    }
-
-    /// The boxed channel owning `arena`'s truth, and the one copy of the
-    /// truth the caller gets as a bitmap.
-    fn owned(
-        &self,
-        arena: ChannelArena,
-        channel_seed: u64,
-    ) -> (Box<dyn GroupQueryChannel + Send>, Vec<bool>) {
-        let truth = arena.truth_bools();
-        (self.honest_boxed(arena.into_words().0, channel_seed), truth)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{population, Observation};
-    use rand::RngCore;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn positive_set_has_exactly_x_elements() {
@@ -318,55 +267,6 @@ mod tests {
     fn oversized_positive_set_panics() {
         let mut rng = SmallRng::seed_from_u64(1);
         let _ = random_positive_set(4, 5, &mut rng);
-    }
-
-    #[test]
-    fn build_is_deterministic() {
-        let spec = ChannelSpec::ideal(64, 10, CollisionModel::OnePlus).seeded(7, 8);
-        let (mut a, truth_a) = spec.build_with_truth();
-        let (mut b, truth_b) = spec.build_with_truth();
-        assert_eq!(truth_a, truth_b);
-        let members = population(64);
-        for _ in 0..20 {
-            assert_eq!(a.query(&members), b.query(&members));
-        }
-    }
-
-    #[test]
-    fn truth_matches_channel_behaviour() {
-        let spec = ChannelSpec::ideal(16, 4, CollisionModel::OnePlus).seeded(3, 4);
-        let (mut ch, truth) = spec.build_with_truth();
-        assert_eq!(truth.iter().filter(|&&p| p).count(), 4);
-        for (i, &positive) in truth.iter().enumerate() {
-            let obs = ch.query(&[NodeId(i as u32)]);
-            assert_eq!(obs == Observation::Activity, positive);
-        }
-    }
-
-    #[test]
-    fn sample_with_matches_historical_draw_order() {
-        // The spec path must consume rng exactly like the original inline
-        // construction: one u64 for the channel seed, then Floyd placement.
-        let spec = ChannelSpec::ideal(128, 20, CollisionModel::OnePlus);
-        let mut rng_spec = SmallRng::seed_from_u64(42);
-        let mut rng_inline = SmallRng::seed_from_u64(42);
-
-        let (mut via_spec, _) = spec.sample_with(&mut rng_spec);
-        let ch_seed = rng_inline.random();
-        let mut inline = IdealChannel::with_random_positives(
-            128,
-            20,
-            CollisionModel::OnePlus,
-            ch_seed,
-            &mut rng_inline,
-        );
-
-        let members = population(128);
-        for _ in 0..20 {
-            assert_eq!(via_spec.query(&members), inline.query(&members));
-        }
-        // And the generators must be left in identical states.
-        assert_eq!(rng_spec.next_u64(), rng_inline.next_u64());
     }
 
     #[test]
@@ -396,28 +296,5 @@ mod tests {
         assert_ne!(base, with, "adversary/defense participate in equality");
         let direct = ChannelSpec::adversarial(8, 2, CollisionModel::OnePlus, None, adv);
         assert_eq!(direct.adversary, Some(adv));
-    }
-
-    #[test]
-    #[should_panic(expected = "tcast_adversary")]
-    fn core_refuses_to_build_adversarial_specs() {
-        let adv = AdversaryConfig {
-            model: AdversaryModel::FalseResponders { count: 1 },
-            seed: 0,
-        };
-        let _ = ChannelSpec::adversarial(8, 2, CollisionModel::OnePlus, None, adv).build();
-    }
-
-    #[test]
-    fn lossy_spec_builds_lossy_channel() {
-        let loss = LossConfig {
-            reply_miss_prob: 1.0,
-            false_activity_prob: 0.0,
-        };
-        let spec = ChannelSpec::lossy(8, 8, CollisionModel::OnePlus, loss).seeded(1, 2);
-        let (mut ch, truth) = spec.build_with_truth();
-        assert!(truth.iter().all(|&p| p));
-        // Every reply is lost, so even an all-positive group looks silent.
-        assert_eq!(ch.query(&population(8)), Observation::Silent);
     }
 }

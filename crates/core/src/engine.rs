@@ -22,6 +22,7 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::{GroupQueryChannel, PairedGroupQueryChannel};
+use crate::profile::ExecutionProfile;
 use crate::retry::{DefensePolicy, RetryPolicy};
 use crate::types::{CollisionModel, NodeId, Observation, QueryReport, RoundTrace};
 
@@ -85,17 +86,17 @@ impl Session {
     /// Starts a session over `nodes` with threshold `t` and no silence
     /// verification (the ideal-channel configuration).
     pub fn new(nodes: &[NodeId], t: usize) -> Self {
-        Self::with_options(nodes, t, RunOptions::new(), &mut EngineScratch::new())
+        Self::with_options(nodes, t, ExecutionProfile::new(), &mut EngineScratch::new())
     }
 
-    /// Starts a session with the full option set (verified-silence
-    /// retries plus adversary defenses), borrowing its buffers from
-    /// `scratch`. The buffers carry capacity, never state, so a fresh
-    /// [`EngineScratch`] and a well-used one start identical sessions.
+    /// Starts a session under `profile` (verified-silence retries plus
+    /// adversary defenses), borrowing its buffers from `scratch`. The
+    /// buffers carry capacity, never state, so a fresh [`EngineScratch`]
+    /// and a well-used one start identical sessions.
     pub fn with_options(
         nodes: &[NodeId],
         t: usize,
-        options: RunOptions,
+        profile: ExecutionProfile,
         scratch: &mut EngineScratch,
     ) -> Self {
         let mut remaining = std::mem::take(&mut scratch.remaining);
@@ -116,10 +117,10 @@ impl Session {
             rounds: 0,
             trace,
             scratch: reuse,
-            retry: options.retry,
+            retry: profile.retry,
             retry_queries: 0,
             eliminated,
-            defense: options.defense,
+            defense: profile.defense,
             defense_queries: 0,
             anomalies: 0,
         }
@@ -723,46 +724,16 @@ impl std::fmt::Debug for ChannelMut<'_> {
     }
 }
 
-/// Execution options for [`drive`]: the verified-silence [`RetryPolicy`]
-/// and the adversary-defense [`DefensePolicy`]. The struct leaves room
-/// for future knobs without another entrypoint explosion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RunOptions {
-    /// Verified-silence policy (default: [`RetryPolicy::none`] — silence
-    /// is trusted query for query, as on an ideal channel).
-    pub retry: RetryPolicy,
-    /// Verdict-hardening policy (default: [`DefensePolicy::none`] — all
-    /// observations are trusted, as against honest participants).
-    pub defense: DefensePolicy,
-}
-
-impl RunOptions {
-    /// Options for an ideal channel: no retries, no defenses.
-    pub fn new() -> Self {
-        Self {
-            retry: RetryPolicy::none(),
-            defense: DefensePolicy::none(),
-        }
-    }
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Drives a session to completion with a per-round bin-count policy.
 ///
 /// This is the single engine entrypoint behind every algorithm: the
 /// policy receives the session state and the previous round's statistics
 /// and returns the next round's bin count. The channel flavour
-/// (sequential or paired) rides in [`ChannelMut`]; retry behaviour rides
-/// in [`RunOptions`].
+/// (sequential or paired) rides in [`ChannelMut`]; retry and defense
+/// behaviour ride in the [`ExecutionProfile`].
 ///
 /// With retries enabled, rounds re-query silent bins per
-/// `options.retry` before eliminating members, and a pending `false`
+/// `profile.retry` before eliminating members, and a pending `false`
 /// verdict is only finalized once [`Session::confirm_false`] clears the
 /// eliminated pool — an activity observation there re-admits the pool
 /// and resumes querying (`true` verdicts need no confirmation: under
@@ -781,7 +752,7 @@ pub fn drive(
     t: usize,
     channel: ChannelMut<'_>,
     rng: &mut dyn RngCore,
-    options: impl Into<RunOptions>,
+    profile: ExecutionProfile,
     policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> QueryReport {
     drive_with_scratch(
@@ -789,7 +760,7 @@ pub fn drive(
         t,
         channel,
         rng,
-        options.into(),
+        profile,
         &mut EngineScratch::new(),
         policy,
     )
@@ -805,11 +776,11 @@ pub(crate) fn drive_with_scratch(
     t: usize,
     channel: ChannelMut<'_>,
     rng: &mut dyn RngCore,
-    options: RunOptions,
+    profile: ExecutionProfile,
     scratch: &mut EngineScratch,
     policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> QueryReport {
-    drive_after(None, nodes, t, channel, rng, options, scratch, policy)
+    drive_after(None, nodes, t, channel, rng, profile, scratch, policy)
 }
 
 /// [`drive_with_scratch`] for a session that follows a round run outside
@@ -823,12 +794,12 @@ pub(crate) fn drive_after(
     t: usize,
     mut channel: ChannelMut<'_>,
     rng: &mut dyn RngCore,
-    options: RunOptions,
+    profile: ExecutionProfile,
     scratch: &mut EngineScratch,
     mut policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> QueryReport {
     let span = enter_drive_span(nodes, t);
-    let session = Session::with_options(nodes, t, options, scratch);
+    let session = Session::with_options(nodes, t, profile, scratch);
     let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
     emit_verdict(&span, &session, answer);
     session.finish_reusing(answer, lead, scratch)
@@ -845,13 +816,13 @@ pub(crate) fn drive_encoded(
     t: usize,
     mut channel: ChannelMut<'_>,
     rng: &mut dyn RngCore,
-    options: RunOptions,
+    profile: ExecutionProfile,
     scratch: &mut EngineScratch,
     out: &mut Vec<u8>,
     mut policy: impl FnMut(&Session, Option<&RoundStats>) -> usize,
 ) -> bool {
     let span = enter_drive_span(nodes, t);
-    let session = Session::with_options(nodes, t, options, scratch);
+    let session = Session::with_options(nodes, t, profile, scratch);
     let (session, answer) = drive_session(session, &mut channel, rng, &mut policy);
     session.encode_report_into(answer, out);
     emit_verdict(&span, &session, answer);
@@ -929,11 +900,6 @@ fn drive_session(
             }
         }
     }
-}
-
-/// Returns `true` when `model` can ever produce captures (used by tests).
-pub fn model_captures(model: CollisionModel) -> bool {
-    matches!(model, CollisionModel::TwoPlus(_))
 }
 
 #[cfg(test)]
@@ -1071,7 +1037,7 @@ mod tests {
                 8,
                 ChannelMut::single(&mut ch),
                 &mut rng,
-                RunOptions::new(),
+                ExecutionProfile::new(),
                 |s, _| 2 * s.threshold(),
             );
             assert_eq!(report.answer, x >= 8, "x={x}");
@@ -1095,7 +1061,7 @@ mod tests {
                     t,
                     ChannelMut::paired(&mut ch),
                     &mut rng,
-                    RunOptions::new(),
+                    ExecutionProfile::new(),
                     |s, _| 2 * s.threshold(),
                 );
                 assert_eq!(report.answer, x >= t, "n={n} x={x} t={t} seed={seed}");
@@ -1434,7 +1400,7 @@ mod tests {
             8,
             ChannelMut::single(&mut ch1),
             &mut rng1,
-            RunOptions::new(),
+            ExecutionProfile::new(),
             |s, _| 2 * s.threshold(),
         );
         let b = drive(

@@ -143,7 +143,7 @@ impl ThresholdQuerier for ExpIncrease {
             t,
             ChannelMut::Single(channel),
             rng,
-            profile.options(),
+            profile,
             scratch,
             self.policy(),
         )

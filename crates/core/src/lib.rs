@@ -72,7 +72,7 @@ pub use channel::{
 };
 pub use codec::{fingerprint64, DecodeError, WireDecode, WireEncode};
 pub use counting::{count_positives, CountReport};
-pub use engine::{drive, ChannelMut, RoundOutcome, RoundStats, RunOptions, Session};
+pub use engine::{drive, ChannelMut, RoundOutcome, RoundStats, Session};
 pub use exp_increase::{ExpIncrease, GrowthVariant};
 pub use interval::{classify, interval_query, ClassReport, IntervalReport, IntervalVerdict};
 pub use monitor::{MonitorConfig, ThresholdMonitor};
@@ -97,7 +97,7 @@ pub use types::{
 pub mod prelude {
     pub use crate::batch::{BatchRunner, EngineScratch};
     pub use crate::channel::{ChannelSpec, GroupQueryChannel, IdealChannel, LossyChannel};
-    pub use crate::engine::{drive, RunOptions};
+    pub use crate::engine::drive;
     pub use crate::profile::ExecutionProfile;
     pub use crate::querier::ThresholdQuerier;
     pub use crate::retry::{DefensePolicy, RetryPolicy};

@@ -100,7 +100,7 @@ impl<P: AsRef<[u64]> + Sync> ThresholdQuerier for OracleBins<P> {
             t,
             ChannelMut::Single(channel),
             rng,
-            profile.options(),
+            profile,
             scratch,
             self.policy(),
         )

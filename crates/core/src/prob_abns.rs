@@ -13,7 +13,7 @@ use crate::abns;
 use crate::batch::EngineScratch;
 use crate::channel::words;
 use crate::channel::GroupQueryChannel;
-use crate::engine::{self, ChannelMut, RunOptions};
+use crate::engine::{self, ChannelMut};
 use crate::profile::ExecutionProfile;
 use crate::querier::ThresholdQuerier;
 use crate::retry::RetryPolicy;
@@ -159,9 +159,9 @@ impl ThresholdQuerier for ProbAbns {
             budget: retry.budget.map(|b| b.saturating_sub(probe_retries)),
             ..retry
         };
-        let inner_options = RunOptions {
+        let inner_profile = ExecutionProfile {
             retry: inner_retry,
-            defense: profile.defense,
+            ..profile
         };
         let channel = ChannelMut::Single(channel);
         let report = if probe_silent {
@@ -173,7 +173,7 @@ impl ThresholdQuerier for ProbAbns {
                 t,
                 channel,
                 rng,
-                inner_options,
+                inner_profile,
                 scratch,
                 policy,
             )
@@ -186,7 +186,7 @@ impl ThresholdQuerier for ProbAbns {
                 t,
                 channel,
                 rng,
-                inner_options,
+                inner_profile,
                 scratch,
                 policy,
             )

@@ -4,7 +4,6 @@ use rand::RngCore;
 
 use crate::batch::EngineScratch;
 use crate::channel::GroupQueryChannel;
-use crate::engine::RunOptions;
 use crate::profile::ExecutionProfile;
 use crate::types::{NodeId, QueryReport};
 
@@ -45,24 +44,16 @@ pub trait ThresholdQuerier: Sync {
         scratch: &mut EngineScratch,
     ) -> QueryReport;
 
-    /// Runs one session with the given retry and defense options over a
-    /// fresh scratch.
+    /// Runs one session under `profile` over a fresh scratch.
     fn run_with_options(
         &self,
         nodes: &[NodeId],
         t: usize,
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
-        options: RunOptions,
+        profile: ExecutionProfile,
     ) -> QueryReport {
-        self.run_with_profile(
-            nodes,
-            t,
-            channel,
-            rng,
-            options.into(),
-            &mut EngineScratch::new(),
-        )
+        self.run_with_profile(nodes, t, channel, rng, profile, &mut EngineScratch::new())
     }
 
     /// Runs one session trusting every observation (the ideal-channel
@@ -74,7 +65,7 @@ pub trait ThresholdQuerier: Sync {
         channel: &mut dyn GroupQueryChannel,
         rng: &mut dyn RngCore,
     ) -> QueryReport {
-        self.run_with_options(nodes, t, channel, rng, RunOptions::new())
+        self.run_with_options(nodes, t, channel, rng, ExecutionProfile::new())
     }
 }
 

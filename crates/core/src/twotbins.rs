@@ -46,7 +46,7 @@ impl ThresholdQuerier for TwoTBins {
             t,
             ChannelMut::Single(channel),
             rng,
-            profile.options(),
+            profile,
             scratch,
             self.policy(),
         )

@@ -68,7 +68,8 @@ fn summarize(spec: SweepSpec, x: usize, model: CollisionModel, counting: bool) -
     for run in 0..spec.runs {
         let seed = derive(spec.seed, &[u64::from(counting), x as u64, run as u64]);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (mut ch, _) = ChannelSpec::ideal(spec.n, x, model).sample_with(&mut rng);
+        let (mut ch, _) =
+            tcast_adversary::sample_with(&ChannelSpec::ideal(spec.n, x, model), &mut rng);
         let queries = if counting {
             let report = count_positives(&nodes, ch.as_mut(), &mut rng);
             assert_eq!(report.count, x, "countcast must be exact");

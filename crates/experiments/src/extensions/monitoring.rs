@@ -99,11 +99,8 @@ pub fn build(sweep: &MonitorSweep) -> Table {
             for (i, &x) in xs.iter().enumerate() {
                 let ch_seed = derive(seed, &[i as u64]);
                 let mut rng_run = SmallRng::seed_from_u64(ch_seed);
-                let mk = |r: &mut SmallRng| {
-                    ChannelSpec::ideal(sweep.n, x, CollisionModel::OnePlus)
-                        .sample_with(r)
-                        .0
-                };
+                let spec = ChannelSpec::ideal(sweep.n, x, CollisionModel::OnePlus);
+                let mk = |r: &mut SmallRng| tcast_adversary::sample_with(&spec, r).0;
                 let mut ch = mk(&mut rng_run);
                 let rep = monitor.epoch(&nodes, sweep.t, ch.as_mut(), &mut rng_run);
                 debug_assert_eq!(rep.answer, x >= sweep.t);

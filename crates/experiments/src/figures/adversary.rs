@@ -37,8 +37,7 @@ use rand::rngs::SmallRng;
 
 use tcast::{
     population, Abns, AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, DefensePolicy,
-    ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, RunOptions, ThresholdQuerier,
-    TwoTBins,
+    ExecutionProfile, ExpIncrease, QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
 };
 
 use crate::output::Figure;
@@ -114,15 +113,14 @@ fn session(
         },
     );
     let (mut ch, _truth) = tcast_adversary::sample_with(&channel_spec, rng);
-    let options = if defended {
+    let profile = if defended {
         ExecutionProfile::new()
             .with_retry(RetryPolicy::verified(2))
             .with_defense(DefensePolicy::hardened())
-            .options()
     } else {
-        RunOptions::new()
+        ExecutionProfile::new()
     };
-    algorithm(alg).run_with_options(&population(spec.n), spec.t, ch.as_mut(), rng, options)
+    algorithm(alg).run_with_options(&population(spec.n), spec.t, ch.as_mut(), rng, profile)
 }
 
 /// 1.0 when the verdict is wrong AND no anomaly was flagged.

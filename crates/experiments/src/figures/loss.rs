@@ -46,15 +46,13 @@ fn session(miss_mille: usize, spec: SweepSpec, retries: u32, rng: &mut SmallRng)
         false_activity_prob: 0.0,
     };
     let channel = ChannelSpec::lossy(spec.n, spec.t, CollisionModel::OnePlus, loss);
-    let (mut ch, _) = channel.sample_with(rng);
+    let (mut ch, _) = tcast_adversary::sample_with(&channel, rng);
     TwoTBins.run_with_options(
         &population(spec.n),
         spec.t,
         ch.as_mut(),
         rng,
-        ExecutionProfile::new()
-            .with_retry(RetryPolicy::verified(retries))
-            .options(),
+        ExecutionProfile::new().with_retry(RetryPolicy::verified(retries)),
     )
 }
 

@@ -29,7 +29,7 @@ pub(crate) fn run_alg_once(
     model: CollisionModel,
     rng: &mut SmallRng,
 ) -> f64 {
-    let (mut ch, _) = ChannelSpec::ideal(n, x, model).sample_with(rng);
+    let (mut ch, _) = tcast_adversary::sample_with(&ChannelSpec::ideal(n, x, model), rng);
     let report = alg.run(&population(n), t, ch.as_mut(), rng);
     debug_assert_eq!(
         report.answer,
@@ -49,7 +49,7 @@ pub(crate) fn run_oracle_once(
     model: CollisionModel,
     rng: &mut SmallRng,
 ) -> f64 {
-    let (mut ch, truth) = ChannelSpec::ideal(n, x, model).sample_with(rng);
+    let (mut ch, truth) = tcast_adversary::sample_with(&ChannelSpec::ideal(n, x, model), rng);
     let oracle = OracleBins::new(truth);
     let report = oracle.run(&population(n), t, ch.as_mut(), rng);
     debug_assert_eq!(report.answer, x >= t);

@@ -163,7 +163,8 @@ mod tests {
 
     #[test]
     fn paired_backcast_session_is_exact_and_faster() {
-        use tcast::engine::{drive, ChannelMut, RunOptions};
+        use tcast::engine::{drive, ChannelMut};
+        use tcast::ExecutionProfile;
         let positives: Vec<usize> = (0..6).collect();
         for &(t, expect) in &[(4usize, true), (8, false)] {
             // Paired session.
@@ -174,7 +175,7 @@ mod tests {
                 t,
                 ChannelMut::paired(&mut ch),
                 &mut rng,
-                RunOptions::new(),
+                ExecutionProfile::new(),
                 |s, _| 2 * s.threshold(),
             );
             assert_eq!(report.answer, expect, "t={t}");

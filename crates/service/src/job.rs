@@ -184,16 +184,6 @@ impl QueryJob {
         self
     }
 
-    /// Returns the job running under `profile`: the profile's retry and
-    /// defense policies replace the channel spec's. Both policies
-    /// participate in [`QueryJob::cache_key`] via the channel spec, so two
-    /// jobs differing only in profile never collide in the session cache.
-    pub fn with_profile(mut self, profile: ExecutionProfile) -> Self {
-        self.channel.retry = profile.retry;
-        self.channel.defense = profile.defense;
-        self
-    }
-
     /// Returns the job tagged with a trace id; its engine rounds,
     /// service spans, and wire hops will all correlate under it.
     pub fn with_trace(mut self, trace: tcast_obs::TraceId) -> Self {
@@ -281,8 +271,8 @@ impl QueryJob {
     /// The channel is built into the scratch's channel arena through
     /// [`tcast_adversary::with_channel`], so a spec carrying an
     /// [`tcast::AdversaryConfig`] gets its Byzantine wrapper here and
-    /// the spec's [`tcast::DefensePolicy`] shapes the session; honest
-    /// specs build exactly like [`ChannelSpec::build_with_truth`]. The
+    /// the spec's [`tcast::DefensePolicy`] shapes the session; every spec
+    /// builds exactly like [`tcast_adversary::build_with_truth`]. The
     /// oracle reads the arena's truth words; nothing copies them.
     pub fn execute_in(&self, scratch: &mut EngineScratch) -> QueryReport {
         let _scope = tcast_obs::scoped_trace(self.trace);

@@ -141,11 +141,11 @@ fn honest_channels_allocate_nothing_per_query_and_three_times_per_build() {
 
     // Placement bitmap (moved into the channel), the truth copy, the box.
     let spec = ChannelSpec::ideal(N, X, CollisionModel::two_plus_default()).seeded(5, 6);
-    let (allocs, built) = allocations(|| spec.build_with_truth());
+    let (allocs, built) = allocations(|| tcast_adversary::build_with_truth(&spec));
     drop(built);
     assert!(
         allocs <= 3,
-        "ChannelSpec::build_with_truth made {allocs} allocations (at most 3)"
+        "tcast_adversary::build_with_truth made {allocs} allocations (at most 3)"
     );
 }
 

@@ -330,13 +330,18 @@ fn spec_builders_draw_in_the_same_order_as_before() {
             let spec = spec.seeded(placement_seed, channel_seed);
             let mut placement = SmallRng::seed_from_u64(placement_seed);
             let positives = reference_positive_set(N, x, &mut placement);
-            assert_spec_matches(&spec, spec.build_with_truth(), channel_seed, &positives);
+            assert_spec_matches(
+                &spec,
+                tcast_adversary::build_with_truth(&spec),
+                channel_seed,
+                &positives,
+            );
 
             // Shared generator: one u64 for the channel seed, then Floyd
             // placement, and the generator left where the old path left it.
             let mut now = SmallRng::seed_from_u64(placement_seed);
             let mut before = SmallRng::seed_from_u64(placement_seed);
-            let built = spec.sample_with(&mut now);
+            let built = tcast_adversary::sample_with(&spec, &mut now);
             let drawn_seed: u64 = before.random();
             let positives = reference_positive_set(N, x, &mut before);
             assert_spec_matches(&spec, built, drawn_seed, &positives);
@@ -553,7 +558,7 @@ fn oracle_over_borrowed_truth_matches_oracle_over_a_copy() {
                 )
             });
 
-            let (mut channel, truth) = spec.build_with_truth();
+            let (mut channel, truth) = tcast_adversary::build_with_truth(&spec);
             let copied = OracleBins::new(truth).run(
                 &population(N),
                 t,

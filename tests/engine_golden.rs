@@ -106,8 +106,7 @@ fn scenario_bytes(scenario: Scenario) -> Vec<u8> {
         for alg in algorithms(truth) {
             let (mut ch, _) = tcast_adversary::build_with_truth(&spec);
             let mut rng = SmallRng::seed_from_u64(seed);
-            let direct =
-                alg.run_with_options(&population(n), t, ch.as_mut(), &mut rng, profile.options());
+            let direct = alg.run_with_options(&population(n), t, ch.as_mut(), &mut rng, profile);
 
             let (mut ch, _) = tcast_adversary::build_with_truth(&spec);
             let mut rng = SmallRng::seed_from_u64(seed);

@@ -47,14 +47,14 @@ fn run_trials(retries: u32) -> (u64, u64) {
         for seed in 0..TRIALS {
             let spec = ChannelSpec::lossy(N, T, CollisionModel::OnePlus, LossConfig::default())
                 .seeded(seed, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-            let (mut ch, _) = spec.build_with_truth();
+            let (mut ch, _) = tcast_adversary::build_with_truth(&spec);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
             let report = alg.run_with_options(
                 &population(N),
                 T,
                 ch.as_mut(),
                 &mut rng,
-                ExecutionProfile::new().with_retry(policy).options(),
+                ExecutionProfile::new().with_retry(policy),
             );
             report.assert_consistent();
             wrong += u64::from(!report.answer);

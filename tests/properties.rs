@@ -395,7 +395,7 @@ proptest! {
         let spec = ChannelSpec::lossy(n, x, CollisionModel::OnePlus, loss)
             .seeded(seed, seed ^ 0xDEAD_BEEF);
         for alg in all_algorithms() {
-            let (mut ch, _) = spec.build_with_truth();
+            let (mut ch, _) = tcast_adversary::build_with_truth(&spec);
             let mut rng = SmallRng::seed_from_u64(seed);
             let report = alg.run_with_options(
                 &population(n),
@@ -403,8 +403,7 @@ proptest! {
                 ch.as_mut(),
                 &mut rng,
                 ExecutionProfile::new()
-                    .with_retry(RetryPolicy::verified(retries))
-                    .options(),
+                    .with_retry(RetryPolicy::verified(retries)),
             );
             report.assert_consistent();
         }
