@@ -119,6 +119,13 @@ pub struct ChannelSpec {
 }
 
 impl ChannelSpec {
+    /// The longest [`cache_key_into`](Self::cache_key_into) encoding any
+    /// spec appends, in bytes: `n` and `x` (8 + 8), a 2+ model with
+    /// geometric capture (10), loss (17), both seeds (16), a retry policy
+    /// with a budget (13), an adversary with a `u64` parameter (18) and
+    /// the defense policy (9).
+    pub const MAX_CACHE_KEY_LEN: usize = 8 + 8 + 10 + 17 + 16 + 13 + 18 + 9;
+
     /// Spec for an error-free channel; seeds start at zero.
     pub fn ideal(n: usize, x: usize, model: CollisionModel) -> Self {
         Self {

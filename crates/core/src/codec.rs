@@ -167,7 +167,15 @@ impl<'a> Reader<'a> {
 /// digests, log correlation. Not collision-resistant against an
 /// adversary; exact-match keys should keep the full encoding.
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fingerprint64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a [`fingerprint64`] over more bytes: for any `a` and `b`,
+/// `fingerprint64_extend(fingerprint64(a), b) == fingerprint64(a ‖ b)`.
+/// A caller that fingerprints many messages behind one fixed prefix
+/// keeps the prefix's state and never copies the prefix again.
+pub fn fingerprint64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -530,6 +538,21 @@ mod tests {
 
     fn roundtrip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(T::from_wire(&v.to_wire()).unwrap(), v);
+    }
+
+    #[test]
+    fn fingerprint_extends_over_any_split() {
+        // The published FNV-1a 64 test vectors.
+        assert_eq!(fingerprint64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fingerprint64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let bytes = b"0:127.0.0.1:4000 then a job key";
+        for split in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(split);
+            assert_eq!(
+                fingerprint64_extend(fingerprint64(head), tail),
+                fingerprint64(bytes)
+            );
+        }
     }
 
     #[test]

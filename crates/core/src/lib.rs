@@ -70,7 +70,7 @@ pub use channel::{
     random_positive_set, AdversaryConfig, AdversaryModel, ChannelSpec, GroupQueryChannel,
     IdealChannel, LossConfig, LossyChannel,
 };
-pub use codec::{fingerprint64, DecodeError, WireDecode, WireEncode};
+pub use codec::{fingerprint64, fingerprint64_extend, DecodeError, WireDecode, WireEncode};
 pub use counting::{count_positives, CountReport};
 pub use engine::{drive, ChannelMut, RoundOutcome, RoundStats, Session};
 pub use exp_increase::{ExpIncrease, GrowthVariant};

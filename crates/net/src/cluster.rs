@@ -49,6 +49,7 @@
 //! wire traffic as [`tcast_service::NetCounters`] rows in the client's
 //! own metrics registry ([`ShardedClient::metrics`]).
 
+use std::cell::RefCell;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use tcast::fingerprint64;
+use tcast::{fingerprint64, fingerprint64_extend};
 use tcast_service::{Family, MetricsRegistry, MetricsSnapshot, QueryJob};
 
 use crate::client::{NetClient, NetClientConfig, NetError, NetJobHandle, NetJobResult};
@@ -296,10 +297,32 @@ impl ShardLoad {
     }
 }
 
+thread_local! {
+    /// The routing thread's job-key buffer, reused by every route.
+    static ROUTE_KEY: RefCell<Vec<u8>> =
+        RefCell::new(Vec::with_capacity(QueryJob::MAX_CACHE_KEY_LEN));
+}
+
+/// Whether `shard` is in a job's exclusion set. The set is a flag per
+/// shard that stays empty until the first exclusion.
+fn is_excluded(excluded: &[bool], shard: usize) -> bool {
+    excluded.get(shard).copied().unwrap_or(false)
+}
+
+/// Adds `shard` to a job's exclusion set (see [`is_excluded`]).
+fn exclude(excluded: &mut Vec<bool>, shard: usize) {
+    if excluded.len() <= shard {
+        excluded.resize(shard + 1, false);
+    }
+    excluded[shard] = true;
+}
+
 struct ClusterInner {
     addrs: Vec<SocketAddr>,
-    /// Stable per-shard identity fed into the rendezvous hash.
-    labels: Vec<String>,
+    /// Each shard's rendezvous-hash prefix: the FNV-1a state after its
+    /// stable label `"{index}:{addr}"`. Continuing it over a job key
+    /// gives `fingerprint64(label ‖ key)` without copying either.
+    label_states: Vec<u64>,
     shards: Vec<Mutex<ShardState>>,
     /// Health flags readable without touching a shard lock, so routing
     /// never blocks on a shard that is mid-(re)connect.
@@ -316,6 +339,36 @@ struct ClusterInner {
 }
 
 impl ClusterInner {
+    /// The cluster over `addrs` (one shard each, in order) in its
+    /// initial state; no prober runs yet.
+    fn new(
+        addrs: Vec<SocketAddr>,
+        shards: Vec<Mutex<ShardState>>,
+        healthy: Vec<AtomicBool>,
+        events: Vec<ClusterEvent>,
+        metrics: MetricsRegistry,
+        config: ClusterConfig,
+    ) -> Self {
+        let label_states = addrs
+            .iter()
+            .enumerate()
+            .map(|(shard, addr)| fingerprint64(format!("{shard}:{addr}").as_bytes()))
+            .collect();
+        let loads = addrs.iter().map(|_| ShardLoad::new()).collect();
+        Self {
+            addrs,
+            label_states,
+            shards,
+            healthy,
+            loads,
+            started: Instant::now(),
+            events: Mutex::new(events),
+            metrics,
+            config,
+            closing: AtomicBool::new(false),
+        }
+    }
+
     fn push_event(&self, event: ClusterEvent) {
         self.events.lock().push(event);
     }
@@ -332,27 +385,33 @@ impl ClusterInner {
     /// proportional to their weight while staying sticky per key. With
     /// no fresh signal this is bit-for-bit the classic unweighted
     /// integer rendezvous (highest fingerprint wins, ties to the lowest
-    /// index).
+    /// index). Routing allocates nothing: the job key is encoded into
+    /// the thread's reused buffer.
     fn route(&self, job: &QueryJob, excluded: &[bool]) -> Option<usize> {
-        let key = job.cache_key();
+        ROUTE_KEY.with_borrow_mut(|key| {
+            key.clear();
+            job.cache_key_into(key);
+            self.route_key(key, excluded)
+        })
+    }
+
+    /// [`route`](Self::route) over an encoded job key.
+    fn route_key(&self, key: &[u8], excluded: &[bool]) -> Option<usize> {
         let now_ms = self.now_ms();
         let staleness = self.config.load_staleness;
         let weighted = self.config.load_aware
             && self.loads.iter().enumerate().any(|(shard, load)| {
-                !excluded[shard]
+                !is_excluded(excluded, shard)
                     && self.healthy[shard].load(Ordering::SeqCst)
                     && load.has_fresh_signal(now_ms, staleness)
             });
         let mut best_plain: Option<(u64, usize)> = None;
         let mut best_scored: Option<(f64, usize)> = None;
-        for (shard, label) in self.labels.iter().enumerate() {
-            if excluded[shard] || !self.healthy[shard].load(Ordering::SeqCst) {
+        for (shard, &label_state) in self.label_states.iter().enumerate() {
+            if is_excluded(excluded, shard) || !self.healthy[shard].load(Ordering::SeqCst) {
                 continue;
             }
-            let mut buf = Vec::with_capacity(label.len() + key.len());
-            buf.extend_from_slice(label.as_bytes());
-            buf.extend_from_slice(&key);
-            let fingerprint = fingerprint64(&buf);
+            let fingerprint = fingerprint64_extend(label_state, key);
             if weighted {
                 // Top 53 bits → uniform in (0, 1), so ln never sees 0.
                 let u = ((fingerprint >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
@@ -481,7 +540,7 @@ impl ClusterInner {
                     cj.handle = Some(handle);
                     return true;
                 }
-                None => cj.excluded[next] = true,
+                None => exclude(&mut cj.excluded, next),
             }
         }
     }
@@ -571,6 +630,8 @@ impl ClusterInner {
 struct ClusterJob {
     job: QueryJob,
     shard: Option<usize>,
+    /// Shards that failed this job (see [`is_excluded`]); empty, and
+    /// unallocated, until the first failure.
     excluded: Vec<bool>,
     handle: Option<NetJobHandle>,
 }
@@ -619,13 +680,13 @@ impl ClusterBatch {
                 Err(NetError::ConnectionLost(detail)) => {
                     if let Some(shard) = cj.shard {
                         inner.mark_down(shard, detail);
-                        cj.excluded[shard] = true;
+                        exclude(&mut cj.excluded, shard);
                     }
                 }
                 Err(NetError::ServerShutdown) => {
                     if let Some(shard) = cj.shard {
                         inner.mark_down(shard, "server is draining");
-                        cj.excluded[shard] = true;
+                        exclude(&mut cj.excluded, shard);
                     }
                 }
                 // Every other outcome (a report, a remote job failure, a
@@ -718,24 +779,9 @@ impl ShardedClient {
             );
         }
 
-        let labels = resolved
-            .iter()
-            .enumerate()
-            .map(|(shard, addr)| format!("{shard}:{addr}"))
-            .collect();
-        let loads = (0..resolved.len()).map(|_| ShardLoad::new()).collect();
-        let inner = Arc::new(ClusterInner {
-            addrs: resolved,
-            labels,
-            shards,
-            healthy,
-            loads,
-            started: Instant::now(),
-            events: Mutex::new(events),
-            metrics,
-            config,
-            closing: AtomicBool::new(false),
-        });
+        let inner = Arc::new(ClusterInner::new(
+            resolved, shards, healthy, events, metrics, config,
+        ));
 
         let prober = {
             let inner = inner.clone();
@@ -783,8 +829,7 @@ impl ShardedClient {
     /// and, under [`ClusterConfig::load_aware`], while the shards' load
     /// samples are unchanged.
     pub fn route_of(&self, job: &QueryJob) -> Option<usize> {
-        let excluded = vec![false; self.inner.addrs.len()];
-        self.inner.route(job, &excluded)
+        self.inner.route(job, &[])
     }
 
     /// Records a queue-wait load sample for `shard` as if the background
@@ -810,14 +855,13 @@ impl ShardedClient {
     /// Submits `jobs` across the cluster, pipelined: every job is
     /// routed and written to its shard's wire before this returns.
     pub fn submit(&self, jobs: Vec<QueryJob>) -> ClusterBatch {
-        let shard_count = self.inner.addrs.len();
         let jobs = jobs
             .into_iter()
             .map(|job| {
                 let mut cj = ClusterJob {
                     job,
                     shard: None,
-                    excluded: vec![false; shard_count],
+                    excluded: Vec::new(),
                     handle: None,
                 };
                 // Failure to place here is not final: `wait` retries the
@@ -870,6 +914,120 @@ impl Drop for ShardedClient {
     fn drop(&mut self) {
         if !self.inner.closing.load(Ordering::SeqCst) {
             self.shutdown();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use tcast::{
+        AdversaryConfig, AdversaryModel, ChannelSpec, CollisionModel, DefensePolicy, LossConfig,
+        RetryPolicy,
+    };
+    use tcast_service::AlgorithmSpec;
+
+    /// A three-shard cluster that never dials: routing reads only the
+    /// addresses, the health flags and the load signals.
+    fn offline_cluster() -> ClusterInner {
+        let addrs: Vec<SocketAddr> = ["127.0.0.1:7101", "10.0.0.2:7102", "[::1]:7103"]
+            .iter()
+            .map(|a| a.parse().expect("socket address"))
+            .collect();
+        let shards = addrs
+            .iter()
+            .map(|_| {
+                Mutex::new(ShardState {
+                    client: None,
+                    backoff: Duration::ZERO,
+                    next_probe: Instant::now(),
+                })
+            })
+            .collect();
+        let healthy = addrs.iter().map(|_| AtomicBool::new(true)).collect();
+        ClusterInner::new(
+            addrs,
+            shards,
+            healthy,
+            Vec::new(),
+            MetricsRegistry::new(),
+            ClusterConfig::default(),
+        )
+    }
+
+    /// Rendezvous over the label and key bytes concatenated: highest
+    /// fingerprint wins, ties to the lowest index.
+    fn reference(addrs: &[SocketAddr], excluded: &[bool], job: &QueryJob) -> Option<usize> {
+        let key = job.cache_key();
+        (0..addrs.len())
+            .filter(|&shard| !excluded[shard])
+            .map(|shard| {
+                let mut bytes = format!("{shard}:{}", addrs[shard]).into_bytes();
+                bytes.extend_from_slice(&key);
+                (fingerprint64(&bytes), shard)
+            })
+            .fold(None, |best: Option<(u64, usize)>, (w, shard)| match best {
+                Some((bw, _)) if bw >= w => best,
+                _ => Some((w, shard)),
+            })
+            .map(|(_, shard)| shard)
+    }
+
+    fn jobs() -> Vec<QueryJob> {
+        let (n, t) = (48, 6);
+        let model = CollisionModel::two_plus_default();
+        let adversary = |model, seed| AdversaryConfig { model, seed };
+        (0..400u64)
+            .map(|i| {
+                let x = (i as usize * 7) % (n + 1);
+                let channel = match i % 4 {
+                    0 => ChannelSpec::ideal(n, x, CollisionModel::OnePlus),
+                    1 => ChannelSpec::lossy(n, x, model, LossConfig::default())
+                        .with_retry(RetryPolicy::verified(2).with_budget(40)),
+                    2 => ChannelSpec::adversarial(
+                        n,
+                        x,
+                        model,
+                        None,
+                        adversary(AdversaryModel::Jammer { duty_mille: 350 }, i),
+                    ),
+                    _ => ChannelSpec::adversarial(
+                        n,
+                        x.min(t - 2),
+                        model,
+                        None,
+                        adversary(AdversaryModel::FalseResponders { count: 1 }, i),
+                    ),
+                }
+                .with_defense(DefensePolicy::hardened())
+                .seeded(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i ^ 0x5eed);
+                let algorithm = AlgorithmSpec::ALL[i as usize % AlgorithmSpec::ALL.len()];
+                QueryJob::new(algorithm, channel, t, i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_exclusion_subset_routes_like_the_concatenating_reference() {
+        let cluster = offline_cluster();
+        let jobs = jobs();
+        for subset in 0..1u32 << cluster.addrs.len() {
+            let flags: Vec<bool> = (0..cluster.addrs.len())
+                .map(|shard| subset >> shard & 1 == 1)
+                .collect();
+            // The router's own lazily grown set, built as failures would.
+            let mut excluded = Vec::new();
+            for shard in (0..flags.len()).filter(|&s| flags[s]) {
+                exclude(&mut excluded, shard);
+            }
+            for (i, job) in jobs.iter().enumerate() {
+                assert_eq!(
+                    cluster.route(job, &excluded),
+                    reference(&cluster.addrs, &flags, job),
+                    "job {i}, excluded {flags:?}"
+                );
+            }
         }
     }
 }

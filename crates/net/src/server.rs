@@ -15,13 +15,15 @@
 //! stacks.
 //!
 //! Responses are produced by completion watchers running on the
-//! service's workers. A watcher serializes the response straight into
-//! its connection's outbound byte buffer — a `JobOk` is encoded from
-//! the borrowed report via [`Frame::encode_job_ok_into`], so the report
-//! is never cloned into an owned frame — and rings the I/O thread's
-//! doorbell ([`crate::reactor::Waker`]); the reactor hands the bytes to
-//! the connection's write buffer (a buffer swap when the write buffer
-//! is drained) and arms write-interest. Results stream back in
+//! service's workers, one watcher per connection: every job a
+//! connection submits is a batch tagged with its request id. The
+//! watcher serializes the response straight into its connection's
+//! outbound byte buffer — a `JobOk` is encoded from the borrowed
+//! report via [`Frame::encode_job_ok_into`], so the report is never
+//! cloned into an owned frame — and rings the I/O thread's doorbell
+//! ([`crate::reactor::Waker`]); the reactor hands the bytes to the
+//! connection's write buffer (a buffer swap when the write buffer is
+//! drained) and arms write-interest. Results stream back in
 //! *completion* order, matched by request id, never by arrival order.
 //!
 //! Backpressure is explicit at both edges. Inbound, a full service
@@ -48,7 +50,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tcast_service::{JobError, JobOutput, NetCounters, QueryService, SubmitError};
+use tcast_service::{
+    Completion, CompletionWatcher, JobError, JobOutput, JobResult, NetCounters, QueryService,
+    SubmitError, SubmitOptions,
+};
 use tcast_tenant::{TenantId, TenantRegistry};
 
 use tcast_obs::{TraceCollector, TraceCollectorConfig};
@@ -360,8 +365,9 @@ impl Inbox {
     }
 }
 
-/// Connection state visible outside the owning I/O thread (completion
-/// watchers on service workers hold an `Arc` of this).
+/// Connection state visible outside the owning I/O thread (the
+/// connection's completion watcher, run on service workers, holds an
+/// `Arc` of this).
 struct ConnShared {
     /// Index of the connection in its I/O thread's slab. Slots are
     /// reused, so consumers must also check pointer identity.
@@ -403,6 +409,9 @@ struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     shared: Arc<ConnShared>,
+    /// Answers every job this connection submits: each job's batch is
+    /// tagged with its request id, so one watcher serves them all.
+    watcher: CompletionWatcher,
     phase: Phase,
     /// The peer sent `Goodbye`: close orderly once quiet.
     peer_done: bool,
@@ -533,16 +542,19 @@ impl IoThread {
         });
         let now = Instant::now();
         self.counters.conn_opened();
+        let shared = Arc::new(ConnShared {
+            slot,
+            outbound: Mutex::new(Vec::new()),
+            inflight: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+            notified: AtomicBool::new(false),
+        });
+        let watcher = self.watcher(shared.clone());
         self.conns[slot] = Some(Conn {
             stream,
             reader: FrameReader::new(),
-            shared: Arc::new(ConnShared {
-                slot,
-                outbound: Mutex::new(Vec::new()),
-                inflight: AtomicUsize::new(0),
-                closed: AtomicBool::new(false),
-                notified: AtomicBool::new(false),
-            }),
+            shared,
+            watcher,
             phase: Phase::Handshake,
             peer_done: false,
             read_stopped: false,
@@ -852,8 +864,8 @@ impl IoThread {
                 {
                     job.trace = tcast_obs::TraceId::fresh();
                 }
-                let shared = conn.shared.clone();
-                self.submit(slot, request_id, job, shared);
+                let (shared, watcher) = (conn.shared.clone(), conn.watcher.clone());
+                self.submit(slot, request_id, job, shared, watcher);
             }
             Frame::MetricsDump { request_id } => {
                 let families = self.service.metrics_registry().snapshot().families();
@@ -887,62 +899,68 @@ impl IoThread {
         }
     }
 
+    /// The completion watcher of the connection behind `shared`: it
+    /// serializes each job's response frame, under the request id its
+    /// batch is tagged with, into the connection's outbound buffer and
+    /// rings the I/O thread's doorbell.
+    fn watcher(&self, shared: Arc<ConnShared>) -> CompletionWatcher {
+        let inbox = self.inbox.clone();
+        let counters = self.counters.clone();
+        Arc::new(move |done: Completion, result: &JobResult| {
+            let request_id = done.tag;
+            tcast_obs::event(done.trace, "net.respond", &[("request_id", request_id)]);
+            if !shared.closed.load(Ordering::Acquire) {
+                // Serialize straight into the shared outbound buffer: a
+                // report is encoded borrowed, never cloned into an owned
+                // frame on the worker's completion path.
+                let mut out = shared.outbound.lock();
+                let before = out.len();
+                match result {
+                    Ok(JobOutput::Report(report)) => {
+                        Frame::encode_job_ok_into(&mut out, PROTOCOL_V4, request_id, report);
+                    }
+                    Ok(other) => Frame::JobFailed {
+                        request_id,
+                        error: JobError::Panicked(format!("non-report job output: {other:?}")),
+                    }
+                    .encode_into(&mut out, PROTOCOL_V4),
+                    Err(e) => Frame::JobFailed {
+                        request_id,
+                        error: e.clone(),
+                    }
+                    .encode_into(&mut out, PROTOCOL_V4),
+                }
+                counters.frame_out((out.len() - before) as u64);
+            }
+            shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            if shared
+                .notified
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                inbox.completions.lock().push(shared.clone());
+            }
+            inbox.waker.wake();
+        })
+    }
+
     fn submit(
         &mut self,
         slot: usize,
         request_id: u64,
         job: tcast_service::QueryJob,
         shared: Arc<ConnShared>,
+        watcher: CompletionWatcher,
     ) {
         // Count the job before the pool can complete it; the watcher
         // decrements only after the response frame is queued, so drain
         // never closes the connection underneath a pending response.
         shared.inflight.fetch_add(1, Ordering::AcqRel);
-        let trace = job.trace;
-        let watcher = {
-            let shared = shared.clone();
-            let inbox = self.inbox.clone();
-            let counters = self.counters.clone();
-            Arc::new(move |_index: usize, result: &tcast_service::JobResult| {
-                tcast_obs::event(trace, "net.respond", &[("request_id", request_id)]);
-                if !shared.closed.load(Ordering::Acquire) {
-                    // Serialize straight into the shared outbound buffer:
-                    // a report is encoded borrowed, never cloned into an
-                    // owned frame on the worker's completion path.
-                    let mut out = shared.outbound.lock();
-                    let before = out.len();
-                    match result {
-                        Ok(JobOutput::Report(report)) => {
-                            Frame::encode_job_ok_into(&mut out, PROTOCOL_V4, request_id, report);
-                        }
-                        Ok(other) => Frame::JobFailed {
-                            request_id,
-                            error: JobError::Panicked(format!("non-report job output: {other:?}")),
-                        }
-                        .encode_into(&mut out, PROTOCOL_V4),
-                        Err(e) => Frame::JobFailed {
-                            request_id,
-                            error: e.clone(),
-                        }
-                        .encode_into(&mut out, PROTOCOL_V4),
-                    }
-                    counters.frame_out((out.len() - before) as u64);
-                }
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                if shared
-                    .notified
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    inbox.completions.lock().push(shared.clone());
-                }
-                inbox.waker.wake();
-            })
-        };
-        match self
-            .service
-            .try_submit_watched(std::iter::once(job), watcher)
-        {
+        let options = SubmitOptions::new()
+            .nonblocking()
+            .watched(watcher)
+            .tagged(request_id);
+        match self.service.submit_with(std::iter::once(job), options) {
             Ok(_batch) => {} // responses flow through the watcher
             Err(SubmitError::QueueFull(_)) => {
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);

@@ -213,6 +213,12 @@ impl QueryJob {
         self
     }
 
+    /// The longest [`cache_key`](Self::cache_key) of any job, in bytes:
+    /// the algorithm (1), the channel spec
+    /// ([`ChannelSpec::MAX_CACHE_KEY_LEN`]), the threshold and session
+    /// seed (8 + 8) and a retry budget (9).
+    pub const MAX_CACHE_KEY_LEN: usize = 1 + ChannelSpec::MAX_CACHE_KEY_LEN + 8 + 8 + 9;
+
     /// This job's exact result identity, as bytes: every field that
     /// shapes the produced [`QueryReport`] participates — the algorithm,
     /// the full channel spec (both seeds, model, loss, retry policy), the
@@ -223,25 +229,32 @@ impl QueryJob {
     ///
     /// Two jobs with equal keys produce bit-identical reports (execution
     /// is a pure function of the spec), which is what makes the key safe
-    /// as an exact-match cache key: no hashing, no collisions.
+    /// as an exact-match cache key: no hashing, no collisions. The key is
+    /// one allocation of [`Self::MAX_CACHE_KEY_LEN`] bytes.
     pub fn cache_key(&self) -> Vec<u8> {
-        let mut key = Vec::with_capacity(64);
+        let mut key = Vec::with_capacity(Self::MAX_CACHE_KEY_LEN);
+        self.cache_key_into(&mut key);
+        key
+    }
+
+    /// Appends [`cache_key`](Self::cache_key)'s bytes to `out`, so a
+    /// caller that keys many jobs can reuse one buffer.
+    pub fn cache_key_into(&self, out: &mut Vec<u8>) {
         let algorithm = AlgorithmSpec::ALL
             .iter()
             .position(|a| *a == self.algorithm)
             .expect("algorithm registered in AlgorithmSpec::ALL") as u8;
-        key.push(algorithm);
-        self.channel.cache_key_into(&mut key);
-        key.extend_from_slice(&(self.t as u64).to_le_bytes());
-        key.extend_from_slice(&self.session_seed.to_le_bytes());
+        out.push(algorithm);
+        self.channel.cache_key_into(out);
+        out.extend_from_slice(&(self.t as u64).to_le_bytes());
+        out.extend_from_slice(&self.session_seed.to_le_bytes());
         match self.retry_budget {
-            None => key.push(0),
+            None => out.push(0),
             Some(b) => {
-                key.push(1);
-                key.extend_from_slice(&b.to_le_bytes());
+                out.push(1);
+                out.extend_from_slice(&b.to_le_bytes());
             }
         }
-        key
     }
 
     /// The effective retry policy: the channel's, tightened by the job's
@@ -499,6 +512,32 @@ mod tests {
         // Determinism still holds for adversarial jobs.
         let again = QueryJob::new(AlgorithmSpec::TwoTBins, spec, 8, 3).execute();
         assert_eq!(report, again);
+    }
+
+    #[test]
+    fn the_largest_cache_key_fits_one_allocation() {
+        use tcast::{AdversaryConfig, AdversaryModel, DefensePolicy, LossConfig};
+        let spec = ChannelSpec::adversarial(
+            512,
+            16,
+            CollisionModel::TwoPlus(tcast::CaptureModel::Geometric { alpha: 0.5 }),
+            Some(LossConfig::default()),
+            AdversaryConfig {
+                model: AdversaryModel::SilentDrop { budget: u64::MAX },
+                seed: 7,
+            },
+        )
+        .seeded(1, 2)
+        .with_retry(RetryPolicy::verified(2).with_budget(50))
+        .with_defense(DefensePolicy::hardened());
+        let job = QueryJob::new(AlgorithmSpec::OracleBins, spec, 16, 3).with_retry_budget(9);
+        let key = job.cache_key();
+        assert_eq!(key.len(), QueryJob::MAX_CACHE_KEY_LEN);
+        assert_eq!(
+            key.capacity(),
+            QueryJob::MAX_CACHE_KEY_LEN,
+            "the key never outgrew its first allocation"
+        );
     }
 
     #[test]

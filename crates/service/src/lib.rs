@@ -48,8 +48,8 @@ pub use metrics::{
     MetricsSnapshot, NetCounters, NetMetricsRow, Sample, TenantMetricsRow,
 };
 pub use service::{
-    Batch, CompletionWatcher, JobHandle, QueryService, ServiceClosed, ServiceConfig, SubmitError,
-    SubmitOptions,
+    Batch, Completion, CompletionWatcher, JobHandle, QueryService, ServiceClosed, ServiceConfig,
+    SubmitError, SubmitOptions,
 };
 
 /// Blessed service-tier entrypoints, layered over [`tcast::prelude`].

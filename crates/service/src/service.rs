@@ -177,19 +177,31 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// Completion hook invoked on the worker thread as each job of a watched
-/// batch finishes, with the job's index within its batch and its result.
+/// batch finishes, with the job's [`Completion`] and its result.
 ///
 /// Callbacks run on worker threads and must be cheap and panic-free —
 /// typically handing the result to a channel, as the network front-end
-/// does to stream responses in completion order.
-pub type CompletionWatcher = Arc<dyn Fn(usize, &JobResult) + Send + Sync>;
+/// does to stream responses in completion order. One watcher can serve
+/// many batches: the batch's tag tells them apart.
+pub type CompletionWatcher = Arc<dyn Fn(Completion, &JobResult) + Send + Sync>;
+
+/// Which job a [`CompletionWatcher`] call reports on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// The job's index within its batch.
+    pub index: usize,
+    /// The batch's tag ([`SubmitOptions::tagged`]; `0` when unset).
+    pub tag: u64,
+    /// The job's trace id.
+    pub trace: tcast_obs::TraceId,
+}
 
 /// How [`QueryService::submit_with`] admits a batch: the one options
 /// struct behind the whole submit surface. The named entrypoints
 /// ([`QueryService::submit`], [`QueryService::try_submit`],
-/// [`QueryService::submit_watched`],
-/// [`QueryService::try_submit_watched`]) are thin delegates over the
-/// four corners of this space.
+/// [`QueryService::submit_watched`]) are thin delegates over three
+/// corners of this space; the network front-end submits non-blocking
+/// and watched, with a tag, through `submit_with` itself.
 #[derive(Clone)]
 pub struct SubmitOptions {
     /// Block while the admission queue is over capacity (backpressure).
@@ -199,6 +211,10 @@ pub struct SubmitOptions {
     /// Completion hook invoked on the worker thread as each job
     /// finishes, in completion order; `None` for plain batches.
     pub watcher: Option<CompletionWatcher>,
+    /// Passed to the watcher with every completion of the batch, so one
+    /// watcher can serve many batches (the network front-end tags each
+    /// batch with its request id).
+    pub tag: u64,
 }
 
 impl Default for SubmitOptions {
@@ -206,6 +222,7 @@ impl Default for SubmitOptions {
         Self {
             blocking: true,
             watcher: None,
+            tag: 0,
         }
     }
 }
@@ -230,6 +247,13 @@ impl SubmitOptions {
         self.watcher = Some(watcher);
         self
     }
+
+    /// Returns the options with the tag the watcher receives.
+    #[must_use = "builder methods return new options; the original is unchanged"]
+    pub fn tagged(mut self, tag: u64) -> Self {
+        self.tag = tag;
+        self
+    }
 }
 
 impl std::fmt::Debug for SubmitOptions {
@@ -237,6 +261,7 @@ impl std::fmt::Debug for SubmitOptions {
         f.debug_struct("SubmitOptions")
             .field("blocking", &self.blocking)
             .field("watcher", &self.watcher.is_some())
+            .field("tag", &self.tag)
             .finish()
     }
 }
@@ -294,15 +319,16 @@ struct WorkUnit {
     submitted_at: Instant,
     board: Mutex<Board>,
     done: Condvar,
-    /// Completion hook for watched batches; `None` for plain submits.
-    watcher: Option<CompletionWatcher>,
+    /// Completion hook for watched batches and the batch's tag; `None`
+    /// for plain submits.
+    watcher: Option<(CompletionWatcher, u64)>,
     /// Set once [`Batch::handles`] shares the unit: [`Batch::wait`] then
     /// clones the results instead of moving them out.
     shared: AtomicBool,
 }
 
 impl WorkUnit {
-    fn new(slots: Vec<Slot>, watcher: Option<CompletionWatcher>) -> Arc<Self> {
+    fn new(slots: Vec<Slot>, watcher: Option<(CompletionWatcher, u64)>) -> Arc<Self> {
         Arc::new(Self {
             len: slots.len(),
             next: AtomicUsize::new(0),
@@ -372,23 +398,19 @@ fn into_jobs(slots: Vec<Slot>) -> Vec<QueryJob> {
 struct TenantQueue {
     bands: [VecDeque<Arc<WorkUnit>>; Priority::BANDS],
     deficit: u32,
-}
-
-impl TenantQueue {
-    fn new(deficit: u32) -> Self {
-        Self {
-            bands: Default::default(),
-            deficit,
-        }
-    }
+    /// Whether the tenant is in the rotation. A drained tenant's queue
+    /// stays in the map, out of the rotation, so its bands keep their
+    /// capacity and its next submit does not allocate.
+    in_rotation: bool,
 }
 
 struct QueueState {
     /// Per-tenant queues, keyed by tenant id (`None` = the default
-    /// lane). A key is present exactly while the tenant has queued
-    /// units and is then also present in `rotation`.
+    /// lane). A tenant's queue is created by its first submit and kept
+    /// for good; every tenant with queued units is in `rotation`.
     queues: BTreeMap<Option<u32>, TenantQueue>,
-    /// Busy tenants in DRR service order; front is served next.
+    /// Busy tenants in DRR service order; front is served next. Holds
+    /// exactly the queues flagged `in_rotation`.
     rotation: VecDeque<Option<u32>>,
     /// Jobs enqueued but not yet claimed by a worker (all tenants).
     queued_jobs: usize,
@@ -401,11 +423,16 @@ impl QueueState {
     /// deficit, `weight`.
     fn push(&mut self, key: Option<u32>, band: usize, unit: Arc<WorkUnit>, weight: u32) {
         self.queued_jobs += unit.len();
-        let rotation = &mut self.rotation;
-        let queue = self.queues.entry(key).or_insert_with(|| {
-            rotation.push_back(key);
-            TenantQueue::new(weight)
+        let queue = self.queues.entry(key).or_insert_with(|| TenantQueue {
+            bands: Default::default(),
+            deficit: 0,
+            in_rotation: false,
         });
+        if !queue.in_rotation {
+            queue.in_rotation = true;
+            queue.deficit = weight;
+            self.rotation.push_back(key);
+        }
         queue.bands[band].push_back(unit);
     }
 }
@@ -667,8 +694,9 @@ impl QueryService {
         let lane = queued()
             .next()
             .map_or((None, Priority::Normal), |j| (j.tenant, j.priority));
+        let watcher = options.watcher.map(|w| (w, options.tag));
         let result = self
-            .enqueue(slots, options.blocking, options.watcher, lane)
+            .enqueue(slots, options.blocking, watcher, lane)
             .map_err(Self::submit_error);
         if let (Err(err), Some(reg)) = (&result, &self.inner.tenants) {
             // Rejected after admission: return the in-flight slots the
@@ -714,25 +742,6 @@ impl QueryService {
         I::IntoIter: ExactSizeIterator,
     {
         self.submit_with(jobs, SubmitOptions::new().watched(on_complete))
-    }
-
-    /// Like [`try_submit`](Self::try_submit) with a completion callback.
-    /// The network front-end uses this to pipeline responses without one
-    /// blocked thread per in-flight request. Delegates to
-    /// [`submit_with`](Self::submit_with).
-    pub fn try_submit_watched<I>(
-        &self,
-        jobs: I,
-        on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError>
-    where
-        I: IntoIterator<Item = QueryJob>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.submit_with(
-            jobs,
-            SubmitOptions::new().nonblocking().watched(on_complete),
-        )
     }
 
     /// Like [`submit`](Self::submit) but never blocks: a full queue hands
@@ -782,7 +791,7 @@ impl QueryService {
         &self,
         slots: Vec<Slot>,
         block: bool,
-        watcher: Option<CompletionWatcher>,
+        watcher: Option<(CompletionWatcher, u64)>,
         lane: (Option<TenantId>, Priority),
     ) -> Result<Batch, (Arc<WorkUnit>, bool)> {
         let unit = WorkUnit::new(slots, watcher);
@@ -962,7 +971,8 @@ fn help(inner: &Inner, unit: &Arc<WorkUnit>, until: usize) {
 /// each claim spends one unit of the tenant's deficit and an exhausted
 /// deficit recharges to the tenant's weight and sends it to the back of
 /// the rotation. A tenant whose bands drained is retired from the
-/// rotation by the next claim (and re-joins on its next submit). With
+/// rotation by the next claim (and re-joins on its next submit; its
+/// queue stays in the map). With
 /// one busy tenant this is exactly strict FIFO.
 fn claim_drr(
     inner: &Inner,
@@ -981,10 +991,11 @@ fn claim_drr(
         Some((pos, true)) => pos,
         None => st.rotation.len(),
     };
-    // Removing entries one by one (not `clear`) keeps the map's root
-    // node, so the next submit re-inserts without allocating.
     for key in st.rotation.drain(..drained) {
-        st.queues.remove(&key);
+        st.queues
+            .get_mut(&key)
+            .expect("rotation tracks queues")
+            .in_rotation = false;
     }
     next?;
     let key = *st.rotation.front().expect("a tenant with queued work");
@@ -1039,6 +1050,10 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     let payload = match std::mem::replace(&mut unit.board.lock().slots[index], Slot::Claimed) {
         Slot::Queued(payload) => payload,
         _ => unreachable!("each slot is claimed exactly once"),
+    };
+    let trace = match &payload {
+        Payload::Query(job) => job.trace,
+        Payload::Custom { .. } => tcast_obs::TraceId::NONE,
     };
     let started = Instant::now();
     let (label, result): (Cow<'static, str>, _) = match payload {
@@ -1102,8 +1117,13 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     // callback that triggers a response cannot race a `wait()` caller
     // into observing completion twice. A panicking watcher must not take
     // the worker (or the batch's remaining jobs) down with it.
-    if let Some(watcher) = &unit.watcher {
-        let _ = catch_unwind(AssertUnwindSafe(|| watcher(index, &result)));
+    if let Some((watcher, tag)) = &unit.watcher {
+        let done = Completion {
+            index,
+            tag: *tag,
+            trace,
+        };
+        let _ = catch_unwind(AssertUnwindSafe(|| watcher(done, &result)));
     }
     let mut board = unit.board.lock();
     board.slots[index] = Slot::Done(result);
@@ -1376,11 +1396,11 @@ mod tests {
         let batch = service
             .submit_watched(
                 jobs,
-                Arc::new(move |index, result| {
+                Arc::new(move |done: Completion, result| {
                     let Ok(JobOutput::Report(rep)) = result else {
                         panic!("unexpected {result:?}");
                     };
-                    sink.lock().push((index, rep.clone()));
+                    sink.lock().push((done.index, rep.clone()));
                 }),
             )
             .unwrap();
@@ -1810,6 +1830,60 @@ mod tests {
             claims += 1;
         }
         assert_eq!(claims, 6, "every queued job claimed once");
+    }
+
+    #[test]
+    fn a_drained_tenant_keeps_its_queue_and_leaves_the_rotation() {
+        let mut registry = TenantRegistry::new();
+        let a = registry.register(TenantSpec::new("a", b"ka"));
+        let b = registry.register(TenantSpec::new("b", b"kb"));
+        // No worker threads: the queues move only when the test claims.
+        let inner = Inner::new(&ServiceConfig::default(), Some(Arc::new(registry)));
+        let unit = |jobs: u64| {
+            WorkUnit::new(
+                (0..jobs)
+                    .map(|i| Slot::Queued(Payload::Query(job(i))))
+                    .collect(),
+                None,
+            )
+        };
+        let (ka, kb) = (Some(a.0), Some(b.0));
+        let band = Priority::Normal.band();
+        // Tenant b stays busy throughout; tenant a drains and resubmits.
+        let mut st = inner.state.lock();
+        st.push(kb, band, unit(5_000), inner.weight_of(kb));
+        let mut a_band_capacity = None;
+        for round in 0..1_000 {
+            let mine = unit(1);
+            st.push(ka, band, mine.clone(), inner.weight_of(ka));
+            while !claim_drr(&inner, &mut st, |_| true)
+                .is_some_and(|(served, _)| Arc::ptr_eq(&served, &mine))
+            {}
+            // A claim that finds the drained a ahead of b retires it.
+            for _ in 0..2 {
+                if st.rotation.contains(&ka) {
+                    claim_drr(&inner, &mut st, |_| true).expect("b is still busy");
+                }
+            }
+            let keys: Vec<_> = st.queues.keys().copied().collect();
+            assert_eq!(
+                keys,
+                vec![ka, kb],
+                "round {round}: the key set never changes"
+            );
+            assert_eq!(st.rotation, [kb], "round {round}: only b is busy");
+            for key in &st.rotation {
+                let queue = &st.queues[key];
+                assert!(queue.in_rotation);
+                assert!(queue.bands.iter().any(|band| !band.is_empty()));
+            }
+            let queue = &st.queues[&ka];
+            assert!(!queue.in_rotation && queue.bands.iter().all(VecDeque::is_empty));
+            // a's band kept the capacity its first unit gave it.
+            let capacity = queue.bands[band].capacity();
+            assert!(capacity > 0);
+            assert_eq!(*a_band_capacity.get_or_insert(capacity), capacity);
+        }
     }
 
     #[test]
