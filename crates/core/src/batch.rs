@@ -8,7 +8,8 @@
 //!
 //! * [`BatchRunner::run`] — run any [`ThresholdQuerier`] over the pooled
 //!   scratch; the only steady-state allocation left is the returned
-//!   report's own trace, copied out at its exact length.
+//!   report's own trace, copied out at its exact length (or into a
+//!   trace handed back by [`EngineScratch::recycle_trace`]).
 //! * [`BatchRunner::run_policy_encoded`] — drive a bin policy and encode
 //!   the report **directly into a caller-supplied wire buffer** in
 //!   `tcast::codec` layout, skipping the report object entirely: zero
@@ -38,8 +39,11 @@ pub struct EngineScratch {
     pub(crate) remaining: Vec<NodeId>,
     /// Per-round keep buffer.
     pub(crate) scratch: Vec<NodeId>,
-    /// Round trace buffer; a report gets an exact-length copy.
+    /// Round trace buffer; a report gets a copy.
     pub(crate) trace: Vec<RoundTrace>,
+    /// A finished report's trace handed back by
+    /// [`EngineScratch::recycle_trace`]; the next report's copy fills it.
+    pub(crate) spare_trace: Vec<RoundTrace>,
     /// Silently-eliminated pool for verified-silence confirmation.
     pub(crate) eliminated: Vec<NodeId>,
     /// A group chosen outside the engine: ProbABNS's probe, then its
@@ -99,6 +103,14 @@ impl EngineScratch {
     /// Returns an arena taken by [`EngineScratch::take_arena`].
     pub fn restore_arena(&mut self, arena: ChannelArena) {
         self.arena = arena;
+    }
+
+    /// Hands back the round trace of a report nobody will read again, so
+    /// the next report finished over this scratch copies its trace into
+    /// that buffer instead of allocating one. A report then holds a
+    /// trace with at least, not exactly, its length of capacity.
+    pub fn recycle_trace(&mut self, trace: Vec<RoundTrace>) {
+        self.spare_trace = trace;
     }
 }
 

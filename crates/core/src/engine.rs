@@ -126,18 +126,22 @@ impl Session {
         }
     }
 
-    /// Finalizes into a report whose trace is copied out at its exact
-    /// length, `lead` (a round run before the session) first, and hands
-    /// every buffer back to `scratch` for the next query. The lead
-    /// round's queries, retries, defenses and round count join the
-    /// report's totals.
+    /// Finalizes into a report whose trace is copied out, `lead` (a round
+    /// run before the session) first, and hands every buffer back to
+    /// `scratch` for the next query. The copy goes into the scratch's
+    /// spare trace ([`EngineScratch::recycle_trace`]), grown to the exact
+    /// length when it is too short — a new exact-length buffer when
+    /// there is no spare. The lead round's queries, retries, defenses
+    /// and round count join the report's totals.
     pub(crate) fn finish_reusing(
         mut self,
         answer: bool,
         lead: Option<RoundTrace>,
         scratch: &mut EngineScratch,
     ) -> QueryReport {
-        let mut trace = Vec::with_capacity(usize::from(lead.is_some()) + self.trace.len());
+        let mut trace = std::mem::take(&mut scratch.spare_trace);
+        trace.clear();
+        trace.reserve_exact(usize::from(lead.is_some()) + self.trace.len());
         trace.extend(lead);
         trace.extend_from_slice(&self.trace);
         if let Some(lead) = lead {
@@ -769,8 +773,10 @@ pub fn drive(
 /// [`drive`] over pooled buffers: the session borrows its vectors from
 /// `scratch` and returns them after the report is built, so the
 /// steady-state per-query allocation is just the report's own trace,
-/// copied out at its exact length. A fresh scratch allocates exactly
-/// what `drive` needs — an empty `Vec` holds no heap memory.
+/// copied out at its exact length — none when the scratch holds a long
+/// enough spare ([`EngineScratch::recycle_trace`]). A fresh scratch
+/// allocates exactly what `drive` needs — an empty `Vec` holds no heap
+/// memory.
 pub(crate) fn drive_with_scratch(
     nodes: &[NodeId],
     t: usize,

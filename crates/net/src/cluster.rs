@@ -513,11 +513,11 @@ impl ClusterInner {
         Some(client.submit_one(job))
     }
 
-    /// Routes and submits `job`, excluding shards as placements fail.
-    /// Returns `true` once the job is on some wire.
-    fn place(&self, cj: &mut ClusterJob) -> bool {
+    /// Routes and submits `job`, excluding shards in its `route` as
+    /// placements fail. Returns `true` once the job is on some wire.
+    fn place(&self, job: &QueryJob, route: &mut Route) -> bool {
         loop {
-            let Some(next) = self.route(&cj.job, &cj.excluded) else {
+            let Some(next) = self.route(job, &route.excluded) else {
                 return false;
             };
             // The route decision is a span (not a bare event) so the
@@ -526,21 +526,21 @@ impl ClusterInner {
             // context, making the shard's `service.execute` a child of
             // this client-side `cluster.route` in the assembled tree.
             let span = tcast_obs::Span::enter_fields(
-                cj.job.trace,
+                job.trace,
                 "cluster.route",
                 &[("shard", next as u64)],
             );
-            let mut job = cj.job;
+            let mut job = *job;
             if span.is_recording() {
                 job = job.with_parent_span(tcast_obs::SpanContext::child_of(span.id()));
             }
             match self.submit_to(next, job) {
                 Some(handle) => {
-                    cj.shard = Some(next);
-                    cj.handle = Some(handle);
+                    route.shard = Some(next);
+                    route.handle = Some(handle);
                     return true;
                 }
-                None => exclude(&mut cj.excluded, next),
+                None => exclude(&mut route.excluded, next),
             }
         }
     }
@@ -625,10 +625,10 @@ impl ClusterInner {
     }
 }
 
-/// One job tracked by a [`ClusterBatch`]: where it currently lives and
-/// which shards already failed it.
-struct ClusterJob {
-    job: QueryJob,
+/// Where one job of a [`ClusterBatch`] currently lives and which shards
+/// already failed it.
+#[derive(Default)]
+struct Route {
     shard: Option<usize>,
     /// Shards that failed this job (see [`is_excluded`]); empty, and
     /// unallocated, until the first failure.
@@ -644,7 +644,13 @@ struct ClusterJob {
 #[must_use = "a cluster batch does nothing unless waited on"]
 pub struct ClusterBatch {
     inner: Arc<ClusterInner>,
-    jobs: Vec<ClusterJob>,
+    /// The caller's jobs, kept as they were submitted.
+    jobs: Vec<QueryJob>,
+    /// The first job's route, inline, so a one-job batch allocates
+    /// nothing of its own.
+    first: Route,
+    /// The other jobs' routes, in order.
+    rest: Vec<Route>,
 }
 
 impl ClusterBatch {
@@ -661,16 +667,17 @@ impl ClusterBatch {
     /// Blocks until every job resolved, re-routing jobs off failed
     /// shards as needed; results in submission order.
     pub fn wait(self) -> Vec<NetJobResult> {
-        let inner = self.inner;
+        let routes = std::iter::once(self.first).chain(self.rest);
         self.jobs
-            .into_iter()
-            .map(|job| Self::resolve(&inner, job))
+            .iter()
+            .zip(routes)
+            .map(|(job, route)| Self::resolve(&self.inner, job, route))
             .collect()
     }
 
-    fn resolve(inner: &ClusterInner, mut cj: ClusterJob) -> NetJobResult {
+    fn resolve(inner: &ClusterInner, job: &QueryJob, mut route: Route) -> NetJobResult {
         loop {
-            let result = match cj.handle.take() {
+            let result = match route.handle.take() {
                 Some(handle) => handle.wait(),
                 None => Err(NetError::ConnectionLost(
                     "no healthy shard to route to".into(),
@@ -678,15 +685,15 @@ impl ClusterBatch {
             };
             match &result {
                 Err(NetError::ConnectionLost(detail)) => {
-                    if let Some(shard) = cj.shard {
+                    if let Some(shard) = route.shard {
                         inner.mark_down(shard, detail);
-                        exclude(&mut cj.excluded, shard);
+                        exclude(&mut route.excluded, shard);
                     }
                 }
                 Err(NetError::ServerShutdown) => {
-                    if let Some(shard) = cj.shard {
+                    if let Some(shard) = route.shard {
                         inner.mark_down(shard, "server is draining");
-                        exclude(&mut cj.excluded, shard);
+                        exclude(&mut route.excluded, shard);
                     }
                 }
                 // Every other outcome (a report, a remote job failure, a
@@ -694,20 +701,20 @@ impl ClusterBatch {
                 // a live shard — re-running elsewhere cannot improve it.
                 _ => return result,
             }
-            let from = cj.shard.take();
-            if !inner.place(&mut cj) {
+            let from = route.shard.take();
+            if !inner.place(job, &mut route) {
                 // Nowhere left to go: report the original failure.
                 return result;
             }
-            let to = cj.shard.expect("placed job has a shard");
+            let to = route.shard.expect("placed job has a shard");
             match from {
                 Some(from) => tcast_obs::event(
-                    cj.job.trace,
+                    job.trace,
                     "cluster.reroute",
                     &[("from", from as u64), ("to", to as u64)],
                 ),
                 None => {
-                    tcast_obs::event(cj.job.trace, "cluster.reroute", &[("to", to as u64)]);
+                    tcast_obs::event(job.trace, "cluster.reroute", &[("to", to as u64)]);
                 }
             }
             inner.push_event(ClusterEvent::Rerouted { from, to });
@@ -855,24 +862,20 @@ impl ShardedClient {
     /// Submits `jobs` across the cluster, pipelined: every job is
     /// routed and written to its shard's wire before this returns.
     pub fn submit(&self, jobs: Vec<QueryJob>) -> ClusterBatch {
-        let jobs = jobs
-            .into_iter()
-            .map(|job| {
-                let mut cj = ClusterJob {
-                    job,
-                    shard: None,
-                    excluded: Vec::new(),
-                    handle: None,
-                };
-                // Failure to place here is not final: `wait` retries the
-                // routing (the prober may have revived a shard by then).
-                self.inner.place(&mut cj);
-                cj
-            })
-            .collect();
+        let mut routes = jobs.iter().map(|job| {
+            let mut route = Route::default();
+            // Failure to place here is not final: `wait` retries the
+            // routing (the prober may have revived a shard by then).
+            self.inner.place(job, &mut route);
+            route
+        });
+        let first = routes.next().unwrap_or_default();
+        let rest = routes.collect();
         ClusterBatch {
             inner: self.inner.clone(),
             jobs,
+            first,
+            rest,
         }
     }
 

@@ -51,7 +51,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 use tcast_tenant::{Priority, TenantId, TenantRegistry};
 
-use tcast::{BatchRunner, ExecutionProfile};
+use tcast::{BatchRunner, ExecutionProfile, RoundTrace};
 
 use crate::cache::SessionCache;
 use crate::job::{JobError, JobOutput, JobResult, QueryJob};
@@ -301,14 +301,30 @@ impl Slot {
 }
 
 /// A unit's slots and how many of them are done, under one lock.
+#[derive(Default)]
 struct Board {
     slots: Vec<Slot>,
     completed: usize,
+    /// A round trace left by a report of the unit's last batch, which
+    /// nothing could read any more ([`Inner::recycle`]). The next job run
+    /// from the unit hands it to its worker's scratch, so that job's
+    /// report fills this buffer instead of allocating one.
+    spare_trace: Vec<RoundTrace>,
 }
+
+/// Most spare units the free list keeps ([`Inner::recycle`]): more than
+/// the network tier usually has finishing at once, and at a few hundred
+/// bytes each a bounded cost.
+const SPARE_UNITS: usize = 256;
+
+/// Largest slot `Vec` a spare unit may keep. The unit of a bigger batch
+/// is freed instead: its two allocations are small beside its jobs', and
+/// keeping its slots would pin their memory.
+const SPARE_SLOTS: usize = 64;
 
 /// One submitted batch: claimable slots plus the result board.
 struct WorkUnit {
-    /// Jobs in the unit; fixed at construction.
+    /// Jobs in the unit; fixed until it is refilled from the free list.
     len: usize,
     /// Next unclaimed slot. Bumped only by [`claim_drr`] under the state
     /// lock, so slots are claimed in index order.
@@ -322,25 +338,46 @@ struct WorkUnit {
     /// Completion hook for watched batches and the batch's tag; `None`
     /// for plain submits.
     watcher: Option<(CompletionWatcher, u64)>,
-    /// Set once [`Batch::handles`] shares the unit: [`Batch::wait`] then
-    /// clones the results instead of moving them out.
+    /// Set once [`Batch::handles`] shares the unit: [`Batch::wait`] and
+    /// the handles then clone the results instead of moving them out.
     shared: AtomicBool,
 }
 
 impl WorkUnit {
     fn new(slots: Vec<Slot>, watcher: Option<(CompletionWatcher, u64)>) -> Arc<Self> {
-        Arc::new(Self {
-            len: slots.len(),
+        let board = Board {
+            slots,
+            ..Board::default()
+        };
+        Arc::new(Self::with(board, watcher))
+    }
+
+    fn with(board: Board, watcher: Option<(CompletionWatcher, u64)>) -> Self {
+        Self {
+            len: board.slots.len(),
             next: AtomicUsize::new(0),
             submitted_at: Instant::now(),
-            board: Mutex::new(Board {
-                slots,
-                completed: 0,
-            }),
+            board: Mutex::new(board),
             done: Condvar::new(),
             watcher,
             shared: AtomicBool::new(false),
-        })
+        }
+    }
+
+    /// Makes a spare unit new again around `jobs`, refilling its slot
+    /// `Vec` in place. Every other field is rebuilt, and only the spare
+    /// trace's capacity is kept, so nothing of the batch it last held
+    /// survives.
+    fn refill(
+        &mut self,
+        jobs: impl Iterator<Item = Slot>,
+        watcher: Option<(CompletionWatcher, u64)>,
+    ) {
+        let mut board = std::mem::take(self.board.get_mut());
+        board.slots.clear();
+        board.slots.extend(jobs);
+        board.completed = 0;
+        *self = Self::with(board, watcher);
     }
 
     fn len(&self) -> usize {
@@ -375,21 +412,16 @@ impl WorkUnit {
         board.slots[index].result().expect("slot completed").clone()
     }
 
-    /// Takes back the jobs of a unit that was never queued.
+    /// Takes back the jobs of a query unit that was never queued.
     fn take_jobs(&self) -> Vec<QueryJob> {
-        into_jobs(std::mem::take(&mut self.board.lock().slots))
+        std::mem::take(&mut self.board.lock().slots)
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Queued(Payload::Query(job)) => job,
+                _ => unreachable!("a rejected query batch holds only its queued jobs"),
+            })
+            .collect()
     }
-}
-
-/// The jobs of a query batch that never ran.
-fn into_jobs(slots: Vec<Slot>) -> Vec<QueryJob> {
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Queued(Payload::Query(job)) => job,
-            _ => unreachable!("a rejected query batch holds only its queued jobs"),
-        })
-        .collect()
 }
 
 /// One tenant's slice of the admission queue: a unit queue per priority
@@ -452,6 +484,9 @@ struct Inner {
     /// Jobs a worker claims per scheduler pass (≥ 1); see
     /// [`ServiceConfig::batch_size`].
     batch: usize,
+    /// Finished units nothing else holds, emptied, for the next submit
+    /// to refill: at most [`SPARE_UNITS`], each the only reference.
+    spares: Mutex<Vec<Arc<WorkUnit>>>,
 }
 
 impl Inner {
@@ -472,6 +507,63 @@ impl Inner {
                 .then(|| Mutex::new(SessionCache::new(config.session_cache))),
             tenants,
             batch: config.batch_size.max(1),
+            spares: Mutex::new(Vec::with_capacity(SPARE_UNITS)),
+        }
+    }
+
+    /// A unit of `jobs`: a spare refilled in place when the free list
+    /// has one, else a new one.
+    fn unit(
+        &self,
+        jobs: impl ExactSizeIterator<Item = Slot>,
+        watcher: Option<(CompletionWatcher, u64)>,
+    ) -> Arc<WorkUnit> {
+        let spare = self.spares.lock().pop();
+        match spare {
+            Some(mut unit) => {
+                Arc::get_mut(&mut unit)
+                    .expect("the free list holds the only reference to a spare")
+                    .refill(jobs, watcher);
+                unit
+            }
+            // Collecting from a `Vec` of jobs reuses its allocation in
+            // place (a slot and a job have one size and alignment).
+            None => WorkUnit::new(jobs.collect(), watcher),
+        }
+    }
+
+    /// Called by each side that lets go of a unit — a worker after
+    /// running a claim, a dropped `Batch`, a rejected submit. The side
+    /// that holds the last reference empties the unit (its results and
+    /// watcher go now) and puts it on the free list, unless the list is
+    /// full or the unit's slots are over [`SPARE_SLOTS`].
+    ///
+    /// A report still in a slot then is one nothing can read: its batch
+    /// and handles are gone, and they only ever cloned a report they did
+    /// not move out. The unit keeps the first such report's round trace
+    /// as its spare.
+    fn recycle(&self, mut unit: Arc<WorkUnit>) {
+        let Some(spare) = Arc::get_mut(&mut unit) else {
+            return;
+        };
+        let board = spare.board.get_mut();
+        if board.slots.capacity() > SPARE_SLOTS {
+            return;
+        }
+        if board.spare_trace.capacity() == 0 {
+            let unread = board.slots.iter_mut().find_map(|slot| match slot {
+                Slot::Done(Ok(JobOutput::Report(report))) => Some(&mut report.trace),
+                _ => None,
+            });
+            if let Some(trace) = unread {
+                board.spare_trace = std::mem::take(trace);
+            }
+        }
+        board.slots.clear();
+        spare.watcher = None;
+        let mut spares = self.spares.lock();
+        if spares.len() < SPARE_UNITS {
+            spares.push(unit);
         }
     }
 
@@ -491,29 +583,44 @@ impl Inner {
 /// which jobs, so batch output is deterministic at any pool size.
 #[must_use = "a batch does nothing unless waited on"]
 pub struct Batch {
-    unit: Arc<WorkUnit>,
+    /// The batch's unit; taken only by `drop`, which offers it back to
+    /// the service's free list.
+    unit: Option<Arc<WorkUnit>>,
     /// The service the batch was submitted to, so a waiting thread can
     /// run the batch's jobs itself.
     inner: Arc<Inner>,
 }
 
 impl Batch {
+    fn new(unit: Arc<WorkUnit>, inner: Arc<Inner>) -> Self {
+        Self {
+            unit: Some(unit),
+            inner,
+        }
+    }
+
+    fn unit(&self) -> &Arc<WorkUnit> {
+        self.unit.as_ref().expect("a live batch holds its unit")
+    }
+
     /// Blocks until every job in the batch finished; returns results in
     /// submission order. While the batch is the one the scheduler would
     /// serve next, the calling thread runs its jobs instead of sleeping.
     pub fn wait(self) -> Vec<JobResult> {
-        help(&self.inner, &self.unit, self.unit.len());
-        self.unit.wait_all()
+        let unit = self.unit();
+        help(&self.inner, unit, unit.len());
+        unit.wait_all()
     }
 
     /// Per-job completion handles, in submission order. The batch can
     /// still be waited on afterwards; it then clones the results the
     /// handles also see.
     pub fn handles(&self) -> Vec<JobHandle> {
-        self.unit.shared.store(true, Ordering::Release);
-        (0..self.unit.len())
+        let unit = self.unit();
+        unit.shared.store(true, Ordering::Release);
+        (0..unit.len())
             .map(|index| JobHandle {
-                unit: self.unit.clone(),
+                unit: unit.clone(),
                 inner: self.inner.clone(),
                 index,
             })
@@ -522,12 +629,20 @@ impl Batch {
 
     /// Number of jobs in the batch.
     pub fn len(&self) -> usize {
-        self.unit.len()
+        self.unit().len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.unit.len() == 0
+        self.len() == 0
+    }
+}
+
+impl Drop for Batch {
+    fn drop(&mut self) {
+        if let Some(unit) = self.unit.take() {
+            self.inner.recycle(unit);
+        }
     }
 }
 
@@ -674,30 +789,44 @@ impl QueryService {
         I: IntoIterator<Item = QueryJob>,
         I::IntoIter: ExactSizeIterator,
     {
-        let slots: Vec<Slot> = jobs
-            .into_iter()
-            .map(|job| Slot::Queued(Payload::Query(job)))
-            .collect();
-        let queued = || slots.iter().filter_map(Slot::query_job);
-        if let Some(reg) = &self.inner.tenants {
-            if let Err(tenant) = charge_quotas(reg, queued()) {
-                self.inner
-                    .metrics
-                    .record_quota_rejections(reg.name_of(tenant), slots.len() as u64);
-                tcast_obs::event_current("service.quota_rejected", &[("tenant", tenant.0 as u64)]);
-                return Err(SubmitError::QuotaExceeded(into_jobs(slots)));
-            }
-        }
-        // The batch's scheduling lane (tenant + priority band) comes
-        // from its first job; the network tier submits one job per
-        // batch, so mixed batches only arise from in-process callers.
-        let lane = queued()
-            .next()
-            .map_or((None, Priority::Normal), |j| (j.tenant, j.priority));
         let watcher = options.watcher.map(|w| (w, options.tag));
+        let unit = self.inner.unit(
+            jobs.into_iter()
+                .map(|job| Slot::Queued(Payload::Query(job))),
+            watcher,
+        );
+        let (charged, lane) = {
+            let board = unit.board.lock();
+            let queued = || board.slots.iter().filter_map(Slot::query_job);
+            let charged = match &self.inner.tenants {
+                Some(reg) => charge_quotas(reg, queued()).map_err(|tenant| (reg, tenant)),
+                None => Ok(()),
+            };
+            // The batch's scheduling lane (tenant + priority band) comes
+            // from its first job; the network tier submits one job per
+            // batch, so mixed batches only arise from in-process callers.
+            let lane = queued()
+                .next()
+                .map_or((None, Priority::Normal), |j| (j.tenant, j.priority));
+            (charged, lane)
+        };
+        if let Err((reg, tenant)) = charged {
+            self.inner
+                .metrics
+                .record_quota_rejections(reg.name_of(tenant), unit.len() as u64);
+            tcast_obs::event_current("service.quota_rejected", &[("tenant", tenant.0 as u64)]);
+            return Err(SubmitError::QuotaExceeded(self.take_back(unit)));
+        }
         let result = self
-            .enqueue(slots, options.blocking, watcher, lane)
-            .map_err(Self::submit_error);
+            .enqueue(unit, options.blocking, lane)
+            .map_err(|(unit, closed)| {
+                let jobs = self.take_back(unit);
+                if closed {
+                    SubmitError::Closed(jobs)
+                } else {
+                    SubmitError::QueueFull(jobs)
+                }
+            });
         if let (Err(err), Some(reg)) = (&result, &self.inner.tenants) {
             // Rejected after admission: return the in-flight slots the
             // quota charge took.
@@ -755,13 +884,12 @@ impl QueryService {
         self.submit_with(jobs, SubmitOptions::new().nonblocking())
     }
 
-    fn submit_error((unit, closed): (Arc<WorkUnit>, bool)) -> SubmitError {
+    /// The jobs of a query unit that was never queued; the unit itself
+    /// goes back to the free list.
+    fn take_back(&self, unit: Arc<WorkUnit>) -> Vec<QueryJob> {
         let jobs = unit.take_jobs();
-        if closed {
-            SubmitError::Closed(jobs)
-        } else {
-            SubmitError::QueueFull(jobs)
-        }
+        self.inner.recycle(unit);
+        jobs
     }
 
     /// Submits arbitrary closures as jobs; their metrics are recorded
@@ -772,32 +900,28 @@ impl QueryService {
         label: &str,
         tasks: Vec<Box<dyn FnOnce() -> JobOutput + Send>>,
     ) -> Result<Batch, ServiceClosed> {
-        let slots = tasks
-            .into_iter()
-            .map(|task| {
-                Slot::Queued(Payload::Custom {
-                    label: label.to_string(),
-                    task,
-                })
+        let slots = tasks.into_iter().map(|task| {
+            Slot::Queued(Payload::Custom {
+                label: label.to_string(),
+                task,
             })
-            .collect();
-        self.enqueue(slots, true, None, (None, Priority::Normal))
+        });
+        let unit = self.inner.unit(slots, None);
+        self.enqueue(unit, true, (None, Priority::Normal))
             .map_err(|_| ServiceClosed)
     }
 
-    /// Queues a unit of `slots`; a rejected unit comes back with whether
-    /// the service was closed (else the queue was full).
+    /// Queues `unit`; a rejected unit comes back with whether the service
+    /// was closed (else the queue was full).
     fn enqueue(
         &self,
-        slots: Vec<Slot>,
+        unit: Arc<WorkUnit>,
         block: bool,
-        watcher: Option<(CompletionWatcher, u64)>,
         lane: (Option<TenantId>, Priority),
     ) -> Result<Batch, (Arc<WorkUnit>, bool)> {
-        let unit = WorkUnit::new(slots, watcher);
         let inner = self.inner.clone();
         if unit.len() == 0 {
-            return Ok(Batch { unit, inner });
+            return Ok(Batch::new(unit, inner));
         }
         let key = lane.0.map(|t| t.0);
         let mut st = self.inner.state.lock();
@@ -827,7 +951,7 @@ impl QueryService {
         } else {
             self.inner.not_empty.notify_all();
         }
-        Ok(Batch { unit, inner })
+        Ok(Batch::new(unit, inner))
     }
 
     /// Graceful shutdown: refuses new work, drains every queued job, then
@@ -1043,14 +1167,22 @@ fn run_claims(
     ));
     for (unit, index) in claims {
         execute(inner, &unit, index, runner);
+        inner.recycle(unit);
     }
 }
 
 fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunner) {
-    let payload = match std::mem::replace(&mut unit.board.lock().slots[index], Slot::Claimed) {
-        Slot::Queued(payload) => payload,
-        _ => unreachable!("each slot is claimed exactly once"),
+    let (slot, spare_trace) = {
+        let mut board = unit.board.lock();
+        let slot = std::mem::replace(&mut board.slots[index], Slot::Claimed);
+        (slot, std::mem::take(&mut board.spare_trace))
     };
+    let Slot::Queued(payload) = slot else {
+        unreachable!("each slot is claimed exactly once");
+    };
+    if spare_trace.capacity() > 0 {
+        runner.scratch().recycle_trace(spare_trace);
+    }
     let trace = match &payload {
         Payload::Query(job) => job.trace,
         Payload::Custom { .. } => tcast_obs::TraceId::NONE,
@@ -1474,6 +1606,96 @@ mod tests {
         fill.wait();
     }
 
+    /// Submits a task that holds the service's only worker until the
+    /// returned sender fires, and waits until the worker is inside it.
+    fn hold_the_worker(service: &QueryService) -> (Batch, std::sync::mpsc::Sender<()>) {
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate: Box<dyn FnOnce() -> JobOutput + Send> = Box::new(move || {
+            started_tx.send(()).ok();
+            release_rx.recv().ok();
+            JobOutput::Value(0.0)
+        });
+        let gate_batch = service.submit_tasks("gate", vec![gate]).unwrap();
+        started_rx.recv().expect("gate task reached the worker");
+        (gate_batch, release_tx)
+    }
+
+    #[test]
+    fn recycled_units_never_show_a_previous_batch() {
+        // Queue capacity 4: a watched job plus a 3-job batch fill it, so
+        // a third submit is rejected while the worker is held.
+        let service = QueryService::new(ServiceConfig::with_workers(1).with_queue_capacity(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watcher: CompletionWatcher = Arc::new(move |done: Completion, result| {
+            let Ok(JobOutput::Report(report)) = result else {
+                panic!("unexpected {result:?}");
+            };
+            tx.send((done.tag, done.index, report.clone())).ok();
+        });
+        let watched = |tag| {
+            SubmitOptions::new()
+                .nonblocking()
+                .watched(watcher.clone())
+                .tagged(tag)
+        };
+        for round in 0..50u64 {
+            let (gate, release) = hold_the_worker(&service);
+            // Dropped at once, as the network tier drops its batches.
+            let first = job(round * 10);
+            drop(service.submit_with(std::iter::once(first), watched(round * 10 + 1)));
+            let plain: Vec<QueryJob> = (1..4).map(|i| job(round * 10 + i)).collect();
+            let expected: Vec<_> = plain.iter().map(QueryJob::execute).collect();
+            let batch = service.submit(plain).unwrap();
+            let refused = job(round * 10 + 5);
+            match service.submit_with(std::iter::once(refused), watched(round * 10 + 2)) {
+                Err(SubmitError::QueueFull(jobs)) => assert_eq!(jobs, vec![refused]),
+                Err(e) => panic!("round {round}: expected QueueFull, got {e:?}"),
+                Ok(_) => panic!("round {round}: expected QueueFull, got acceptance"),
+            }
+            release.send(()).unwrap();
+            gate.wait();
+            assert_eq!(reports(batch.wait()), expected, "round {round}");
+            let (tag, index, report) = rx.recv().expect("the watched job completes");
+            assert_eq!((tag, index), (round * 10 + 1, 0), "round {round}");
+            assert_eq!(report, first.execute(), "round {round}");
+            assert!(!report.trace.is_empty());
+            assert!(rx.try_recv().is_err(), "round {round}: one completion only");
+        }
+        assert!(
+            !service.inner.spares.lock().is_empty(),
+            "finished units went back to the free list"
+        );
+    }
+
+    #[test]
+    fn a_shared_batch_dropped_before_it_completes_still_yields_full_reports() {
+        let service = QueryService::new(ServiceConfig::with_workers(1));
+        let hits = Arc::new(AtomicUsize::new(0));
+        let sink = hits.clone();
+        let watcher: CompletionWatcher = Arc::new(move |_, _| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        });
+        for round in 0..20u64 {
+            let jobs: Vec<QueryJob> = (0..3).map(|i| job(round * 3 + i)).collect();
+            let expected: Vec<_> = jobs.iter().map(QueryJob::execute).collect();
+            let (gate, release) = hold_the_worker(&service);
+            let batch = service.submit_watched(jobs, watcher.clone()).unwrap();
+            let handles = batch.handles();
+            drop(batch);
+            release.send(()).unwrap();
+            gate.wait();
+            for (handle, want) in handles.into_iter().zip(&expected) {
+                let Ok(JobOutput::Report(report)) = handle.wait() else {
+                    panic!("round {round}: expected a report");
+                };
+                assert!(!report.trace.is_empty());
+                assert_eq!(&report, want, "round {round}");
+            }
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 60);
+    }
+
     #[test]
     fn session_cache_serves_repeats_without_changing_results() {
         let service = QueryService::new(ServiceConfig::with_workers(2).with_session_cache(64));
@@ -1555,16 +1777,8 @@ mod tests {
     ) -> (QueryService, Batch, std::sync::mpsc::Sender<()>) {
         let service =
             QueryService::with_tenants(ServiceConfig::with_workers(1), Arc::new(registry));
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let gate: Box<dyn FnOnce() -> JobOutput + Send> = Box::new(move || {
-            started_tx.send(()).ok();
-            release_rx.recv().ok();
-            JobOutput::Value(0.0)
-        });
-        let gate_batch = service.submit_tasks("gate", vec![gate]).unwrap();
-        started_rx.recv().expect("gate task reached the worker");
-        (service, gate_batch, release_tx)
+        let (gate_batch, release) = hold_the_worker(&service);
+        (service, gate_batch, release)
     }
 
     /// Tags completions in arrival order; each submitted job carries its
