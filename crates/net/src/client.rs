@@ -79,8 +79,6 @@ pub struct NetClientConfig {
     pub busy_backoff: Duration,
     /// Deadline for connect + version negotiation on each connection.
     pub handshake_timeout: Duration,
-    /// Frames whose payload exceeds this are rejected as malformed.
-    pub max_frame_payload: u32,
     /// Tenant credentials answered when the server's `HelloAck` carries
     /// an auth challenge. `None` (the default) connects unauthenticated;
     /// a challenging server then rejects the handshake with
@@ -95,7 +93,6 @@ impl Default for NetClientConfig {
             busy_retries: 16,
             busy_backoff: Duration::from_millis(2),
             handshake_timeout: Duration::from_secs(5),
-            max_frame_payload: DEFAULT_MAX_PAYLOAD,
             auth: None,
         }
     }
@@ -123,12 +120,6 @@ impl NetClientConfig {
     /// Sets [`Self::handshake_timeout`].
     pub fn with_handshake_timeout(mut self, handshake_timeout: Duration) -> Self {
         self.handshake_timeout = handshake_timeout;
-        self
-    }
-
-    /// Sets [`Self::max_frame_payload`].
-    pub fn with_max_frame_payload(mut self, max_frame_payload: u32) -> Self {
-        self.max_frame_payload = max_frame_payload;
         self
     }
 
@@ -398,19 +389,16 @@ fn negotiate(
     stream: &mut TcpStream,
     reader: &mut FrameReader,
     config: &NetClientConfig,
-    counters: Option<&Arc<NetCounters>>,
+    counters: &NetCounters,
 ) -> Result<(), NetError> {
     fn read_one(
         stream: &mut TcpStream,
         reader: &mut FrameReader,
-        max_payload: u32,
-        counters: Option<&Arc<NetCounters>>,
+        counters: &NetCounters,
     ) -> Result<Frame, NetError> {
-        match reader.read_from(stream, max_payload) {
+        match reader.read_from(stream, DEFAULT_MAX_PAYLOAD) {
             Ok(Some((frame, n))) => {
-                if let Some(c) = counters {
-                    c.frame_in(n as u64);
-                }
+                counters.frame_in(n as u64);
                 Ok(frame)
             }
             Ok(None) => Err(NetError::ConnectionLost("handshake timed out".into())),
@@ -426,11 +414,9 @@ fn negotiate(
         },
     )
     .map_err(|e| NetError::ConnectionLost(format!("handshake write failed: {e}")))?;
-    if let Some(c) = counters {
-        c.frame_out(hello_bytes as u64);
-    }
+    counters.frame_out(hello_bytes as u64);
 
-    let challenge = match read_one(stream, reader, config.max_frame_payload, counters)? {
+    let challenge = match read_one(stream, reader, counters)? {
         Frame::HelloAck { version, challenge } => {
             if version != PROTOCOL_V4 {
                 return Err(NetError::Protocol(format!(
@@ -467,15 +453,11 @@ fn negotiate(
         },
     )
     .map_err(|e| NetError::ConnectionLost(format!("auth write failed: {e}")))?;
-    if let Some(c) = counters {
-        c.frame_out(auth_bytes as u64);
-    }
-    match read_one(stream, reader, config.max_frame_payload, counters)? {
+    counters.frame_out(auth_bytes as u64);
+    match read_one(stream, reader, counters)? {
         Frame::AuthOk => Ok(()),
         Frame::Error { code, detail, .. } => {
-            if let Some(c) = counters {
-                c.auth_failure();
-            }
+            counters.auth_failure();
             Err(NetError::Handshake { code, detail })
         }
         other => Err(NetError::Protocol(format!(
@@ -501,10 +483,11 @@ struct Conn {
     /// Successful dials; every dial beyond the first is a reconnect and
     /// bumps the counters' generation tag.
     dials: AtomicU64,
-    /// Optional wire counters (frames/bytes in and out, decode errors,
-    /// busy rejections, reconnects), shared with a metrics registry by
-    /// the caller.
-    counters: Option<Arc<NetCounters>>,
+    /// Wire counters (frames/bytes in and out, decode errors, busy
+    /// rejections, reconnects): shared with a metrics registry by
+    /// [`NetClient::connect_instrumented`], private to the client
+    /// otherwise.
+    counters: Arc<NetCounters>,
     /// Per-connection xorshift state feeding the `Busy` backoff jitter.
     /// Seeded uniquely per connection so pooled connections never share
     /// a retry schedule.
@@ -555,7 +538,7 @@ impl Conn {
     fn dial(
         addr: SocketAddr,
         config: NetClientConfig,
-        counters: Option<Arc<NetCounters>>,
+        counters: Arc<NetCounters>,
     ) -> Result<Arc<Self>, NetError> {
         let conn = Arc::new(Self {
             addr,
@@ -594,12 +577,7 @@ impl Conn {
             .try_clone()
             .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
         let mut reader = FrameReader::new();
-        negotiate(
-            &mut handshake,
-            &mut reader,
-            &self.config,
-            self.counters.as_ref(),
-        )?;
+        negotiate(&mut handshake, &mut reader, &self.config, &self.counters)?;
 
         // Switch to a short poll timeout so the reader can notice
         // `closing` while idle without losing partial frames.
@@ -613,9 +591,7 @@ impl Conn {
         );
         self.dead.store(false, Ordering::SeqCst);
         if self.dials.fetch_add(1, Ordering::Relaxed) > 0 {
-            if let Some(c) = &self.counters {
-                c.reconnect();
-            }
+            self.counters.reconnect();
         }
 
         let conn = self.clone();
@@ -643,9 +619,7 @@ impl Conn {
         frame.encode_into(buf, PROTOCOL_V4);
         match socket.write_all(buf).and_then(|()| socket.flush()) {
             Ok(()) => {
-                if let Some(c) = &self.counters {
-                    c.frame_out(buf.len() as u64);
-                }
+                self.counters.frame_out(buf.len() as u64);
                 Ok(buf.len())
             }
             Err(e) => {
@@ -677,12 +651,10 @@ impl Conn {
             if self.closing.load(Ordering::SeqCst) && self.pending.lock().is_empty() {
                 break None;
             }
-            match reader.read_from(&mut stream, self.config.max_frame_payload) {
+            match reader.read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
                 Ok(None) => continue,
                 Ok(Some((frame, n))) => {
-                    if let Some(c) = &self.counters {
-                        c.frame_in(n as u64);
-                    }
+                    self.counters.frame_in(n as u64);
                     match frame {
                         Frame::JobOk { request_id, report } => {
                             self.track_arrival(request_id);
@@ -703,9 +675,7 @@ impl Conn {
                             code: ErrorCode::Busy,
                             ..
                         } => {
-                            if let Some(c) = &self.counters {
-                                c.busy_rejection();
-                            }
+                            self.counters.busy_rejection();
                             self.track_arrival(request_id);
                             self.handle_busy(request_id);
                         }
@@ -749,9 +719,7 @@ impl Conn {
                     }
                 }
                 Err(FrameReadError::Malformed(m)) => {
-                    if let Some(c) = &self.counters {
-                        c.decode_error();
-                    }
+                    self.counters.decode_error();
                     break Some(NetError::Protocol(m.to_string()));
                 }
                 Err(FrameReadError::Io(e)) => {
@@ -844,7 +812,7 @@ impl NetClient {
     /// Connects `config.pool_size` connections to `addr` and negotiates
     /// the protocol version on each.
     pub fn connect(addr: impl ToSocketAddrs, config: NetClientConfig) -> Result<Self, NetError> {
-        Self::connect_inner(addr, config, None)
+        Self::connect_instrumented(addr, config, Arc::default())
     }
 
     /// Like [`NetClient::connect`], but every connection reports its wire
@@ -857,14 +825,6 @@ impl NetClient {
         addr: impl ToSocketAddrs,
         config: NetClientConfig,
         counters: Arc<NetCounters>,
-    ) -> Result<Self, NetError> {
-        Self::connect_inner(addr, config, Some(counters))
-    }
-
-    fn connect_inner(
-        addr: impl ToSocketAddrs,
-        config: NetClientConfig,
-        counters: Option<Arc<NetCounters>>,
     ) -> Result<Self, NetError> {
         let addr = addr
             .to_socket_addrs()
@@ -1014,10 +974,10 @@ fn fetch_one<T>(
         .set_read_timeout(Some(config.handshake_timeout))
         .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     let mut reader = FrameReader::new();
-    negotiate(&mut stream, &mut reader, config, None)?;
+    negotiate(&mut stream, &mut reader, config, &NetCounters::default())?;
     write_frame(&mut stream, request).map_err(|e| NetError::ConnectionLost(e.to_string()))?;
     loop {
-        match reader.read_from(&mut stream, config.max_frame_payload) {
+        match reader.read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
             Ok(Some((Frame::Goodbye, _))) => {
                 return Err(NetError::Protocol(format!(
                     "server closed before answering the {what}"

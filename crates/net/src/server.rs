@@ -80,8 +80,6 @@ pub struct NetServerConfig {
     /// A connection that has not completed version negotiation within
     /// this window is dropped.
     pub handshake_timeout: Duration,
-    /// Frames whose payload exceeds this are rejected as malformed.
-    pub max_frame_payload: u32,
     /// Size of the I/O thread pool multiplexing connections. `0` (the
     /// default) resolves to `min(8, available cores)`.
     pub io_threads: usize,
@@ -106,7 +104,6 @@ impl Default for NetServerConfig {
             max_inflight_per_conn: 256,
             idle_timeout: Duration::from_secs(30),
             handshake_timeout: Duration::from_secs(5),
-            max_frame_payload: DEFAULT_MAX_PAYLOAD,
             io_threads: 0,
             max_pending_writes: 8 << 20,
             write_stall_timeout: Duration::from_secs(30),
@@ -131,12 +128,6 @@ impl NetServerConfig {
     /// Sets [`Self::handshake_timeout`].
     pub fn with_handshake_timeout(mut self, handshake_timeout: Duration) -> Self {
         self.handshake_timeout = handshake_timeout;
-        self
-    }
-
-    /// Sets [`Self::max_frame_payload`].
-    pub fn with_max_frame_payload(mut self, max_frame_payload: u32) -> Self {
-        self.max_frame_payload = max_frame_payload;
         self
     }
 
@@ -205,7 +196,6 @@ pub struct NetServer {
     inboxes: Vec<Arc<Inbox>>,
     acceptor: Option<JoinHandle<()>>,
     io_threads: Vec<JoinHandle<()>>,
-    collector: Option<Arc<TraceCollector>>,
     /// Keeps the collector registered as a process-wide trace sink for
     /// the server's lifetime.
     _trace_sink: Option<tcast_obs::SinkGuard>,
@@ -295,7 +285,6 @@ impl NetServer {
             inboxes,
             acceptor,
             io_threads,
-            collector,
             _trace_sink: trace_sink,
         })
     }
@@ -303,14 +292,6 @@ impl NetServer {
     /// The address the server is listening on (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The tail-sampling trace collector, when
-    /// [`NetServerConfig::trace_export`] enabled one. In-process callers
-    /// (tests, embedded dashboards) can drain it directly; remote
-    /// subscribers use [`Frame::TraceExport`].
-    pub fn trace_collector(&self) -> Option<Arc<TraceCollector>> {
-        self.collector.clone()
     }
 
     /// Graceful drain: stop accepting, refuse new submits, finish every
@@ -655,10 +636,7 @@ impl IoThread {
                 break;
             }
             let buffered_before = conn.reader.buffered_len();
-            match conn
-                .reader
-                .read_from(&mut conn.stream, self.config.max_frame_payload)
-            {
+            match conn.reader.read_from(&mut conn.stream, DEFAULT_MAX_PAYLOAD) {
                 Ok(None) => {
                     // Partial-frame progress is activity: a slow sender
                     // mid-frame must not trip the idle timeout.
@@ -1000,9 +978,8 @@ impl IoThread {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        while let Ok(Some((frame, n))) = conn
-            .reader
-            .read_from(&mut conn.stream, self.config.max_frame_payload)
+        while let Ok(Some((frame, n))) =
+            conn.reader.read_from(&mut conn.stream, DEFAULT_MAX_PAYLOAD)
         {
             self.counters.frame_in(n as u64);
             if let Frame::Submit { request_id, .. } = frame {

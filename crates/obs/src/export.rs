@@ -123,9 +123,6 @@ impl ExportedTrace {
 pub struct TraceCollectorConfig {
     /// Completed traces retained; the oldest is dropped beyond this.
     pub capacity: usize,
-    /// In-progress traces buffered; the stalest is evicted beyond this
-    /// (a trace that never closes its root span must not leak).
-    pub max_pending: usize,
     /// Records kept per trace; further records of the same trace are
     /// counted but not stored.
     pub max_records_per_trace: usize,
@@ -143,7 +140,6 @@ impl Default for TraceCollectorConfig {
     fn default() -> Self {
         Self {
             capacity: 256,
-            max_pending: 1024,
             max_records_per_trace: 4096,
             keep_fraction: 1.0,
             slow_quantile: 0.9,
@@ -155,12 +151,6 @@ impl TraceCollectorConfig {
     /// Sets [`Self::capacity`].
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Sets [`Self::max_pending`].
-    pub fn with_max_pending(mut self, max_pending: usize) -> Self {
-        self.max_pending = max_pending;
         self
     }
 
@@ -191,6 +181,10 @@ pub struct TraceCollectorStats {
     /// Kept traces that fell out of the bounded ring unread.
     pub evicted: u64,
 }
+
+/// In-progress traces buffered; the stalest is evicted beyond this (a
+/// trace that never closes its root span must not leak).
+const MAX_PENDING: usize = 1024;
 
 /// How many recently completed trace durations feed the slow-quantile
 /// estimate.
@@ -381,7 +375,7 @@ impl TraceSink for TraceCollector {
                 self.finalize(&mut state, trace_id);
             }
         }
-        while state.pending.len() > self.config.max_pending {
+        while state.pending.len() > MAX_PENDING {
             Self::evict_stalest(&mut state);
         }
     }

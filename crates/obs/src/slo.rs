@@ -13,7 +13,7 @@
 //!   ~2 days.
 //! * **error budget remaining** — `max(0, 1 - burn_long)`: the fraction
 //!   of the long window's budget left at the current long-window burn.
-//! * a **fast-burn flag** — `burn_short >= fast_burn` with at least one
+//! * a **fast-burn flag** — `burn_short >= 14.4` with at least one
 //!   bad event in the short window, the page-worthy condition.
 //!
 //! Feeds are two calls on the hot path (`observe` / `observe_latency`),
@@ -62,10 +62,11 @@ pub struct Objective {
     /// For [`SloSignal::Latency`]: the threshold in microseconds above
     /// which a successful job still counts as bad. Ignored otherwise.
     pub latency_threshold_us: f64,
-    /// Short-window burn rate at or above which the fast-burn flag
-    /// raises. 14.4 is the classic paging threshold.
-    pub fast_burn: f64,
 }
+
+/// Short-window burn rate at or above which the fast-burn flag raises:
+/// the classic paging threshold.
+const FAST_BURN: f64 = 14.4;
 
 impl Objective {
     /// A latency objective: `target` of jobs must finish (successfully)
@@ -76,7 +77,6 @@ impl Objective {
             signal: SloSignal::Latency,
             target,
             latency_threshold_us: threshold_us,
-            fast_burn: 14.4,
         }
     }
 
@@ -88,7 +88,6 @@ impl Objective {
             signal: SloSignal::Verdict,
             target,
             latency_threshold_us: 0.0,
-            fast_burn: 14.4,
         }
     }
 
@@ -99,14 +98,7 @@ impl Objective {
             signal: SloSignal::Auth,
             target,
             latency_threshold_us: 0.0,
-            fast_burn: 14.4,
         }
-    }
-
-    /// Sets [`Self::fast_burn`].
-    pub fn with_fast_burn(mut self, fast_burn: f64) -> Objective {
-        self.fast_burn = fast_burn;
-        self
     }
 }
 
@@ -302,7 +294,7 @@ impl SloTracker {
                     burn_short,
                     burn_long,
                     budget_remaining: (1.0 - burn_long).max(0.0),
-                    fast_burn: bad_s > 0 && burn_short >= o.spec.fast_burn,
+                    fast_burn: bad_s > 0 && burn_short >= FAST_BURN,
                 }
             })
             .collect()

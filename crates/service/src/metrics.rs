@@ -1,10 +1,13 @@
 //! Built-in service metrics.
 //!
-//! Counters are lock-free atomics bumped on the hot path; the latency and
-//! query-count distributions sit behind short-lived `parking_lot` mutexes.
-//! Everything is keyed by the job's metrics label (the algorithm name for
-//! query jobs, the caller-chosen label for custom tasks) and can be dumped
-//! as CSV or markdown via [`MetricsSnapshot`], or as typed metric
+//! Every job metric of a label is one [`MetricsRow`], updated in place
+//! under its shard's one lock; every tenant's is one [`TenantMetricsRow`]
+//! under the tenant map's lock. Only the connection counters are
+//! lock-free atomics ([`NetCounters`]), because I/O threads bump them
+//! with no lock held. Job rows are keyed by the job's metrics label (the
+//! algorithm name for query jobs, the caller-chosen label for custom
+//! tasks) and can be dumped as CSV or markdown via [`MetricsSnapshot`],
+//! both rendered from one column table per section, or as typed metric
 //! [`Family`]s — the one model the Prometheus exposition, the metrics
 //! wire frame, and every remote reader share.
 
@@ -14,11 +17,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use tcast_obs::SloStatus;
 use tcast_stats::{Histogram, Summary};
 
+use Cell::{Count, Key, Num};
 use MetricKind::{Counter, Gauge};
 use MetricValue::{Int, Ratio};
 
@@ -47,101 +51,35 @@ const BATCH_BINS: usize = 64;
 /// Number of counter shards in a [`MetricsRegistry`].
 ///
 /// Each worker thread is pinned (round-robin) to one shard and records
-/// into that shard's own label map, entries, and distribution mutexes, so
-/// concurrent workers never contend on a shared lock or cache line in
-/// `record`. Shards are folded back together at snapshot time. Sixteen
-/// shards cover typical worker counts; beyond that, threads share shards
-/// and still only pay intra-shard contention.
+/// into that shard's own rows under the shard's one lock, so concurrent
+/// workers never contend on a shared lock or cache line in `record`.
+/// Shards are folded back together at snapshot time. Sixteen shards
+/// cover typical worker counts; beyond that, threads share shards and
+/// still only pay intra-shard contention.
 const METRICS_SHARDS: usize = 16;
 
-#[derive(Default)]
-struct Counters {
-    jobs: AtomicU64,
-    panics: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    queries: AtomicU64,
-    retries: AtomicU64,
-    defenses: AtomicU64,
-    anomalies: AtomicU64,
-    rounds: AtomicU64,
-    verdict_yes: AtomicU64,
-    verdict_no: AtomicU64,
-    cache_hits: AtomicU64,
-}
-
-struct Distributions {
-    latency_us: Summary,
-    latency_hist: Histogram,
-    failed_latency_us: Summary,
-    query_summary: Summary,
-    query_hist: Histogram,
-    retry_hist: Histogram,
-}
-
-impl Default for Distributions {
-    fn default() -> Self {
-        Self {
-            latency_us: Summary::new(),
-            latency_hist: Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS),
-            failed_latency_us: Summary::new(),
-            query_summary: Summary::new(),
-            query_hist: Histogram::new(0.0, QUERIES_HI, QUERIES_BINS),
-            retry_hist: Histogram::new(0.0, RETRIES_HI, RETRIES_BINS),
-        }
-    }
-}
-
-#[derive(Default)]
-struct Entry {
-    counters: Counters,
-    dists: Mutex<Distributions>,
-}
-
-impl Entry {
-    fn to_row(&self, label: &str) -> MetricsRow {
-        let d = self.dists.lock();
-        MetricsRow {
-            label: label.to_string(),
-            jobs: self.counters.jobs.load(Ordering::Relaxed),
-            panics: self.counters.panics.load(Ordering::Relaxed),
-            deadline_exceeded: self.counters.deadline_exceeded.load(Ordering::Relaxed),
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            defenses: self.counters.defenses.load(Ordering::Relaxed),
-            anomalies: self.counters.anomalies.load(Ordering::Relaxed),
-            rounds: self.counters.rounds.load(Ordering::Relaxed),
-            verdict_yes: self.counters.verdict_yes.load(Ordering::Relaxed),
-            verdict_no: self.counters.verdict_no.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            latency_us: d.latency_us,
-            latency_hist: d.latency_hist.clone(),
-            failed_latency_us: d.failed_latency_us,
-            query_summary: d.query_summary,
-            query_hist: d.query_hist.clone(),
-            retry_hist: d.retry_hist.clone(),
-        }
-    }
-}
-
-/// One counter shard: a private label map and service-wide
-/// distributions, so the owning threads never contend with other shards'
-/// threads. The distributions are made on the shard's first sample, so
-/// a registry costs no histograms for shards no thread records into.
+/// One counter shard: a private row per label plus service-wide
+/// distributions, all behind the shard's one lock, so the owning threads
+/// never contend with other shards' threads. The distributions are made
+/// on the shard's first sample, so a registry costs no histograms for
+/// shards no thread records into.
 #[derive(Default)]
 struct Shard {
-    entries: Mutex<BTreeMap<String, Arc<Entry>>>,
-    service: Mutex<Option<ServiceDists>>,
+    rows: BTreeMap<String, MetricsRow>,
+    service: Option<ServiceDists>,
 }
 
-impl Shard {
-    /// Records into this shard's service-wide distributions.
-    fn record_service(&self, record: impl FnOnce(&mut ServiceDists)) {
-        record(
-            self.service
-                .lock()
-                .get_or_insert_with(ServiceDists::default),
-        );
+/// The value under `key` in `map`, made by `make(key)` on first use. A
+/// hit looks the key up as `&str`, so it allocates nothing.
+fn get_or_insert<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    key: &str,
+    make: impl FnOnce(&str) -> V,
+) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), make(key));
     }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// Round-robin shard assignment, fixed per thread on first use.
@@ -158,8 +96,10 @@ fn current_shard() -> usize {
 /// `tcast-net` front-end so socket activity lands in the same registry —
 /// and the same CSV/markdown dumps — as the per-algorithm job metrics.
 ///
-/// All fields are relaxed atomics: transports bump them on the I/O hot
-/// path without locking.
+/// Unlike the job and tenant rows, which are updated under a lock, all
+/// fields are relaxed atomics: I/O threads bump them on the hot path with
+/// no lock held, through the handle [`MetricsRegistry::net_counters`]
+/// returns.
 #[derive(Default)]
 pub struct NetCounters {
     frames_in: AtomicU64,
@@ -323,46 +263,12 @@ impl NetMetricsRow {
     }
 }
 
-/// Live per-tenant counters, keyed by tenant name. Registered lazily on
-/// the first recorded tenant job or quota rejection, so a single-tenant
-/// service (no registry attached) never grows a tenant section in any
-/// dump.
-struct TenantEntry {
-    jobs: AtomicU64,
-    quota_rejections: AtomicU64,
-    queue_wait: Mutex<(Summary, Histogram)>,
-}
-
-impl Default for TenantEntry {
-    fn default() -> Self {
-        Self {
-            jobs: AtomicU64::new(0),
-            quota_rejections: AtomicU64::new(0),
-            queue_wait: Mutex::new((
-                Summary::new(),
-                Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS),
-            )),
-        }
-    }
-}
-
-impl TenantEntry {
-    fn snapshot(&self, tenant: &str) -> TenantMetricsRow {
-        let (summary, hist) = {
-            let qw = self.queue_wait.lock();
-            (qw.0, qw.1.clone())
-        };
-        TenantMetricsRow {
-            tenant: tenant.to_string(),
-            jobs: self.jobs.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            queue_wait_us: summary,
-            queue_wait_hist: hist,
-        }
-    }
-}
-
 /// Frozen per-tenant metrics for one tenant.
+///
+/// A registry keeps one live row per tenant, made on the tenant's first
+/// sight ([`MetricsRegistry::seen_tenant`]), recorded job or quota
+/// rejection, so a single-tenant service (no registry attached) never
+/// grows a tenant section in any dump.
 #[derive(Debug, Clone)]
 pub struct TenantMetricsRow {
     /// The tenant's registered (wire-visible) name.
@@ -377,6 +283,18 @@ pub struct TenantMetricsRow {
     /// Queue-wait distribution, 2ms bins over `[0, 100ms)` with an
     /// overflow counter for slower waits.
     pub queue_wait_hist: Histogram,
+}
+
+impl TenantMetricsRow {
+    fn new(tenant: &str) -> Self {
+        Self {
+            tenant: tenant.to_string(),
+            jobs: 0,
+            quota_rejections: 0,
+            queue_wait_us: Summary::new(),
+            queue_wait_hist: Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS),
+        }
+    }
 }
 
 /// Service-global execution-shape distributions: queue wait across every
@@ -403,15 +321,15 @@ impl Default for ServiceDists {
 /// Per-label service metrics, shared by all workers.
 ///
 /// The hot path is sharded: each recording thread is pinned to one of
-/// a fixed number of internal shards holding their own label map and
-/// distribution locks, so workers never contend with each other in
+/// a fixed number of internal shards, each holding its own rows under
+/// its own lock, so workers never contend with each other in
 /// [`MetricsRegistry::record`]. Snapshots fold the shards back into one
 /// row per label; totals are exactly what an unsharded registry would
 /// have accumulated.
 pub struct MetricsRegistry {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
     net: Mutex<BTreeMap<String, Arc<NetCounters>>>,
-    tenants: Mutex<BTreeMap<String, Arc<TenantEntry>>>,
+    tenants: Mutex<BTreeMap<String, TenantMetricsRow>>,
     slo: Mutex<Option<Arc<tcast_obs::SloTracker>>>,
     /// Set once a tracker is attached, so [`MetricsRegistry::slo`] skips
     /// the lock on every job of a registry without one. The `Release`
@@ -423,7 +341,7 @@ pub struct MetricsRegistry {
 impl Default for MetricsRegistry {
     fn default() -> Self {
         Self {
-            shards: (0..METRICS_SHARDS).map(|_| Shard::default()).collect(),
+            shards: (0..METRICS_SHARDS).map(|_| Mutex::default()).collect(),
             net: Mutex::new(BTreeMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
             slo: Mutex::new(None),
@@ -439,14 +357,9 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn entry(&self, label: &str) -> Arc<Entry> {
-        let mut entries = self.shards[current_shard()].entries.lock();
-        if let Some(e) = entries.get(label) {
-            return e.clone();
-        }
-        let e = Arc::new(Entry::default());
-        entries.insert(label.to_string(), e.clone());
-        e
+    /// The calling thread's shard, locked.
+    fn shard(&self) -> MutexGuard<'_, Shard> {
+        self.shards[current_shard()].lock()
     }
 
     /// Records one finished job under `label`.
@@ -457,61 +370,43 @@ impl MetricsRegistry {
     /// success distribution would skew every derived latency statistic.
     /// Their timings are kept apart in `failed_latency_us`.
     pub fn record(&self, label: &str, result: &JobResult, elapsed: Duration) {
-        let entry = self.entry(label);
-        let c = &entry.counters;
-        c.jobs.fetch_add(1, Ordering::Relaxed);
         let micros = elapsed.as_secs_f64() * 1e6;
-        let mut queries = None;
-        let mut retries = None;
-        let mut failed = false;
-        match result {
-            Ok(JobOutput::Report(report)) => {
-                c.queries.fetch_add(report.queries, Ordering::Relaxed);
-                c.retries.fetch_add(report.retry_queries, Ordering::Relaxed);
-                c.defenses
-                    .fetch_add(report.defense_queries, Ordering::Relaxed);
-                c.anomalies.fetch_add(report.anomalies, Ordering::Relaxed);
-                c.rounds
-                    .fetch_add(u64::from(report.rounds), Ordering::Relaxed);
-                if report.answer {
-                    c.verdict_yes.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    c.verdict_no.fetch_add(1, Ordering::Relaxed);
+        let failed = result.is_err();
+        {
+            let mut shard = self.shard();
+            let row = get_or_insert(&mut shard.rows, label, MetricsRow::new);
+            row.jobs += 1;
+            match result {
+                Ok(JobOutput::Report(report)) => {
+                    row.queries += report.queries;
+                    row.retries += report.retry_queries;
+                    row.defenses += report.defense_queries;
+                    row.anomalies += report.anomalies;
+                    row.rounds += u64::from(report.rounds);
+                    if report.answer {
+                        row.verdict_yes += 1;
+                    } else {
+                        row.verdict_no += 1;
+                    }
+                    row.query_summary.record(report.queries as f64);
+                    row.query_hist.record(report.queries as f64);
+                    row.retry_hist.record(report.retry_queries as f64);
                 }
-                queries = Some(report.queries as f64);
-                retries = Some(report.retry_queries as f64);
+                Ok(_) => {}
+                Err(JobError::Panicked(_)) => row.panics += 1,
+                Err(JobError::DeadlineExceeded) => row.deadline_exceeded += 1,
+                // Quota rejections happen at admission, before a job ever
+                // reaches a worker; they are tracked per tenant via
+                // `record_quota_rejections`, never through per-job record().
+                Err(JobError::QuotaExceeded) => {}
             }
-            Ok(_) => {}
-            Err(JobError::Panicked(_)) => {
-                c.panics.fetch_add(1, Ordering::Relaxed);
-                failed = true;
-            }
-            Err(JobError::DeadlineExceeded) => {
-                c.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                failed = true;
-            }
-            // Quota rejections happen at admission, before a job ever
-            // reaches a worker; they are tracked per tenant via
-            // `record_quota_rejections`, never through per-job record().
-            Err(JobError::QuotaExceeded) => {
-                failed = true;
+            if failed {
+                row.failed_latency_us.record(micros);
+            } else {
+                row.latency_us.record(micros);
+                row.latency_hist.record(micros);
             }
         }
-        let mut d = entry.dists.lock();
-        if failed {
-            d.failed_latency_us.record(micros);
-        } else {
-            d.latency_us.record(micros);
-            d.latency_hist.record(micros);
-        }
-        if let Some(q) = queries {
-            d.query_summary.record(q);
-            d.query_hist.record(q);
-        }
-        if let Some(r) = retries {
-            d.retry_hist.record(r);
-        }
-        drop(d);
         if let Some(slo) = self.slo() {
             slo.observe_latency(micros, failed);
             if let Ok(JobOutput::Report(report)) = result {
@@ -526,20 +421,8 @@ impl MetricsRegistry {
     /// [`record`](Self::record) of the cached result — so cached jobs
     /// count in every total exactly like executed ones, plus here.
     pub(crate) fn record_cache_hit(&self, label: &str) {
-        self.entry(label)
-            .counters
-            .cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn tenant_entry(&self, tenant: &str) -> Arc<TenantEntry> {
-        let mut tenants = self.tenants.lock();
-        if let Some(e) = tenants.get(tenant) {
-            return e.clone();
-        }
-        let e = Arc::new(TenantEntry::default());
-        tenants.insert(tenant.to_string(), e.clone());
-        e
+        let mut shard = self.shard();
+        get_or_insert(&mut shard.rows, label, MetricsRow::new).cache_hits += 1;
     }
 
     /// Pre-registers `tenant`'s metric series at zero. Called when a
@@ -548,7 +431,7 @@ impl MetricsRegistry {
     /// scrape after first sight, rather than flickering in and out with
     /// activity.
     pub fn seen_tenant(&self, tenant: &str) {
-        let _ = self.tenant_entry(tenant);
+        get_or_insert(&mut self.tenants.lock(), tenant, TenantMetricsRow::new);
     }
 
     /// Attaches an SLO tracker: [`record`](Self::record) feeds its
@@ -579,20 +462,19 @@ impl MetricsRegistry {
     /// Records one completed job for `tenant`, with its queue wait
     /// (submission to execution start).
     pub fn record_tenant_job(&self, tenant: &str, queue_wait: Duration) {
-        let entry = self.tenant_entry(tenant);
-        entry.jobs.fetch_add(1, Ordering::Relaxed);
         let micros = queue_wait.as_secs_f64() * 1e6;
-        let mut qw = entry.queue_wait.lock();
-        qw.0.record(micros);
-        qw.1.record(micros);
+        let mut tenants = self.tenants.lock();
+        let row = get_or_insert(&mut tenants, tenant, TenantMetricsRow::new);
+        row.jobs += 1;
+        row.queue_wait_us.record(micros);
+        row.queue_wait_hist.record(micros);
     }
 
     /// Records `n` jobs rejected at admission because `tenant` was over
     /// quota.
     pub fn record_quota_rejections(&self, tenant: &str, n: u64) {
-        self.tenant_entry(tenant)
-            .quota_rejections
-            .fetch_add(n, Ordering::Relaxed);
+        get_or_insert(&mut self.tenants.lock(), tenant, TenantMetricsRow::new).quota_rejections +=
+            n;
     }
 
     /// Records the queue wait (submission to execution start) of one
@@ -605,33 +487,32 @@ impl MetricsRegistry {
     /// weighted shard selection.
     pub fn record_queue_wait(&self, queue_wait: Duration) {
         let micros = queue_wait.as_secs_f64() * 1e6;
-        self.shards[current_shard()].record_service(|svc| {
-            svc.queue_wait.0.record(micros);
-            svc.queue_wait.1.record(micros);
-        });
+        let mut shard = self.shard();
+        let (summary, hist) = &mut shard
+            .service
+            .get_or_insert_with(ServiceDists::default)
+            .queue_wait;
+        summary.record(micros);
+        hist.record(micros);
     }
 
     /// Records the number of jobs one worker claimed in a single dequeue
     /// batch (the batch-native execution path's fan-in shape).
     pub fn record_batch_size(&self, jobs: usize) {
-        let jobs = jobs as f64;
-        self.shards[current_shard()].record_service(|svc| {
-            svc.batch_size.0.record(jobs);
-            svc.batch_size.1.record(jobs);
-        });
+        let mut shard = self.shard();
+        let (summary, hist) = &mut shard
+            .service
+            .get_or_insert_with(ServiceDists::default)
+            .batch_size;
+        summary.record(jobs as f64);
+        hist.record(jobs as f64);
     }
 
     /// Returns (registering on first use) the live connection counters for
     /// `label`. The returned handle is bumped lock-free by the transport;
     /// snapshots pick the values up under the same label.
     pub fn net_counters(&self, label: &str) -> Arc<NetCounters> {
-        let mut net = self.net.lock();
-        if let Some(c) = net.get(label) {
-            return c.clone();
-        }
-        let c = Arc::new(NetCounters::default());
-        net.insert(label.to_string(), c.clone());
-        c
+        get_or_insert(&mut self.net.lock(), label, |_| Arc::default()).clone()
     }
 
     /// A consistent point-in-time copy of every label's metrics, with the
@@ -641,26 +522,22 @@ impl MetricsRegistry {
             let net = self.net.lock();
             net.iter().map(|(label, c)| c.snapshot(label)).collect()
         };
-        let tenant_rows = {
-            let tenants = self.tenants.lock();
-            tenants.iter().map(|(name, e)| e.snapshot(name)).collect()
-        };
+        let tenant_rows = self.tenants.lock().values().cloned().collect();
         let mut svc = ServiceDists::default();
         let mut folded: BTreeMap<String, MetricsRow> = BTreeMap::new();
         for shard in &self.shards {
-            if let Some(part) = &*shard.service.lock() {
+            let shard = shard.lock();
+            if let Some(part) = &shard.service {
                 svc.queue_wait.0.merge(&part.queue_wait.0);
                 svc.queue_wait.1.merge(&part.queue_wait.1);
                 svc.batch_size.0.merge(&part.batch_size.0);
                 svc.batch_size.1.merge(&part.batch_size.1);
             }
-            let entries = shard.entries.lock();
-            for (label, e) in entries.iter() {
-                let part = e.to_row(label);
+            for (label, part) in &shard.rows {
                 match folded.get_mut(label) {
-                    Some(row) => row.fold(&part),
+                    Some(row) => row.fold(part),
                     None => {
-                        folded.insert(label.clone(), part);
+                        folded.insert(label.clone(), part.clone());
                     }
                 }
             }
@@ -726,6 +603,29 @@ pub struct MetricsRow {
 }
 
 impl MetricsRow {
+    fn new(label: &str) -> Self {
+        Self {
+            label: label.to_string(),
+            jobs: 0,
+            panics: 0,
+            deadline_exceeded: 0,
+            queries: 0,
+            retries: 0,
+            defenses: 0,
+            anomalies: 0,
+            rounds: 0,
+            verdict_yes: 0,
+            verdict_no: 0,
+            cache_hits: 0,
+            latency_us: Summary::new(),
+            latency_hist: Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS),
+            failed_latency_us: Summary::new(),
+            query_summary: Summary::new(),
+            query_hist: Histogram::new(0.0, QUERIES_HI, QUERIES_BINS),
+            retry_hist: Histogram::new(0.0, RETRIES_HI, RETRIES_BINS),
+        }
+    }
+
     /// Folds another row for the same label into this one: counters sum,
     /// summaries and histograms merge. Used to collapse per-thread
     /// shards at snapshot time, and usable by cluster front-ends to
@@ -786,189 +686,23 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// CSV dump: one header line, one row per label.
+    /// CSV dump: one header line, one row per label, then the net and
+    /// tenant sections, each after a blank line and only when non-empty.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "label,jobs,panics,deadline_exceeded,queries,retries,defenses,anomalies,rounds,\
-             verdict_yes,verdict_no,cache_hits,mean_latency_us,max_latency_us,\
-             mean_queries_per_job,mean_retries_per_job\n",
-        );
-        for r in &self.rows {
-            let (mean_q, mean_retries) = if r.query_summary.count() > 0 {
-                (
-                    r.query_summary.mean(),
-                    r.retries as f64 / r.query_summary.count() as f64,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            let (mean_l, max_l) = if r.latency_us.count() > 0 {
-                (r.latency_us.mean(), r.latency_us.max())
-            } else {
-                (0.0, 0.0)
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.2},{:.2}\n",
-                r.label,
-                r.jobs,
-                r.panics,
-                r.deadline_exceeded,
-                r.queries,
-                r.retries,
-                r.defenses,
-                r.anomalies,
-                r.rounds,
-                r.verdict_yes,
-                r.verdict_no,
-                r.cache_hits,
-                mean_l,
-                max_l,
-                mean_q,
-                mean_retries,
-            ));
-        }
-        if !self.net_rows.is_empty() {
-            out.push_str(
-                "\nlabel,frames_in,frames_out,bytes_in,bytes_out,\
-                 decode_errors,busy_rejections,auth_failures,reconnects,accept_errors,\
-                 conns_opened,conns_closed,open_connections,io_threads\n",
-            );
-            for r in &self.net_rows {
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                    r.label,
-                    r.frames_in,
-                    r.frames_out,
-                    r.bytes_in,
-                    r.bytes_out,
-                    r.decode_errors,
-                    r.busy_rejections,
-                    r.auth_failures,
-                    r.reconnects_total,
-                    r.accept_errors,
-                    r.conns_opened,
-                    r.conns_closed,
-                    r.open_connections(),
-                    r.io_threads,
-                ));
-            }
-        }
-        if !self.tenant_rows.is_empty() {
-            out.push_str(
-                "\ntenant,jobs,quota_rejections,mean_queue_wait_us,p50_queue_wait_us,\
-                 p99_queue_wait_us,max_queue_wait_us\n",
-            );
-            for r in &self.tenant_rows {
-                let (mean, max) = if r.queue_wait_us.count() > 0 {
-                    (r.queue_wait_us.mean(), r.queue_wait_us.max())
-                } else {
-                    (0.0, 0.0)
-                };
-                out.push_str(&format!(
-                    "{},{},{},{:.1},{:.1},{:.1},{:.1}\n",
-                    r.tenant,
-                    r.jobs,
-                    r.quota_rejections,
-                    mean,
-                    r.queue_wait_hist.quantile(0.5),
-                    r.queue_wait_hist.quantile(0.99),
-                    max,
-                ));
-            }
-        }
-        out
+        self.dump(false)
     }
 
-    /// Markdown table dump.
+    /// Markdown table dump, one table per section as in
+    /// [`to_csv`](Self::to_csv).
     pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| label | jobs | panics | deadline | queries | retries | defenses \
-             | anomalies | rounds | yes | no | cached | latency (µs) | queries/job |\n\
-             |-------|-----:|-------:|---------:|--------:|--------:|---------:\
-             |----------:|-------:|----:|---:|-------:|-------------:|------------:|\n",
-        );
-        for r in &self.rows {
-            let lat = if r.latency_us.count() > 0 {
-                format!("{:.1}", r.latency_us.mean())
-            } else {
-                "-".into()
-            };
-            let qpj = if r.query_summary.count() > 0 {
-                format!("{:.1}", r.query_summary.mean())
-            } else {
-                "-".into()
-            };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                r.label,
-                r.jobs,
-                r.panics,
-                r.deadline_exceeded,
-                r.queries,
-                r.retries,
-                r.defenses,
-                r.anomalies,
-                r.rounds,
-                r.verdict_yes,
-                r.verdict_no,
-                r.cache_hits,
-                lat,
-                qpj,
-            ));
-        }
-        if !self.net_rows.is_empty() {
-            out.push_str(
-                "\n| connection | frames in | frames out | bytes in | bytes out \
-                 | decode errs | busy | auth errs | reconnects | accept errs | open | io threads |\n\
-                 |------------|----------:|-----------:|---------:|----------:\
-                 |------------:|-----:|----------:|-----------:|------------:|-----:|-----------:|\n",
-            );
-            for r in &self.net_rows {
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                    r.label,
-                    r.frames_in,
-                    r.frames_out,
-                    r.bytes_in,
-                    r.bytes_out,
-                    r.decode_errors,
-                    r.busy_rejections,
-                    r.auth_failures,
-                    r.reconnects_total,
-                    r.accept_errors,
-                    r.open_connections(),
-                    r.io_threads,
-                ));
-            }
-        }
-        if !self.tenant_rows.is_empty() {
-            out.push_str(
-                "\n| tenant | jobs | quota rejections | queue wait µs (mean) \
-                 | p50 | p99 | max |\n\
-                 |--------|-----:|-----------------:|---------------------:\
-                 |----:|----:|----:|\n",
-            );
-            for r in &self.tenant_rows {
-                let (mean, max) = if r.queue_wait_us.count() > 0 {
-                    (
-                        format!("{:.1}", r.queue_wait_us.mean()),
-                        format!("{:.1}", r.queue_wait_us.max()),
-                    )
-                } else {
-                    ("-".into(), "-".into())
-                };
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {:.1} | {:.1} | {} |\n",
-                    r.tenant,
-                    r.jobs,
-                    r.quota_rejections,
-                    mean,
-                    r.queue_wait_hist.quantile(0.5),
-                    r.queue_wait_hist.quantile(0.99),
-                    max,
-                ));
-            }
-        }
+        self.dump(true)
+    }
+
+    fn dump(&self, markdown: bool) -> String {
+        let mut out = String::new();
+        columns(&mut out, markdown, &self.rows, false, &JOB_COLUMNS);
+        columns(&mut out, markdown, &self.net_rows, true, &NET_COLUMNS);
+        columns(&mut out, markdown, &self.tenant_rows, true, &TENANT_COLUMNS);
         out
     }
 
@@ -1029,6 +763,139 @@ impl MetricsSnapshot {
     /// [`render_prometheus`] over [`families`](Self::families).
     pub fn to_prometheus(&self) -> String {
         render_prometheus(&self.families())
+    }
+}
+
+/// One cell of a CSV or markdown dump.
+enum Cell<'a> {
+    /// The row's key: its label or tenant name.
+    Key(&'a str),
+    /// A count.
+    Count(u64),
+    /// A derived number and its CSV decimals; `None` when it has no
+    /// samples. Markdown prints one decimal or `-`, CSV prints `None` as
+    /// zero.
+    Num(Option<f64>, usize),
+}
+
+impl Cell<'_> {
+    fn text(self, markdown: bool) -> String {
+        match self {
+            Key(key) => key.to_string(),
+            Count(n) => n.to_string(),
+            Num(Some(v), _) if markdown => format!("{v:.1}"),
+            Num(None, _) if markdown => "-".to_string(),
+            Num(v, decimals) => format!("{:.*}", decimals, v.unwrap_or(0.0)),
+        }
+    }
+}
+
+/// One column of a dump section: its CSV header, its markdown header
+/// (`None` leaves the column out of the markdown table), and the cell
+/// one row contributes.
+type Column<R> = (&'static str, Option<&'static str>, fn(&R) -> Cell<'_>);
+
+/// `f(s)`, or `None` before `s`'s first sample.
+fn sampled(s: &Summary, f: impl FnOnce(&Summary) -> f64) -> Option<f64> {
+    (s.count() > 0).then(|| f(s))
+}
+
+#[rustfmt::skip]
+const JOB_COLUMNS: [Column<MetricsRow>; 16] = [
+    ("label", Some("label"), |r| Key(&r.label)),
+    ("jobs", Some("jobs"), |r| Count(r.jobs)),
+    ("panics", Some("panics"), |r| Count(r.panics)),
+    ("deadline_exceeded", Some("deadline"), |r| Count(r.deadline_exceeded)),
+    ("queries", Some("queries"), |r| Count(r.queries)),
+    ("retries", Some("retries"), |r| Count(r.retries)),
+    ("defenses", Some("defenses"), |r| Count(r.defenses)),
+    ("anomalies", Some("anomalies"), |r| Count(r.anomalies)),
+    ("rounds", Some("rounds"), |r| Count(r.rounds)),
+    ("verdict_yes", Some("yes"), |r| Count(r.verdict_yes)),
+    ("verdict_no", Some("no"), |r| Count(r.verdict_no)),
+    ("cache_hits", Some("cached"), |r| Count(r.cache_hits)),
+    ("mean_latency_us", Some("latency (µs)"), |r| Num(sampled(&r.latency_us, Summary::mean), 1)),
+    ("max_latency_us", None, |r| Num(sampled(&r.latency_us, Summary::max), 1)),
+    ("mean_queries_per_job", Some("queries/job"),
+     |r| Num(sampled(&r.query_summary, Summary::mean), 2)),
+    ("mean_retries_per_job", None,
+     |r| Num(sampled(&r.query_summary, |s| r.retries as f64 / s.count() as f64), 2)),
+];
+
+#[rustfmt::skip]
+const NET_COLUMNS: [Column<NetMetricsRow>; 14] = [
+    ("label", Some("connection"), |r| Key(&r.label)),
+    ("frames_in", Some("frames in"), |r| Count(r.frames_in)),
+    ("frames_out", Some("frames out"), |r| Count(r.frames_out)),
+    ("bytes_in", Some("bytes in"), |r| Count(r.bytes_in)),
+    ("bytes_out", Some("bytes out"), |r| Count(r.bytes_out)),
+    ("decode_errors", Some("decode errs"), |r| Count(r.decode_errors)),
+    ("busy_rejections", Some("busy"), |r| Count(r.busy_rejections)),
+    ("auth_failures", Some("auth errs"), |r| Count(r.auth_failures)),
+    ("reconnects", Some("reconnects"), |r| Count(r.reconnects_total)),
+    ("accept_errors", Some("accept errs"), |r| Count(r.accept_errors)),
+    ("conns_opened", None, |r| Count(r.conns_opened)),
+    ("conns_closed", None, |r| Count(r.conns_closed)),
+    ("open_connections", Some("open"), |r| Count(r.open_connections())),
+    ("io_threads", Some("io threads"), |r| Count(r.io_threads)),
+];
+
+#[rustfmt::skip]
+const TENANT_COLUMNS: [Column<TenantMetricsRow>; 7] = [
+    ("tenant", Some("tenant"), |r| Key(&r.tenant)),
+    ("jobs", Some("jobs"), |r| Count(r.jobs)),
+    ("quota_rejections", Some("quota rejections"), |r| Count(r.quota_rejections)),
+    ("mean_queue_wait_us", Some("queue wait µs (mean)"),
+     |r| Num(sampled(&r.queue_wait_us, Summary::mean), 1)),
+    ("p50_queue_wait_us", Some("p50"), |r| Num(Some(r.queue_wait_hist.quantile(0.5)), 1)),
+    ("p99_queue_wait_us", Some("p99"), |r| Num(Some(r.queue_wait_hist.quantile(0.99)), 1)),
+    ("max_queue_wait_us", Some("max"), |r| Num(sampled(&r.queue_wait_us, Summary::max), 1)),
+];
+
+/// Appends one dump section: a header line (plus the separator row in
+/// markdown), then one line per row. A `gated` section is left out while
+/// `rows` is empty and otherwise follows a blank line.
+///
+/// A markdown separator cell is as wide as its header cell: all dashes
+/// in the first column, right-aligned (`-…-:`) in every other.
+fn columns<R>(out: &mut String, markdown: bool, rows: &[R], gated: bool, table: &[Column<R>]) {
+    if gated {
+        if rows.is_empty() {
+            return;
+        }
+        out.push('\n');
+    }
+    let table: Vec<_> = table
+        .iter()
+        .filter_map(|&(csv, md, cell)| Some((if markdown { md? } else { csv }, cell)))
+        .collect();
+    let (open, sep, close) = if markdown {
+        ("| ", " | ", " |\n")
+    } else {
+        ("", ",", "\n")
+    };
+    let line = |cells: Vec<String>| format!("{open}{}{close}", cells.join(sep));
+    out.push_str(&line(
+        table.iter().map(|(header, _)| header.to_string()).collect(),
+    ));
+    if markdown {
+        let rule = table.iter().enumerate().map(|(i, (header, _))| {
+            let width = header.chars().count() + 2;
+            if i == 0 {
+                "-".repeat(width)
+            } else {
+                "-".repeat(width - 1) + ":"
+            }
+        });
+        out.push_str(&format!("|{}|\n", rule.collect::<Vec<_>>().join("|")));
+    }
+    for r in rows {
+        out.push_str(&line(
+            table
+                .iter()
+                .map(|(_, cell)| cell(r).text(markdown))
+                .collect(),
+        ));
     }
 }
 
