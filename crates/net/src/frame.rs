@@ -79,8 +79,9 @@ pub const HEADER_LEN: usize = 18;
 /// CRC trailer size in bytes.
 pub const TRAILER_LEN: usize = 4;
 
-/// Default cap on payload size; a length prefix beyond this is treated as
-/// corruption (or abuse) rather than an allocation request.
+/// Cap on payload size, enforced by every `NetClient` and `NetServer`
+/// read; a length prefix beyond this is treated as corruption (or abuse)
+/// rather than an allocation request.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 20;
 
 mod frame_type {
