@@ -8,11 +8,13 @@
 //! arrive in any order.
 //!
 //! `Busy` error frames (admission backpressure) are retried
-//! transparently with linear backoff up to a configurable budget; a
+//! transparently with jittered linear backoff up to a configurable
+//! budget, from one resend thread per connection; a
 //! dead connection is re-dialed once per submit before the affected
 //! handles fail with [`NetError::ConnectionLost`].
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -20,8 +22,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
+use parking_lot::{Condvar, Mutex};
 
 use tcast::QueryReport;
 use tcast_service::{Family, JobError, NetCounters, QueryJob};
@@ -198,11 +199,13 @@ pub type NetJobResult = Result<QueryReport, NetError>;
 
 /// One-shot slot a reader thread resolves and a waiter blocks on.
 ///
-/// Built on `std::sync` rather than `parking_lot` because the waiter
-/// needs a timed condvar wait.
+/// Slots are reused: each connection keeps its spares in a
+/// [`SlotPool`], so a handle allocates nothing once the pool holds one.
 struct Slot {
-    state: StdMutex<Option<NetJobResult>>,
-    cv: StdCondvar,
+    state: Mutex<Option<NetJobResult>>,
+    /// Counts its parked waiters, so resolving a slot nobody waits on
+    /// yet makes no futex syscall.
+    cv: Condvar,
     /// Set by [`NetBatch::handles`] once a second handle shares the
     /// slot: every waiter then clones the result instead of taking it.
     /// An explicit flag, because `Arc::strong_count` also counts the
@@ -213,20 +216,14 @@ struct Slot {
 impl Slot {
     fn new() -> Arc<Self> {
         Arc::new(Self {
-            state: StdMutex::new(None),
-            cv: StdCondvar::new(),
+            state: Mutex::new(None),
+            cv: Condvar::new(),
             shared: AtomicBool::new(false),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<NetJobResult>> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn resolve(&self, result: NetJobResult) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.is_none() {
             *state = Some(result);
             self.cv.notify_all();
@@ -244,31 +241,65 @@ impl Slot {
     }
 
     fn wait(&self) -> NetJobResult {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         while state.is_none() {
-            state = self
-                .cv
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.cv.wait(&mut state);
         }
         self.consume(&mut state).expect("slot resolved")
     }
 
     fn wait_timeout(&self, timeout: Duration) -> Option<NetJobResult> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.lock();
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock();
         while state.is_none() {
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (next, _) = self
-                .cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = next;
+            self.cv.wait_for(&mut state, deadline - now);
         }
         self.consume(&mut state)
+    }
+}
+
+/// Most spare slots a connection's [`SlotPool`] keeps: more than a
+/// connection usually has in flight, and at about a hundred bytes each
+/// a bounded cost.
+const SPARE_SLOTS: usize = 256;
+
+/// A connection's spare slots, each the only reference to itself and
+/// reset to unresolved and unshared.
+///
+/// Whichever side lets go of a slot last offers it back: the reader
+/// thread after resolving it, or a handle after `wait`/`wait_timeout`
+/// consumed it. Slots hold no reference to their pool; a handle carries
+/// the pool instead, so there is no cycle.
+#[derive(Default)]
+struct SlotPool {
+    spares: Mutex<Vec<Arc<Slot>>>,
+}
+
+impl SlotPool {
+    /// A spare slot, or a new one when the pool is empty.
+    fn take(&self) -> Arc<Slot> {
+        let spare = self.spares.lock().pop();
+        spare.unwrap_or_else(Slot::new)
+    }
+
+    /// Resets `slot` and keeps it as a spare, unless another reference
+    /// to it is still alive or the pool is full; then it is just dropped.
+    fn give_back(&self, mut slot: Arc<Slot>) {
+        let Some(spare) = Arc::get_mut(&mut slot) else {
+            return;
+        };
+        // An unread result (a shared, timed-out or unwaited handle's)
+        // goes now, so the next job's waiter cannot see it.
+        *spare.state.get_mut() = None;
+        *spare.shared.get_mut() = false;
+        let mut spares = self.spares.lock();
+        if spares.len() < SPARE_SLOTS {
+            spares.push(slot);
+        }
     }
 }
 
@@ -279,6 +310,9 @@ impl Slot {
 #[must_use = "a network job handle does nothing unless waited on"]
 pub struct NetJobHandle {
     slot: Arc<Slot>,
+    /// The connection's pool, to give the slot back to after a wait;
+    /// `None` for a [`failed`](Self::failed) handle.
+    pool: Option<Arc<SlotPool>>,
 }
 
 impl NetJobHandle {
@@ -287,19 +321,31 @@ impl NetJobHandle {
     pub(crate) fn failed(err: NetError) -> Self {
         let slot = Slot::new();
         slot.resolve(Err(err));
-        Self { slot }
+        Self { slot, pool: None }
     }
 
     /// Blocks until the response frame arrives (or the connection dies).
     pub fn wait(self) -> NetJobResult {
-        self.slot.wait()
+        let result = self.slot.wait();
+        self.release();
+        result
     }
 
     /// Blocks up to `timeout`; returns `None` if no response arrived in
     /// time (the handle is consumed — the response, if it later arrives,
     /// is dropped).
     pub fn wait_timeout(self, timeout: Duration) -> Option<NetJobResult> {
-        self.slot.wait_timeout(timeout)
+        let result = self.slot.wait_timeout(timeout);
+        self.release();
+        result
+    }
+
+    /// Offers the slot back to its pool, which keeps it only if this
+    /// was its last reference.
+    fn release(self) {
+        if let Some(pool) = self.pool {
+            pool.give_back(self.slot);
+        }
     }
 }
 
@@ -331,6 +377,7 @@ impl NetBatch {
                 h.slot.shared.store(true, Ordering::Release);
                 NetJobHandle {
                     slot: h.slot.clone(),
+                    pool: h.pool.clone(),
                 }
             })
             .collect()
@@ -346,10 +393,10 @@ impl NetBatch {
     /// consumed, and late responses are dropped — same contract as
     /// [`NetJobHandle::wait_timeout`]).
     pub fn wait_timeout(self, timeout: Duration) -> Option<Vec<NetJobResult>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut results = Vec::with_capacity(self.handles.len());
         for handle in self.handles {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             results.push(handle.wait_timeout(left)?);
         }
         Some(results)
@@ -473,7 +520,14 @@ struct Conn {
     /// Write half plus its frame buffer.
     write: Mutex<Writer>,
     pending: Mutex<HashMap<u64, Pending>>,
+    /// Spare slots for the connection's next handles.
+    slots: Arc<SlotPool>,
     reader: Mutex<Option<JoinHandle<()>>>,
+    /// `Busy`-rejected jobs waiting out their backoff, and the thread
+    /// that resends them.
+    resends: Mutex<Resends>,
+    /// Wakes the resend thread for an earlier due time or for `close`.
+    resend_due: Condvar,
     dead: AtomicBool,
     closing: AtomicBool,
     /// Highest request id seen in a response, for the out-of-order stat.
@@ -492,6 +546,15 @@ struct Conn {
     /// Seeded uniquely per connection so pooled connections never share
     /// a retry schedule.
     jitter: AtomicU64,
+}
+
+/// A connection's `Busy` resend schedule: request ids by due time,
+/// earliest first, plus the one thread that sends them, started by the
+/// connection's first `Busy`.
+#[derive(Default)]
+struct Resends {
+    due: BinaryHeap<Reverse<(Instant, u64)>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 /// A connection's write half and the buffer every outbound frame is
@@ -548,7 +611,10 @@ impl Conn {
                 buf: Vec::new(),
             }),
             pending: Mutex::new(HashMap::new()),
+            slots: Arc::default(),
             reader: Mutex::new(None),
+            resends: Mutex::default(),
+            resend_due: Condvar::new(),
             dead: AtomicBool::new(true),
             closing: AtomicBool::new(false),
             last_arrived: AtomicU64::new(0),
@@ -631,7 +697,7 @@ impl Conn {
     }
 
     fn register(&self, request_id: u64, job: QueryJob) -> Arc<Slot> {
-        let slot = Slot::new();
+        let slot = self.slots.take();
         self.pending.lock().insert(
             request_id,
             Pending {
@@ -658,16 +724,16 @@ impl Conn {
                     match frame {
                         Frame::JobOk { request_id, report } => {
                             self.track_arrival(request_id);
-                            self.take_pending(request_id, |p| {
-                                emit_rtt(&p, request_id);
-                                p.slot.resolve(Ok(report));
+                            self.resolve_pending(request_id, |p| {
+                                emit_rtt(p, request_id);
+                                Ok(report)
                             });
                         }
                         Frame::JobFailed { request_id, error } => {
                             self.track_arrival(request_id);
-                            self.take_pending(request_id, |p| {
-                                emit_rtt(&p, request_id);
-                                p.slot.resolve(Err(NetError::Job(error)));
+                            self.resolve_pending(request_id, |p| {
+                                emit_rtt(p, request_id);
+                                Err(NetError::Job(error))
                             });
                         }
                         Frame::Error {
@@ -685,9 +751,7 @@ impl Conn {
                             ..
                         } => {
                             self.track_arrival(request_id);
-                            self.take_pending(request_id, |p| {
-                                p.slot.resolve(Err(NetError::ServerShutdown));
-                            });
+                            self.resolve_pending(request_id, |_| Err(NetError::ServerShutdown));
                         }
                         Frame::Error {
                             request_id,
@@ -699,10 +763,8 @@ impl Conn {
                                 // is lost.
                                 break Some(NetError::Protocol(format!("{code:?}: {detail}")));
                             }
-                            self.take_pending(request_id, |p| {
-                                p.slot.resolve(Err(NetError::Protocol(format!(
-                                    "{code:?}: {detail}"
-                                ))));
+                            self.resolve_pending(request_id, |_| {
+                                Err(NetError::Protocol(format!("{code:?}: {detail}")))
                             });
                         }
                         // The server says Goodbye only once every job it
@@ -732,7 +794,7 @@ impl Conn {
         let error = reason.unwrap_or_else(|| NetError::ConnectionLost("connection closed".into()));
         let drained: Vec<Pending> = self.pending.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
-            p.slot.resolve(Err(error.clone()));
+            self.finish(p.slot, Err(error.clone()));
         }
     }
 
@@ -743,49 +805,107 @@ impl Conn {
         }
     }
 
-    fn take_pending(&self, request_id: u64, f: impl FnOnce(Pending)) {
-        if let Some(p) = self.pending.lock().remove(&request_id) {
-            f(p);
-        }
+    /// Removes `request_id`'s entry and resolves its slot to what
+    /// `result` makes of it. The pending map is unlocked first, so a
+    /// resolve never holds up `register`.
+    fn resolve_pending(&self, request_id: u64, result: impl FnOnce(&Pending) -> NetJobResult) {
+        // The guard is a temporary of this `let`, dropped at its end.
+        let Some(p) = self.pending.lock().remove(&request_id) else {
+            return;
+        };
+        let result = result(&p);
+        self.finish(p.slot, result);
     }
 
-    /// Resends a `Busy`-rejected job after a jittered linear backoff,
-    /// off-thread so the reader keeps draining responses meanwhile. The
-    /// jitter is decorrelated — drawn fresh per retry from this
-    /// connection's own stream — so connections rejected by the same
-    /// backpressure wave spread out instead of resending in lockstep.
+    /// Resolves `slot` and offers it back to the pool, which keeps it
+    /// if its handle is already gone.
+    fn finish(&self, slot: Arc<Slot>, result: NetJobResult) {
+        slot.resolve(result);
+        self.slots.give_back(slot);
+    }
+
+    /// Schedules a `Busy`-rejected job's resend after a jittered linear
+    /// backoff, on the connection's resend thread so the reader keeps
+    /// draining responses meanwhile. The jitter is decorrelated — drawn
+    /// fresh per retry from this connection's own stream — so
+    /// connections rejected by the same backpressure wave spread out
+    /// instead of resending in lockstep.
     fn handle_busy(self: &Arc<Self>, request_id: u64) {
-        let resend = {
+        let attempt = {
             let mut pending = self.pending.lock();
             match pending.get_mut(&request_id) {
                 None => return,
                 Some(p) if p.busy_retries_left == 0 => {
                     let p = pending.remove(&request_id).expect("entry present");
-                    p.slot.resolve(Err(NetError::Busy));
+                    drop(pending);
+                    self.finish(p.slot, Err(NetError::Busy));
                     return;
                 }
                 Some(p) => {
                     p.busy_retries_left -= 1;
                     p.busy_attempt += 1;
-                    (p.job, p.busy_attempt)
+                    p.busy_attempt
                 }
             }
         };
-        self.busy_resends.fetch_add(1, Ordering::Relaxed);
-        let (job, attempt) = resend;
-        let conn = self.clone();
-        std::thread::spawn(move || {
-            let scale = f64::from(attempt) * next_jitter(&conn.jitter);
-            std::thread::sleep(conn.config.busy_backoff.mul_f64(scale));
-            let frame = Frame::Submit { request_id, job };
-            if let Err(e) = conn.send(&frame) {
-                conn.take_pending(request_id, |p| p.slot.resolve(Err(e)));
+        let scale = f64::from(attempt) * next_jitter(&self.jitter);
+        let due = Instant::now() + self.config.busy_backoff.mul_f64(scale);
+        let mut resends = self.resends.lock();
+        if resends.thread.is_none() {
+            let conn = self.clone();
+            match std::thread::Builder::new()
+                .name("tcast-net-client-resend".into())
+                .spawn(move || conn.resend_loop())
+            {
+                Ok(handle) => resends.thread = Some(handle),
+                Err(e) => {
+                    drop(resends);
+                    let e = NetError::ConnectionLost(format!("resend thread failed: {e}"));
+                    self.resolve_pending(request_id, |_| Err(e));
+                    return;
+                }
             }
-        });
+        }
+        resends.due.push(Reverse((due, request_id)));
+        self.busy_resends.fetch_add(1, Ordering::Relaxed);
+        self.resend_due.notify_one();
+    }
+
+    /// The resend thread: sends each scheduled job once it is due, until
+    /// the connection closes. A job no longer pending (its connection
+    /// died meanwhile) is skipped.
+    fn resend_loop(self: Arc<Self>) {
+        let mut resends = self.resends.lock();
+        while !self.closing.load(Ordering::SeqCst) {
+            let Some(&Reverse((due, request_id))) = resends.due.peek() else {
+                self.resend_due.wait(&mut resends);
+                continue;
+            };
+            let now = Instant::now();
+            if due > now {
+                self.resend_due.wait_for(&mut resends, due - now);
+                continue;
+            }
+            resends.due.pop();
+            drop(resends);
+            let job = self.pending.lock().get(&request_id).map(|p| p.job);
+            if let Some(job) = job {
+                if let Err(e) = self.send(&Frame::Submit { request_id, job }) {
+                    self.resolve_pending(request_id, |_| Err(e));
+                }
+            }
+            resends = self.resends.lock();
+        }
     }
 
     fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
+        // Notified under the lock the resend thread checks `closing`
+        // under, so the wake-up cannot fall between check and park.
+        {
+            let _resends = self.resends.lock();
+            self.resend_due.notify_all();
+        }
         let _ = self.send(&Frame::Goodbye);
         // Half-close so the server sees EOF after our Goodbye; the reader
         // exits on the server's Goodbye (or the poll tick + empty pending).
@@ -794,6 +914,12 @@ impl Conn {
         }
         let handle = self.reader.lock().take();
         if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+        // Only the reader starts the resend thread, so with the reader
+        // gone none can start after this.
+        let resender = self.resends.lock().thread.take();
+        if let Some(handle) = resender {
             let _ = handle.join();
         }
     }
@@ -876,9 +1002,12 @@ impl NetClient {
                 "net.submit",
                 &[("bytes", n as u64), ("request_id", request_id)],
             ),
-            Err(e) => conn.take_pending(request_id, |p| p.slot.resolve(Err(e))),
+            Err(e) => conn.resolve_pending(request_id, |_| Err(e)),
         }
-        NetJobHandle { slot }
+        NetJobHandle {
+            slot,
+            pool: Some(conn.slots.clone()),
+        }
     }
 
     /// Total responses that arrived with a lower request id than an
@@ -1032,6 +1161,220 @@ mod tests {
             "two connections' retry timestamps stayed synchronized \
              ({distinct}/16 attempts differed)"
         );
+    }
+
+    /// A scripted peer: one accepted, handshaken connection whose
+    /// `Submit`s are forwarded to the test, which answers them itself —
+    /// in any order, late, or never.
+    struct FakeConn {
+        stream: TcpStream,
+        submits: std::sync::mpsc::Receiver<(u64, QueryJob)>,
+        forwarder: JoinHandle<()>,
+    }
+
+    impl FakeConn {
+        /// The next job the client submitted, with its request id.
+        fn submitted(&self) -> (u64, QueryJob) {
+            self.submits
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the client submitted a job")
+        }
+
+        fn answer(&mut self, request_id: u64, job: &QueryJob) {
+            let report = job.execute();
+            write_frame(&mut self.stream, &Frame::JobOk { request_id, report })
+                .expect("answer written");
+        }
+
+        /// Closes the connection with whatever is still unanswered.
+        fn kill(self) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+            self.forwarder.join().expect("forwarder thread");
+        }
+    }
+
+    /// Runs `dial`, which makes the client open a connection, while
+    /// accepting that connection and answering its `Hello`.
+    fn accept_during<T: Send>(
+        listener: &std::net::TcpListener,
+        dial: impl FnOnce() -> T + Send,
+    ) -> (T, FakeConn) {
+        std::thread::scope(|scope| {
+            let dialed = scope.spawn(dial);
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.set_nodelay(true).expect("nodelay");
+            let mut reader = FrameReader::new();
+            match reader.read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
+                Ok(Some((Frame::Hello { .. }, _))) => {}
+                other => panic!("expected Hello, got {other:?}"),
+            }
+            let ack = Frame::HelloAck {
+                version: PROTOCOL_V4,
+                challenge: None,
+            };
+            write_frame(&mut stream, &ack).expect("ack written");
+            let (tx, submits) = std::sync::mpsc::channel();
+            let mut inbound = stream.try_clone().expect("clone");
+            let forwarder = std::thread::spawn(move || {
+                while let Ok(Some((Frame::Submit { request_id, job }, _))) =
+                    reader.read_from(&mut inbound, DEFAULT_MAX_PAYLOAD)
+                {
+                    if tx.send((request_id, job)).is_err() {
+                        break;
+                    }
+                }
+            });
+            let conn = FakeConn {
+                stream,
+                submits,
+                forwarder,
+            };
+            (dialed.join().expect("dial"), conn)
+        })
+    }
+
+    /// Job `k` of the recycling test: a different `x` and seed each, so
+    /// a slot that leaked one job's report into another shows.
+    fn job(k: u64) -> QueryJob {
+        let n = 128;
+        let channel = tcast::ChannelSpec::ideal(
+            n,
+            (k as usize * 7) % (n + 1),
+            tcast::CollisionModel::OnePlus,
+        )
+        .seeded(k, k ^ 0x5a);
+        QueryJob::new(tcast_service::AlgorithmSpec::TwoTBins, channel, 16, k)
+    }
+
+    /// One connection recycles its slots through every way a handle can
+    /// end — waited before and after its response, dropped unwaited,
+    /// timed out before its response, shared by `NetBatch::handles`, and
+    /// cut off by a dying peer — and no handle ever sees another job's
+    /// result: each resolves to its own in-process report or a typed
+    /// error. A slot reset under a handle still waiting on it would
+    /// leave that wait blocked for good, so the rounds run on a thread
+    /// the test gives a deadline.
+    #[test]
+    fn recycled_slots_never_leak_one_job_into_another() {
+        let rounds = std::thread::spawn(|| recycle_rounds(200));
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !rounds.is_finished() {
+            assert!(Instant::now() < deadline, "a handle never resolved");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        rounds.join().expect("every round passed");
+    }
+
+    fn recycle_rounds(rounds: u64) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (client, mut peer) = accept_during(&listener, || {
+            NetClient::connect(addr, NetClientConfig::default()).expect("connect")
+        });
+        let mut k = 0u64;
+        let mut next = || {
+            k += 1;
+            job(k)
+        };
+        for round in 0..rounds {
+            // Waited: answered before the wait starts, or 200 µs into it,
+            // when the waiter has most likely parked. Either order must
+            // give the job its own report.
+            let a = next();
+            let handle = client.submit_one(a);
+            let (id, _) = peer.submitted();
+            if round % 2 == 0 {
+                peer.answer(id, &a);
+                assert_eq!(handle.wait(), Ok(a.execute()), "round {round}: waited");
+            } else {
+                std::thread::scope(|scope| {
+                    let waiter = scope.spawn(|| handle.wait());
+                    std::thread::sleep(Duration::from_micros(200));
+                    peer.answer(id, &a);
+                    assert_eq!(
+                        waiter.join().unwrap(),
+                        Ok(a.execute()),
+                        "round {round}: parked"
+                    );
+                });
+            }
+
+            // Dropped unwaited: the reader resolves a slot nobody reads.
+            let b = next();
+            drop(client.submit_one(b));
+            let (id, _) = peer.submitted();
+            peer.answer(id, &b);
+
+            // Timed out before its response landed.
+            let c = next();
+            let handle = client.submit_one(c);
+            let (id_c, _) = peer.submitted();
+            assert_eq!(
+                handle.wait_timeout(Duration::from_millis(1)),
+                None,
+                "round {round}: answered before it was sent"
+            );
+
+            // Shared: the batch and its handles all see their own job's
+            // report; c's late answer lands in between.
+            let (d, e) = (next(), next());
+            let batch = client.submit(vec![d, e]);
+            let shared = batch.handles();
+            let (id_d, _) = peer.submitted();
+            let (id_e, _) = peer.submitted();
+            peer.answer(id_e, &e);
+            peer.answer(id_c, &c);
+            peer.answer(id_d, &d);
+            let mut shared = shared.into_iter();
+            let first = shared.next().expect("handle d");
+            assert_eq!(first.wait(), Ok(d.execute()), "round {round}: shared d");
+            assert_eq!(
+                batch.wait(),
+                vec![Ok(d.execute()), Ok(e.execute())],
+                "round {round}: batch"
+            );
+            assert_eq!(
+                shared.next().expect("handle e").wait(),
+                Ok(e.execute()),
+                "round {round}: shared e"
+            );
+
+            // A dying peer: f is answered first, g never.
+            let (f, g) = (next(), next());
+            let (hf, hg) = (client.submit_one(f), client.submit_one(g));
+            let (id_f, _) = peer.submitted();
+            let _ = peer.submitted();
+            peer.answer(id_f, &f);
+            peer.kill();
+            assert_eq!(
+                hf.wait(),
+                Ok(f.execute()),
+                "round {round}: answered before the kill"
+            );
+            match hg.wait() {
+                Err(NetError::ConnectionLost(_)) => {}
+                other => panic!("round {round}: unanswered job resolved to {other:?}"),
+            }
+
+            // The next round's first submit re-dials the same connection.
+            let h = next();
+            let (handle, fresh) = accept_during(&listener, || client.submit_one(h));
+            peer = fresh;
+            let (id, _) = peer.submitted();
+            peer.answer(id, &h);
+            assert_eq!(
+                handle.wait(),
+                Ok(h.execute()),
+                "round {round}: after re-dial"
+            );
+        }
+        let spares = client.conns[0].slots.spares.lock().len();
+        assert!(
+            (1..=SPARE_SLOTS).contains(&spares),
+            "{spares} spare slots after {rounds} rounds"
+        );
+        client.close();
+        peer.kill();
     }
 
     /// The jitter multiplier stays inside `[0.5, 1.5)` (the backoff is

@@ -8,9 +8,14 @@
 //! folds them at snapshot time, so same-label recording from different
 //! threads touches different locks. This bench measures aggregate record
 //! throughput at 1/2/4/8 recording threads — scaling (rather than
-//! inverse scaling) with thread count is the sharding payoff.
+//! inverse scaling) with thread count is the sharding payoff. The
+//! registry and its threads live across iterations, so an iteration
+//! times recording alone: no thread spawns, no registry set-up and no
+//! snapshot.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -42,33 +47,43 @@ fn metrics_contention(c: &mut Criterion) {
     g.throughput(Throughput::Elements(RECORDS as u64));
 
     for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
+        // One registry and one set of recording threads per thread
+        // count, outside the timed loop: an iteration opens the `start`
+        // barrier, every thread records its share, and the iteration
+        // ends when all of them reach `done`. Only recording is timed.
+        let registry = MetricsRegistry::new();
+        let start = Barrier::new(threads + 1);
+        let done = Barrier::new(threads + 1);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for worker in 0..threads {
+                let (registry, results) = (&registry, &results);
+                let (start, done, stop) = (&start, &done, &stop);
+                scope.spawn(move || loop {
+                    start.wait();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    for (i, result) in results.iter().skip(worker).step_by(threads).enumerate() {
+                        registry.record(
+                            "2tBins",
+                            result,
+                            Duration::from_micros(50 + (i % 7) as u64),
+                        );
+                    }
+                    done.wait();
+                });
+            }
+            g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
                 b.iter(|| {
-                    let registry = MetricsRegistry::new();
-                    std::thread::scope(|scope| {
-                        for worker in 0..threads {
-                            let registry = &registry;
-                            let results = &results;
-                            scope.spawn(move || {
-                                for (i, result) in
-                                    results.iter().skip(worker).step_by(threads).enumerate()
-                                {
-                                    registry.record(
-                                        "2tBins",
-                                        result,
-                                        Duration::from_micros(50 + (i % 7) as u64),
-                                    );
-                                }
-                            });
-                        }
-                    });
-                    black_box(registry.snapshot())
+                    start.wait();
+                    done.wait();
                 })
-            },
-        );
+            });
+            stop.store(true, Ordering::Relaxed);
+            start.wait();
+        });
+        black_box(registry.snapshot());
     }
     g.finish();
 }
