@@ -27,8 +27,8 @@
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
+use tcast_bench::time_ns;
 use tcast_obs::{
     add_sink, Record, Span, SpanContext, TraceCollector, TraceCollectorConfig, TraceId, TraceSink,
 };
@@ -41,18 +41,6 @@ impl TraceSink for CountingSink {
     fn consume(&self, records: &[Record]) {
         self.0.fetch_add(records.len() as u64, Ordering::Relaxed);
     }
-}
-
-/// Nanoseconds per iteration of `f`, after one warm-up pass.
-fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 struct SpanSite {

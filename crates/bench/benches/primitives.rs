@@ -1,143 +1,121 @@
 //! Micro-benchmarks for the building blocks: one algorithm session per
-//! strategy, channel queries, the frame codec, medium completion, and the
-//! baselines. These are the units that the figure sweeps execute millions
-//! of times.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
+//! strategy, channel queries, the frame codec, rcd exchanges, and the
+//! baselines. These are the units that the figure sweeps execute
+//! millions of times; no other bench times the radio frame, the rcd
+//! exchanges or the baselines.
+//!
+//! Output: one JSON document of median nanoseconds per call on stdout;
+//! progress on stderr.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use tcast::baselines::{csma_collect, sequential_collect_random, CsmaConfig};
 use tcast::{
     population, Abns, CollisionModel, ExpIncrease, GroupQueryChannel, IdealChannel, ProbAbns,
     ThresholdQuerier, TwoTBins,
 };
-use tcast_bench::run_once;
+use tcast_bench::{median_ns, Report};
 use tcast_radio::{Frame, ShortAddr};
 use tcast_rcd::{RcdConfig, RcdStack};
 
-fn algorithms(c: &mut Criterion) {
-    let mut g = c.benchmark_group("algorithm_session");
-    let n = 128;
-    let t = 16;
-    let algs: Vec<(&str, Box<dyn ThresholdQuerier>)> = vec![
+/// Samples per arm; each sample is many calls.
+const SAMPLES: usize = 21;
+
+/// A 12-mote lossless stack whose predicate holds at `positives`.
+fn stack(seed: u64, positives: &[usize]) -> RcdStack {
+    let mut stack = RcdStack::new(12, RcdConfig::lossless(), seed);
+    let mut pred = vec![false; 12];
+    for &p in positives {
+        pred[p] = true;
+    }
+    stack.set_predicate(&pred);
+    stack
+}
+
+fn main() {
+    let mut r = Report::new("primitives", "ns_per_call");
+
+    // One session on a fresh ideal channel, as the sweeps run it.
+    let (n, t) = (128, 16);
+    let algs: [(&str, Box<dyn ThresholdQuerier>); 4] = [
         ("2tBins", Box::new(TwoTBins)),
         ("ExpIncrease", Box::new(ExpIncrease::standard())),
         ("ABNS_p0_2t", Box::new(Abns::p0_2t())),
         ("ProbABNS", Box::new(ProbAbns::standard())),
     ];
+    let nodes = population(n);
     for x in [2usize, 16, 64] {
         for (name, alg) in &algs {
-            g.bench_with_input(BenchmarkId::new(*name, x), &x, |b, &x| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                b.iter(|| {
-                    black_box(run_once(
-                        alg.as_ref(),
-                        n,
-                        x,
-                        t,
-                        CollisionModel::OnePlus,
-                        &mut rng,
-                    ))
-                });
+            let mut rng = SmallRng::seed_from_u64(7);
+            let ns = median_ns(SAMPLES, 2_000, || {
+                let ch_seed = rng.random();
+                let mut ch = IdealChannel::with_random_positives(
+                    n,
+                    x,
+                    CollisionModel::OnePlus,
+                    ch_seed,
+                    &mut rng,
+                );
+                alg.run(&nodes, t, &mut ch, &mut rng).queries
             });
+            r.arm(format!("algorithm_session/{name}/{x}"), ns);
         }
     }
-    g.finish();
-}
 
-fn channels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("channel");
     let mut rng = SmallRng::seed_from_u64(9);
-    let mut ch = IdealChannel::with_random_positives(128, 16, CollisionModel::OnePlus, 3, &mut rng);
-    let nodes = population(128);
-    g.bench_function("ideal_query_128", |b| {
-        b.iter(|| black_box(ch.query(&nodes)))
-    });
-    g.finish();
-}
+    let mut ch = IdealChannel::with_random_positives(n, 16, CollisionModel::OnePlus, 3, &mut rng);
+    r.arm(
+        "channel/ideal_query_128",
+        median_ns(SAMPLES, 400_000, || ch.query(&nodes)),
+    );
 
-fn frames(c: &mut Criterion) {
-    let mut g = c.benchmark_group("frame");
     let frame = Frame::data_with_ack_request(ShortAddr(1), ShortAddr(2), 7, vec![0xAB; 16]);
     let bytes = frame.encode();
-    g.bench_function("encode", |b| b.iter(|| black_box(frame.encode())));
-    g.bench_function("decode", |b| b.iter(|| black_box(Frame::decode(&bytes))));
-    g.finish();
-}
+    r.arm(
+        "frame/encode",
+        median_ns(SAMPLES, 100_000, || frame.encode()),
+    );
+    r.arm(
+        "frame/decode",
+        median_ns(SAMPLES, 100_000, || Frame::decode(&bytes)),
+    );
 
-fn rcd_exchange(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rcd");
-    g.bench_function("backcast_12motes", |b| {
-        let mut stack = RcdStack::new(12, RcdConfig::lossless(), 5);
-        let mut pred = vec![false; 12];
-        pred[3] = true;
-        pred[7] = true;
-        stack.set_predicate(&pred);
-        let group: Vec<usize> = (0..12).collect();
-        b.iter(|| black_box(stack.backcast(&group)));
-    });
-    g.bench_function("pollcast_12motes", |b| {
-        let mut stack = RcdStack::new(12, RcdConfig::lossless(), 6);
-        let mut pred = vec![false; 12];
-        pred[3] = true;
-        stack.set_predicate(&pred);
-        let group: Vec<usize> = (0..12).collect();
-        b.iter(|| black_box(stack.pollcast(&group)));
-    });
-    g.finish();
-}
+    let group: Vec<usize> = (0..12).collect();
+    let mut backcast = stack(5, &[3, 7]);
+    r.arm(
+        "rcd/backcast_12motes",
+        median_ns(SAMPLES, 1_000, || backcast.backcast(&group)),
+    );
+    let mut pollcast = stack(6, &[3]);
+    r.arm(
+        "rcd/pollcast_12motes",
+        median_ns(SAMPLES, 1_000, || pollcast.pollcast(&group)),
+    );
 
-fn paired_exchange(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rcd_paired");
     // Single vs paired backcast: same two groups, one exchange vs two.
-    g.bench_function("two_single_backcasts", |b| {
-        let mut stack = RcdStack::new(12, RcdConfig::lossless(), 7);
-        let mut pred = vec![false; 12];
-        pred[2] = true;
-        pred[8] = true;
-        stack.set_predicate(&pred);
-        b.iter(|| {
-            black_box(stack.backcast(&[0, 1, 2]));
-            black_box(stack.backcast(&[7, 8, 9]));
-        });
+    let mut single = stack(7, &[2, 8]);
+    let ns = median_ns(SAMPLES, 1_000, || {
+        (single.backcast(&[0, 1, 2]), single.backcast(&[7, 8, 9]))
     });
-    g.bench_function("one_paired_backcast", |b| {
-        let mut stack = RcdStack::new(12, RcdConfig::lossless(), 7);
-        let mut pred = vec![false; 12];
-        pred[2] = true;
-        pred[8] = true;
-        stack.set_predicate(&pred);
-        b.iter(|| black_box(stack.backcast_pair(&[0, 1, 2], &[7, 8, 9])));
+    r.arm("rcd_paired/two_single_backcasts", ns);
+    let mut paired = stack(7, &[2, 8]);
+    let ns = median_ns(SAMPLES, 1_000, || {
+        paired.backcast_pair(&[0, 1, 2], &[7, 8, 9])
     });
-    g.finish();
-}
+    r.arm("rcd_paired/one_paired_backcast", ns);
 
-fn baselines(c: &mut Criterion) {
-    let mut g = c.benchmark_group("baseline");
     let cfg = CsmaConfig::default();
-    for x in [8usize, 64] {
-        g.bench_with_input(BenchmarkId::new("csma_collect", x), &x, |b, &x| {
-            let mut rng = SmallRng::seed_from_u64(11);
-            b.iter(|| black_box(csma_collect(x, 16, &cfg, &mut rng)));
-        });
+    for (x, iters) in [(8usize, 10_000), (64, 250)] {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let ns = median_ns(SAMPLES, iters, || csma_collect(x, 16, &cfg, &mut rng));
+        r.arm(format!("baseline/csma_collect/{x}"), ns);
     }
-    g.bench_function("sequential_collect_128", |b| {
-        let mut rng = SmallRng::seed_from_u64(13);
-        b.iter(|| black_box(sequential_collect_random(128, 16, 16, &mut rng)));
+    let mut rng = SmallRng::seed_from_u64(13);
+    let ns = median_ns(SAMPLES, 5_000, || {
+        sequential_collect_random(128, 16, 16, &mut rng)
     });
-    g.finish();
-}
+    r.arm("baseline/sequential_collect_128", ns);
 
-criterion_group!(
-    benches,
-    algorithms,
-    channels,
-    frames,
-    rcd_exchange,
-    paired_exchange,
-    baselines
-);
-criterion_main!(benches);
+    r.print();
+}

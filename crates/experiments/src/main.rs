@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use tcast_experiments::chart::render_chart;
 use tcast_experiments::cluster;
-use tcast_experiments::extensions::{counting, energy, interference, monitoring};
+use tcast_experiments::extensions::{ablations, counting, energy, interference, monitoring};
 use tcast_experiments::figures::{
     adversary, fig1, fig10, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, loss,
 };
@@ -282,6 +282,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             };
             emit_table(&energy::build(&sweep), opts);
         }
+        "ablations" => emit_table(&ablations::build(), opts),
         "cluster" => {
             let spec = cluster::ClusterSpec {
                 jobs: if opts.fast {
@@ -297,7 +298,13 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             emit_table(&cluster::run(&spec)?, opts);
         }
         "ext" => {
-            for c in ["interference", "counting", "monitoring", "energy"] {
+            for c in [
+                "interference",
+                "counting",
+                "monitoring",
+                "energy",
+                "ablations",
+            ] {
                 eprintln!("[tcast-experiments] running {c} ...");
                 run_command(c, opts)?;
             }
@@ -388,7 +395,9 @@ commands:
   counting     exact counting (countcast) vs threshold querying (extension)
   monitoring   warm-started epoch monitoring (extension)
   energy       full-stack time & energy comparison (extension)
-  ext          all four extension studies
+  ablations    DESIGN.md §3's design choices on fixed seeds: mean cost and
+               wrong verdicts (extension)
+  ext          all five extension studies
   cluster      fan `--runs` jobs across a sharded server cluster
                (--servers host:port,... or a self-hosted loopback trio)
                and verify every report against an in-process run

@@ -24,7 +24,7 @@ use tcast_net::{
     ShardedClient,
 };
 use tcast_obs::{Objective, SloTracker, TraceCollectorConfig};
-use tcast_service::{AlgorithmSpec, Family, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{metric_names, AlgorithmSpec, Family, QueryJob, QueryService, ServiceConfig};
 
 /// Parameters for one `top` invocation.
 #[derive(Debug, Clone)]
@@ -105,16 +105,16 @@ fn row_from_families(shard: usize, endpoint: &str, families: &[Family], traces: 
         shard,
         endpoint: endpoint.to_string(),
         up: true,
-        conns: sum("tcast_net_open_connections") as u64,
-        jobs: sum("tcast_jobs_total") as u64,
-        queue_p50_us: quantile("tcast_queue_wait_microseconds", 0.5),
-        queue_p99_us: quantile("tcast_queue_wait_microseconds", 0.99),
-        batch_p50: quantile("tcast_batch_size_jobs", 0.5),
-        defenses: sum("tcast_defense_queries_total") as u64,
-        anomalies: sum("tcast_anomalies_total") as u64,
-        budget: family("tcast_slo_error_budget_remaining")
+        conns: sum(metric_names::NET_OPEN_CONNECTIONS) as u64,
+        jobs: sum(metric_names::JOBS_TOTAL) as u64,
+        queue_p50_us: quantile(metric_names::QUEUE_WAIT_MICROSECONDS, 0.5),
+        queue_p99_us: quantile(metric_names::QUEUE_WAIT_MICROSECONDS, 0.99),
+        batch_p50: quantile(metric_names::BATCH_SIZE_JOBS, 0.5),
+        defenses: sum(metric_names::DEFENSE_QUERIES_TOTAL) as u64,
+        anomalies: sum(metric_names::ANOMALIES_TOTAL) as u64,
+        budget: family(metric_names::SLO_ERROR_BUDGET_REMAINING)
             .and_then(|f| f.values().reduce(f64::min)),
-        fast_burn: sum("tcast_slo_fast_burn") > 0.0,
+        fast_burn: sum(metric_names::SLO_FAST_BURN) > 0.0,
         traces,
     }
 }

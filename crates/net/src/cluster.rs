@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use tcast::{fingerprint64, fingerprint64_extend};
-use tcast_service::{Family, MetricsRegistry, MetricsSnapshot, QueryJob};
+use tcast_service::{metric_names, Family, MetricsRegistry, MetricsSnapshot, QueryJob};
 
 use crate::client::{NetClient, NetClientConfig, NetError, NetJobHandle, NetJobResult};
 
@@ -448,7 +448,7 @@ impl ClusterInner {
             else {
                 continue;
             };
-            let queue_wait = Family::find(&families, "tcast_queue_wait_microseconds");
+            let queue_wait = Family::find(&families, metric_names::QUEUE_WAIT_MICROSECONDS);
             if let Some(queue_wait_us) = queue_wait.and_then(|f| f.quantile(0.5)) {
                 self.loads[shard].record(queue_wait_us, self.now_ms());
                 tcast_obs::event(
@@ -471,14 +471,14 @@ impl ClusterInner {
     /// previous reading into a single health-penalty divisor, so a shard
     /// is not punished forever for ancient history.
     fn sample_shard_health(&self, shard: usize, families: &[Family]) {
-        let burn = Family::find(families, "tcast_slo_burn_rate").and_then(|f| {
+        let burn = Family::find(families, metric_names::SLO_BURN_RATE).and_then(|f| {
             f.samples
                 .iter()
                 .filter(|s| s.labels.iter().any(|(k, v)| k == "window" && v == "short"))
                 .filter_map(|s| s.value.scalar())
                 .reduce(f64::max)
         });
-        let anomalies = Family::find(families, "tcast_anomalies_total")
+        let anomalies = Family::find(families, metric_names::ANOMALIES_TOTAL)
             .filter(|f| !f.samples.is_empty())
             .map(|f| f.values().sum::<f64>() as u64);
         if burn.is_none() && anomalies.is_none() {

@@ -44,7 +44,7 @@ mod service;
 
 pub use job::{AlgorithmSpec, JobError, JobOutput, JobResult, QueryJob};
 pub use metrics::{
-    render_prometheus, Family, MetricKind, MetricValue, MetricsRegistry, MetricsRow,
+    metric_names, render_prometheus, Family, MetricKind, MetricValue, MetricsRegistry, MetricsRow,
     MetricsSnapshot, NetCounters, NetMetricsRow, Sample, TenantMetricsRow,
 };
 pub use service::{

@@ -899,6 +899,31 @@ fn columns<R>(out: &mut String, markdown: bool, rows: &[R], gated: bool, table: 
     }
 }
 
+/// The family names other crates read from a scrape (the `top`
+/// dashboard and the cluster's load and health sampler). The tables
+/// below use the same constants, so renaming a family breaks its readers'
+/// build instead of leaving them to read a family that is never sent.
+pub mod metric_names {
+    /// Jobs finished, per algorithm label.
+    pub const JOBS_TOTAL: &str = "tcast_jobs_total";
+    /// Defense queries, per algorithm label.
+    pub const DEFENSE_QUERIES_TOTAL: &str = "tcast_defense_queries_total";
+    /// Adversary-suspected anomalies, per algorithm label.
+    pub const ANOMALIES_TOTAL: &str = "tcast_anomalies_total";
+    /// Service-wide queue-wait summary: the cluster's load signal.
+    pub const QUEUE_WAIT_MICROSECONDS: &str = "tcast_queue_wait_microseconds";
+    /// Jobs per worker dequeue batch (summary).
+    pub const BATCH_SIZE_JOBS: &str = "tcast_batch_size_jobs";
+    /// Open server connections, per connection label.
+    pub const NET_OPEN_CONNECTIONS: &str = "tcast_net_open_connections";
+    /// Error-budget burn rate, per objective and window.
+    pub const SLO_BURN_RATE: &str = "tcast_slo_burn_rate";
+    /// Error budget left, per objective.
+    pub const SLO_ERROR_BUDGET_REMAINING: &str = "tcast_slo_error_budget_remaining";
+    /// 1 while an objective burns at or above its paging threshold.
+    pub const SLO_FAST_BURN: &str = "tcast_slo_fast_burn";
+}
+
 /// `(name, help)` of a family.
 type NameHelp = (&'static str, &'static str);
 
@@ -908,7 +933,7 @@ type RowFamily<R> = (NameHelp, MetricKind, fn(&R) -> MetricValue);
 
 #[rustfmt::skip]
 const JOB_COUNTERS: [RowFamily<MetricsRow>; 9] = [
-    (("tcast_jobs_total", "Jobs finished, including panicked and deadline-expired ones."),
+    ((metric_names::JOBS_TOTAL, "Jobs finished, including panicked and deadline-expired ones."),
      Counter, |r| Int(r.jobs)),
     (("tcast_job_panics_total", "Jobs that panicked."), Counter, |r| Int(r.panics)),
     (("tcast_job_deadline_exceeded_total", "Jobs whose deadline expired before a worker ran them."),
@@ -917,10 +942,10 @@ const JOB_COUNTERS: [RowFamily<MetricsRow>; 9] = [
      Counter, |r| Int(r.queries)),
     (("tcast_retry_queries_total", "Verified-silence retry queries across all sessions."),
      Counter, |r| Int(r.retries)),
-    (("tcast_defense_queries_total",
+    ((metric_names::DEFENSE_QUERIES_TOTAL,
       "Defense queries (canary probes, confirmation re-queries) across all sessions."),
      Counter, |r| Int(r.defenses)),
-    (("tcast_anomalies_total", "Adversary-suspected anomalies flagged across all sessions."),
+    ((metric_names::ANOMALIES_TOTAL, "Adversary-suspected anomalies flagged across all sessions."),
      Counter, |r| Int(r.anomalies)),
     (("tcast_rounds_total", "Rounds across all sessions."), Counter, |r| Int(r.rounds)),
     (("tcast_cache_hits_total", "Jobs served from the session cache."),
@@ -947,12 +972,12 @@ const JOB_SUMMARIES: [RowFamily<MetricsRow>; 4] = [
 ];
 
 const QUEUE_WAIT: NameHelp = (
-    "tcast_queue_wait_microseconds",
+    metric_names::QUEUE_WAIT_MICROSECONDS,
     "Queue wait (submission to execution start) across all executed query jobs.",
 );
 
 const BATCH_SIZE: NameHelp = (
-    "tcast_batch_size_jobs",
+    metric_names::BATCH_SIZE_JOBS,
     "Jobs claimed per worker dequeue batch.",
 );
 
@@ -980,7 +1005,7 @@ const NET: [RowFamily<NetMetricsRow>; 13] = [
      Counter, |r| Int(r.conns_opened)),
     (("tcast_net_conns_closed_total", "Server connections fully closed under this label."),
      Counter, |r| Int(r.conns_closed)),
-    (("tcast_net_open_connections", "Currently open server connections (opened - closed)."),
+    ((metric_names::NET_OPEN_CONNECTIONS, "Currently open server connections (opened - closed)."),
      Gauge, |r| Int(r.open_connections())),
     (("tcast_net_io_threads", "Reactor I/O threads serving this label (0 on client-side labels)."),
      Gauge, |r| Int(r.io_threads)),
@@ -1007,16 +1032,16 @@ const SLO_EVENTS: [RowFamily<SloStatus>; 2] = [
 ];
 
 const BURN_RATE: NameHelp = (
-    "tcast_slo_burn_rate",
+    metric_names::SLO_BURN_RATE,
     "Error-budget burn rate per objective (1.0 spends exactly the window's budget).",
 );
 
 #[rustfmt::skip]
 const SLO_STATE: [RowFamily<SloStatus>; 2] = [
-    (("tcast_slo_error_budget_remaining",
+    ((metric_names::SLO_ERROR_BUDGET_REMAINING,
       "Fraction of the long window's error budget left at the current burn."),
      Gauge, |r| Ratio(r.budget_remaining)),
-    (("tcast_slo_fast_burn",
+    ((metric_names::SLO_FAST_BURN,
       "1 when the short-window burn rate is at or above the objective's paging threshold."),
      Gauge, |r| Int(u64::from(r.fast_burn))),
 ];
