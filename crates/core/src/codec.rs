@@ -91,6 +91,13 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Takes the next `N` bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
     /// Decodes one `u8`.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.bytes(1)?[0])
@@ -98,12 +105,12 @@ impl<'a> Reader<'a> {
 
     /// Decodes one little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Decodes one little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Decodes one `u64` and narrows it to `usize`.

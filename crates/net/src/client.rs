@@ -3,9 +3,17 @@
 //! The client mirrors the in-process `Service` submit/wait shape: a
 //! [`NetClient::submit`] call returns a [`NetBatch`] of
 //! [`NetJobHandle`]s immediately, with every job already on the wire.
-//! Many jobs ride one connection concurrently; a background reader
-//! thread matches responses to handles by request id, so responses may
-//! arrive in any order.
+//! Many jobs ride one connection concurrently, and responses are matched
+//! to handles by request id, so they may arrive in any order.
+//!
+//! A thread waiting on a handle reads the connection itself whenever no
+//! other thread does (leader/follower): it hands every response it reads
+//! to its handle's slot and returns once its own has come, passing the
+//! read side on to a waiter parked behind it. The waiter is then the only
+//! thread a response wakes. Each connection keeps one reader thread as a
+//! fallback; it never blocks in `read` while jobs are waited on, but
+//! drains the socket every 25 ms when nobody leads, which covers handles
+//! nobody waits on, `Busy` rejections and the server's `Goodbye`.
 //!
 //! `Busy` error frames (admission backpressure) are retried
 //! transparently with jittered linear backoff up to a configurable
@@ -17,6 +25,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,6 +39,12 @@ use tcast_service::{Family, JobError, NetCounters, QueryJob};
 use crate::frame::{
     write_frame, ErrorCode, Frame, FrameReadError, FrameReader, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
+use crate::reactor::{poll_fds, PollFd};
+
+/// Read timeout of an active connection's socket: how long a leading
+/// waiter blocks in one `read` before it re-checks its slot, and how
+/// often the fallback reader drains a socket nobody reads.
+const READ_TICK: Duration = Duration::from_millis(25);
 
 /// Credentials for the `Auth` handshake against a multi-tenant server.
 #[derive(Clone, PartialEq, Eq)]
@@ -197,7 +212,8 @@ impl std::error::Error for NetError {}
 /// Result of one remote job.
 pub type NetJobResult = Result<QueryReport, NetError>;
 
-/// One-shot slot a reader thread resolves and a waiter blocks on.
+/// One-shot slot the connection's reading thread resolves and a waiter
+/// blocks on.
 ///
 /// Slots are reused: each connection keeps its spares in a
 /// [`SlotPool`], so a handle allocates nothing once the pool holds one.
@@ -209,7 +225,7 @@ struct Slot {
     /// Set by [`NetBatch::handles`] once a second handle shares the
     /// slot: every waiter then clones the result instead of taking it.
     /// An explicit flag, because `Arc::strong_count` also counts the
-    /// reader thread's `Pending` entry, which it drops on its own time.
+    /// `Pending` entry, which the reading thread drops on its own time.
     shared: AtomicBool,
 }
 
@@ -230,8 +246,9 @@ impl Slot {
         }
     }
 
-    /// The resolved result: moved out when this waiter is the slot's
-    /// only handle, cloned when [`NetBatch::handles`] shared it.
+    /// The resolved result, or `None` while unresolved: moved out when
+    /// this waiter is the slot's only handle, cloned when
+    /// [`NetBatch::handles`] shared it.
     fn consume(&self, state: &mut Option<NetJobResult>) -> Option<NetJobResult> {
         if self.shared.load(Ordering::Acquire) {
             state.clone()
@@ -240,25 +257,15 @@ impl Slot {
         }
     }
 
-    fn wait(&self) -> NetJobResult {
-        let mut state = self.state.lock();
-        while state.is_none() {
-            self.cv.wait(&mut state);
-        }
-        self.consume(&mut state).expect("slot resolved")
+    fn is_resolved(&self) -> bool {
+        self.state.lock().is_some()
     }
 
-    fn wait_timeout(&self, timeout: Duration) -> Option<NetJobResult> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        while state.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            self.cv.wait_for(&mut state, deadline - now);
-        }
-        self.consume(&mut state)
+    /// Wakes the slot's parked waiters without resolving it: the read
+    /// side is free for one of them to take.
+    fn wake(&self) {
+        let _state = self.state.lock();
+        self.cv.notify_all();
     }
 }
 
@@ -270,10 +277,10 @@ const SPARE_SLOTS: usize = 256;
 /// A connection's spare slots, each the only reference to itself and
 /// reset to unresolved and unshared.
 ///
-/// Whichever side lets go of a slot last offers it back: the reader
+/// Whichever side lets go of a slot last offers it back: the reading
 /// thread after resolving it, or a handle after `wait`/`wait_timeout`
 /// consumed it. Slots hold no reference to their pool; a handle carries
-/// the pool instead, so there is no cycle.
+/// its connection instead, so there is no cycle.
 #[derive(Default)]
 struct SlotPool {
     spares: Mutex<Vec<Arc<Slot>>>,
@@ -310,9 +317,10 @@ impl SlotPool {
 #[must_use = "a network job handle does nothing unless waited on"]
 pub struct NetJobHandle {
     slot: Arc<Slot>,
-    /// The connection's pool, to give the slot back to after a wait;
-    /// `None` for a [`failed`](Self::failed) handle.
-    pool: Option<Arc<SlotPool>>,
+    /// The connection the job rides, which the waiter may read and whose
+    /// pool takes the slot back after a wait; `None` for a
+    /// [`failed`](Self::failed) handle.
+    conn: Option<Arc<Conn>>,
 }
 
 impl NetJobHandle {
@@ -321,30 +329,43 @@ impl NetJobHandle {
     pub(crate) fn failed(err: NetError) -> Self {
         let slot = Slot::new();
         slot.resolve(Err(err));
-        Self { slot, pool: None }
+        Self { slot, conn: None }
     }
 
-    /// Blocks until the response frame arrives (or the connection dies).
+    /// Blocks until the response frame arrives (or the connection dies),
+    /// reading the connection itself while no other thread does.
     pub fn wait(self) -> NetJobResult {
-        let result = self.slot.wait();
-        self.release();
-        result
+        loop {
+            // Without a deadline the wait returns only with a result.
+            if let Some(result) = self.wait_until(None) {
+                self.release();
+                return result;
+            }
+        }
     }
 
     /// Blocks up to `timeout`; returns `None` if no response arrived in
     /// time (the handle is consumed — the response, if it later arrives,
     /// is dropped).
     pub fn wait_timeout(self, timeout: Duration) -> Option<NetJobResult> {
-        let result = self.slot.wait_timeout(timeout);
+        let result = self.wait_until(Instant::now().checked_add(timeout));
         self.release();
         result
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<NetJobResult> {
+        match &self.conn {
+            Some(conn) => conn.wait_on(&self.slot, deadline),
+            // A failed handle is resolved from the start.
+            None => self.slot.consume(&mut self.slot.state.lock()),
+        }
     }
 
     /// Offers the slot back to its pool, which keeps it only if this
     /// was its last reference.
     fn release(self) {
-        if let Some(pool) = self.pool {
-            pool.give_back(self.slot);
+        if let Some(conn) = self.conn {
+            conn.slots.give_back(self.slot);
         }
     }
 }
@@ -377,7 +398,7 @@ impl NetBatch {
                 h.slot.shared.store(true, Ordering::Release);
                 NetJobHandle {
                     slot: h.slot.clone(),
-                    pool: h.pool.clone(),
+                    conn: h.conn.clone(),
                 }
             })
             .collect()
@@ -414,6 +435,14 @@ struct Pending {
     /// whole submit-to-response interval, `Busy` resends included.
     sent_at: Instant,
     trace: tcast_obs::TraceId,
+}
+
+/// Whether `stream` has bytes (or an end) to read within `timeout`,
+/// rounded up to whole milliseconds.
+fn readable(stream: &TcpStream, timeout: Duration) -> bool {
+    let mut fds = [PollFd::readable(stream.as_raw_fd())];
+    let millis = Duration::from_millis(timeout.as_nanos().div_ceil(1_000_000) as u64);
+    matches!(poll_fds(&mut fds, millis), Ok(n) if n > 0)
 }
 
 /// Emits the client-side round-trip event for one answered request,
@@ -521,7 +550,13 @@ struct Conn {
     write: Mutex<Writer>,
     pending: Mutex<HashMap<u64, Pending>>,
     /// Spare slots for the connection's next handles.
-    slots: Arc<SlotPool>,
+    slots: SlotPool,
+    /// The current stream's read half, led by one thread at a time.
+    read: Mutex<ReadSide>,
+    /// Wakes the fallback reader early: the stream ended or the
+    /// connection is closing.
+    read_tick: Condvar,
+    /// The fallback reader of the current stream.
     reader: Mutex<Option<JoinHandle<()>>>,
     /// `Busy`-rejected jobs waiting out their backoff, and the thread
     /// that resends them.
@@ -546,6 +581,25 @@ struct Conn {
     /// Seeded uniquely per connection so pooled connections never share
     /// a retry schedule.
     jitter: AtomicU64,
+}
+
+/// The read half of a connection's current stream and who may read it.
+/// A thread leads — reads the stream and resolves whatever responses
+/// arrive — by taking [`ReadSide::io`], and puts it back when done.
+struct ReadSide {
+    /// `Some` while nobody leads.
+    io: Option<ReadIo>,
+    /// Slots of the waiters parked while another thread leads (or after
+    /// the stream ended); whoever lets go of the lead wakes the last one.
+    followers: Vec<Arc<Slot>>,
+    /// The stream ended and every job pending on it was failed; nobody
+    /// reads it again.
+    over: bool,
+}
+
+struct ReadIo {
+    stream: TcpStream,
+    reader: FrameReader,
 }
 
 /// A connection's `Busy` resend schedule: request ids by due time,
@@ -611,7 +665,13 @@ impl Conn {
                 buf: Vec::new(),
             }),
             pending: Mutex::new(HashMap::new()),
-            slots: Arc::default(),
+            slots: SlotPool::default(),
+            read: Mutex::new(ReadSide {
+                io: None,
+                followers: Vec::new(),
+                over: true,
+            }),
+            read_tick: Condvar::new(),
             reader: Mutex::new(None),
             resends: Mutex::default(),
             resend_due: Condvar::new(),
@@ -629,32 +689,41 @@ impl Conn {
     }
 
     /// (Re-)establishes the TCP connection and negotiates the protocol
-    /// version (authenticating if challenged), replacing the reader
-    /// thread.
+    /// version (authenticating if challenged), replacing the read side
+    /// and its fallback reader.
     fn reconnect(self: &Arc<Self>) -> Result<(), NetError> {
+        let lost = |e: std::io::Error| NetError::ConnectionLost(e.to_string());
         let stream = TcpStream::connect_timeout(&self.addr, self.config.handshake_timeout)
             .map_err(|e| NetError::ConnectionLost(format!("connect failed: {e}")))?;
         let _ = stream.set_nodelay(true);
         stream
             .set_read_timeout(Some(self.config.handshake_timeout))
-            .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
+            .map_err(lost)?;
 
-        let mut handshake = stream
-            .try_clone()
-            .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
+        let mut handshake = stream.try_clone().map_err(lost)?;
         let mut reader = FrameReader::new();
         negotiate(&mut handshake, &mut reader, &self.config, &self.counters)?;
 
-        // Switch to a short poll timeout so the reader can notice
-        // `closing` while idle without losing partial frames.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(25)))
-            .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
-        self.write.lock().stream = Some(
-            stream
-                .try_clone()
-                .map_err(|e| NetError::ConnectionLost(e.to_string()))?,
-        );
+        // A short read timeout lets a leading waiter re-check its slot
+        // and the fallback reader notice `closing`, without losing
+        // partial frames.
+        stream.set_read_timeout(Some(READ_TICK)).map_err(lost)?;
+        let writer = stream.try_clone().map_err(lost)?;
+
+        // The previous stream's read side ends on its own once its socket
+        // reports the failure that made the connection dead. Wait for
+        // that, so its end fails only the jobs that rode it.
+        let previous = self.reader.lock().take();
+        if let Some(previous) = previous {
+            self.read_tick.notify_all();
+            let _ = previous.join();
+        }
+        {
+            let mut side = self.read.lock();
+            side.io = Some(ReadIo { stream, reader });
+            side.over = false;
+        }
+        self.write.lock().stream = Some(writer);
         self.dead.store(false, Ordering::SeqCst);
         if self.dials.fetch_add(1, Ordering::Relaxed) > 0 {
             self.counters.reconnect();
@@ -663,13 +732,9 @@ impl Conn {
         let conn = self.clone();
         let handle = std::thread::Builder::new()
             .name("tcast-net-client-reader".into())
-            .spawn(move || conn.read_loop(stream, reader))
-            .map_err(|e| NetError::ConnectionLost(e.to_string()))?;
-        if let Some(old) = self.reader.lock().replace(handle) {
-            // The previous reader has already exited (it died with the old
-            // socket); reap it.
-            let _ = old.join();
-        }
+            .spawn(move || conn.read_loop())
+            .map_err(lost)?;
+        *self.reader.lock() = Some(handle);
         Ok(())
     }
 
@@ -712,90 +777,255 @@ impl Conn {
         slot
     }
 
-    fn read_loop(self: Arc<Self>, mut stream: TcpStream, mut reader: FrameReader) {
-        let reason = loop {
-            if self.closing.load(Ordering::SeqCst) && self.pending.lock().is_empty() {
-                break None;
+    /// Waits for `slot` to resolve, until `deadline`. While nobody else
+    /// reads the connection, the waiter leads: it reads and resolves
+    /// responses itself until its own has come. Otherwise it parks on its
+    /// slot as a follower and is woken by its response or by the lead
+    /// coming free.
+    fn wait_on(
+        self: &Arc<Self>,
+        slot: &Arc<Slot>,
+        deadline: Option<Instant>,
+    ) -> Option<NetJobResult> {
+        loop {
+            let mut state = slot.state.lock();
+            if let Some(result) = slot.consume(&mut state) {
+                return Some(result);
             }
-            match reader.read_from(&mut stream, DEFAULT_MAX_PAYLOAD) {
-                Ok(None) => continue,
-                Ok(Some((frame, n))) => {
-                    self.counters.frame_in(n as u64);
-                    match frame {
-                        Frame::JobOk { request_id, report } => {
-                            self.track_arrival(request_id);
-                            self.resolve_pending(request_id, |p| {
-                                emit_rtt(p, request_id);
-                                Ok(report)
-                            });
-                        }
-                        Frame::JobFailed { request_id, error } => {
-                            self.track_arrival(request_id);
-                            self.resolve_pending(request_id, |p| {
-                                emit_rtt(p, request_id);
-                                Err(NetError::Job(error))
-                            });
-                        }
-                        Frame::Error {
-                            request_id,
-                            code: ErrorCode::Busy,
-                            ..
-                        } => {
-                            self.counters.busy_rejection();
-                            self.track_arrival(request_id);
-                            self.handle_busy(request_id);
-                        }
-                        Frame::Error {
-                            request_id,
-                            code: ErrorCode::ShuttingDown,
-                            ..
-                        } => {
-                            self.track_arrival(request_id);
-                            self.resolve_pending(request_id, |_| Err(NetError::ServerShutdown));
-                        }
-                        Frame::Error {
-                            request_id,
-                            code,
-                            detail,
-                        } => {
-                            if request_id == 0 {
-                                // Connection-scoped error: everything in flight
-                                // is lost.
-                                break Some(NetError::Protocol(format!("{code:?}: {detail}")));
-                            }
-                            self.resolve_pending(request_id, |_| {
-                                Err(NetError::Protocol(format!("{code:?}: {detail}")))
-                            });
-                        }
-                        // The server says Goodbye only once every job it
-                        // admitted on this connection is answered, so a
-                        // job still pending here was never admitted:
-                        // refused by a draining server, like a
-                        // `ShuttingDown` error.
-                        Frame::Goodbye => break Some(NetError::ServerShutdown),
-                        other => {
-                            break Some(NetError::Protocol(format!(
-                                "unexpected server frame: {other:?}"
-                            )));
-                        }
-                    }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                return None;
+            }
+            let lead = {
+                let mut side = self.read.lock();
+                let io = side.io.take();
+                if io.is_none() {
+                    side.followers.push(slot.clone());
                 }
-                Err(FrameReadError::Malformed(m)) => {
-                    self.counters.decode_error();
-                    break Some(NetError::Protocol(m.to_string()));
+                io
+            };
+            if let Some(io) = lead {
+                drop(state);
+                self.lead(io, slot, deadline);
+                continue;
+            }
+            match deadline {
+                Some(d) => {
+                    slot.cv.wait_for(&mut state, d - now);
                 }
-                Err(FrameReadError::Io(e)) => {
-                    break Some(NetError::ConnectionLost(e.to_string()));
-                }
+                None => slot.cv.wait(&mut state),
+            }
+            let leaving = state.is_some() || deadline.is_some_and(|d| Instant::now() >= d);
+            drop(state);
+            self.unfollow(slot, leaving);
+        }
+    }
+
+    /// Takes a woken follower off the list. One that is `leaving` (its
+    /// slot resolved or its deadline passed) passes a free lead on to
+    /// the next follower, so the lead never sits idle while one waits.
+    fn unfollow(&self, slot: &Arc<Slot>, leaving: bool) {
+        let next = {
+            let mut side = self.read.lock();
+            if let Some(at) = side.followers.iter().position(|f| Arc::ptr_eq(f, slot)) {
+                side.followers.swap_remove(at);
+            }
+            if leaving && side.io.is_some() {
+                side.followers.pop()
+            } else {
+                None
             }
         };
+        if let Some(next) = next {
+            next.wake();
+        }
+    }
+
+    /// Reads the connection until `slot` resolves or `deadline` passes,
+    /// then lets go of the lead. A stream that ends is ended here.
+    fn lead(self: &Arc<Self>, mut io: ReadIo, slot: &Slot, deadline: Option<Instant>) {
+        loop {
+            if slot.is_resolved() {
+                break;
+            }
+            if let Some(d) = deadline {
+                let left = d.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                // Closer than a read timeout: wait on readiness instead,
+                // so the deadline holds to the millisecond.
+                if left < READ_TICK && !readable(&io.stream, left) {
+                    continue;
+                }
+            }
+            if let Err(reason) = self.read_frame(&mut io) {
+                self.end(reason);
+                return;
+            }
+        }
+        self.release(io);
+    }
+
+    /// Puts the read half back and wakes the last parked follower to
+    /// take it.
+    fn release(&self, io: ReadIo) {
+        let next = {
+            let mut side = self.read.lock();
+            if side.over {
+                return;
+            }
+            side.io = Some(io);
+            side.followers.pop()
+        };
+        if let Some(next) = next {
+            next.wake();
+        }
+    }
+
+    /// Reads one frame, blocking up to [`READ_TICK`], and acts on it. An
+    /// error is the reason the stream ended.
+    fn read_frame(self: &Arc<Self>, io: &mut ReadIo) -> Result<(), NetError> {
+        match io.reader.read_from(&mut io.stream, DEFAULT_MAX_PAYLOAD) {
+            Ok(None) => Ok(()),
+            Ok(Some((frame, n))) => {
+                self.counters.frame_in(n as u64);
+                self.dispatch(frame)
+            }
+            Err(FrameReadError::Malformed(m)) => {
+                self.counters.decode_error();
+                Err(NetError::Protocol(m.to_string()))
+            }
+            Err(FrameReadError::Io(e)) => Err(NetError::ConnectionLost(e.to_string())),
+        }
+    }
+
+    /// Resolves the job a response frame answers. A frame that ends the
+    /// stream comes back as the error every job still pending fails with.
+    fn dispatch(self: &Arc<Self>, frame: Frame) -> Result<(), NetError> {
+        match frame {
+            Frame::JobOk { request_id, report } => {
+                self.track_arrival(request_id);
+                self.resolve_pending(request_id, |p| {
+                    emit_rtt(p, request_id);
+                    Ok(report)
+                });
+            }
+            Frame::JobFailed { request_id, error } => {
+                self.track_arrival(request_id);
+                self.resolve_pending(request_id, |p| {
+                    emit_rtt(p, request_id);
+                    Err(NetError::Job(error))
+                });
+            }
+            Frame::Error {
+                request_id,
+                code: ErrorCode::Busy,
+                ..
+            } => {
+                self.counters.busy_rejection();
+                self.track_arrival(request_id);
+                self.handle_busy(request_id);
+            }
+            Frame::Error {
+                request_id,
+                code: ErrorCode::ShuttingDown,
+                ..
+            } => {
+                self.track_arrival(request_id);
+                self.resolve_pending(request_id, |_| Err(NetError::ServerShutdown));
+            }
+            Frame::Error {
+                request_id,
+                code,
+                detail,
+            } => {
+                let error = NetError::Protocol(format!("{code:?}: {detail}"));
+                if request_id == 0 {
+                    // Connection-scoped error: everything in flight is
+                    // lost.
+                    return Err(error);
+                }
+                self.resolve_pending(request_id, |_| Err(error));
+            }
+            // The server says Goodbye only once every job it admitted on
+            // this connection is answered, so a job still pending here
+            // was never admitted: refused by a draining server, like a
+            // `ShuttingDown` error.
+            Frame::Goodbye => return Err(NetError::ServerShutdown),
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "unexpected server frame: {other:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the current stream: marks the connection dead and fails every
+    /// pending job with `reason`, waking their waiters. Called by the
+    /// thread that held the read half when the stream failed.
+    fn end(&self, reason: NetError) {
+        {
+            let mut side = self.read.lock();
+            side.over = true;
+            side.io = None;
+        }
+        self.read_tick.notify_all();
         self.dead.store(true, Ordering::SeqCst);
         self.write.lock().stream = None;
-        let error = reason.unwrap_or_else(|| NetError::ConnectionLost("connection closed".into()));
         let drained: Vec<Pending> = self.pending.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
-            self.finish(p.slot, Err(error.clone()));
+            self.finish(p.slot, Err(reason.clone()));
         }
+    }
+
+    /// The fallback reader of one stream. It leads only while nobody
+    /// else does: every [`READ_TICK`] it reads whatever the socket holds
+    /// without waiting for more, and lets go. Once the connection is
+    /// closing it reads continuously, so the server's `Goodbye` (or an
+    /// empty pending map) ends the stream promptly.
+    fn read_loop(self: Arc<Self>) {
+        let mut side = self.read.lock();
+        loop {
+            if side.over {
+                return;
+            }
+            let closing = self.closing.load(Ordering::SeqCst);
+            if closing && self.pending.lock().is_empty() {
+                drop(side);
+                self.end(NetError::ConnectionLost("connection closed".into()));
+                return;
+            }
+            if let Some(mut io) = side.io.take() {
+                drop(side);
+                let read = if closing {
+                    self.read_frame(&mut io)
+                } else {
+                    self.drain(&mut io)
+                };
+                match read {
+                    Ok(()) => self.release(io),
+                    Err(reason) => {
+                        self.end(reason);
+                        return;
+                    }
+                }
+                side = self.read.lock();
+                if closing {
+                    continue;
+                }
+            }
+            self.read_tick.wait_for(&mut side, READ_TICK);
+        }
+    }
+
+    /// Reads and acts on frames while the socket has bytes waiting.
+    fn drain(self: &Arc<Self>, io: &mut ReadIo) -> Result<(), NetError> {
+        while readable(&io.stream, Duration::ZERO) {
+            self.read_frame(io)?;
+        }
+        Ok(())
     }
 
     fn track_arrival(&self, request_id: u64) {
@@ -825,28 +1055,25 @@ impl Conn {
     }
 
     /// Schedules a `Busy`-rejected job's resend after a jittered linear
-    /// backoff, on the connection's resend thread so the reader keeps
-    /// draining responses meanwhile. The jitter is decorrelated — drawn
+    /// backoff, on the connection's resend thread so the reading thread
+    /// keeps draining responses meanwhile. The jitter is decorrelated — drawn
     /// fresh per retry from this connection's own stream — so
     /// connections rejected by the same backpressure wave spread out
     /// instead of resending in lockstep.
     fn handle_busy(self: &Arc<Self>, request_id: u64) {
         let attempt = {
             let mut pending = self.pending.lock();
-            match pending.get_mut(&request_id) {
-                None => return,
-                Some(p) if p.busy_retries_left == 0 => {
-                    let p = pending.remove(&request_id).expect("entry present");
-                    drop(pending);
-                    self.finish(p.slot, Err(NetError::Busy));
-                    return;
-                }
-                Some(p) => {
-                    p.busy_retries_left -= 1;
-                    p.busy_attempt += 1;
-                    p.busy_attempt
-                }
+            let Some(p) = pending.get_mut(&request_id) else {
+                return;
+            };
+            if p.busy_retries_left == 0 {
+                drop(pending);
+                self.resolve_pending(request_id, |_| Err(NetError::Busy));
+                return;
             }
+            p.busy_retries_left -= 1;
+            p.busy_attempt += 1;
+            p.busy_attempt
         };
         let scale = f64::from(attempt) * next_jitter(&self.jitter);
         let due = Instant::now() + self.config.busy_backoff.mul_f64(scale);
@@ -907,17 +1134,19 @@ impl Conn {
             self.resend_due.notify_all();
         }
         let _ = self.send(&Frame::Goodbye);
-        // Half-close so the server sees EOF after our Goodbye; the reader
-        // exits on the server's Goodbye (or the poll tick + empty pending).
+        // Half-close so the server sees EOF after our Goodbye; the
+        // fallback reader ends the stream on the server's Goodbye (or
+        // once nothing is pending).
         if let Some(stream) = self.write.lock().stream.take() {
             let _ = stream.shutdown(Shutdown::Write);
         }
         let handle = self.reader.lock().take();
         if let Some(handle) = handle {
+            self.read_tick.notify_all();
             let _ = handle.join();
         }
-        // Only the reader starts the resend thread, so with the reader
-        // gone none can start after this.
+        // Only a thread reading the stream starts the resend thread, and
+        // nobody reads an ended stream, so none can start after this.
         let resender = self.resends.lock().thread.take();
         if let Some(handle) = resender {
             let _ = handle.join();
@@ -1006,7 +1235,7 @@ impl NetClient {
         }
         NetJobHandle {
             slot,
-            pool: Some(conn.slots.clone()),
+            conn: Some(conn.clone()),
         }
     }
 

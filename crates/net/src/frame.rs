@@ -313,6 +313,30 @@ impl std::fmt::Display for MalformedFrame {
 
 impl std::error::Error for MalformedFrame {}
 
+/// The fields of a frame's [`HEADER_LEN`]-byte header.
+struct Header {
+    magic: [u8; 4],
+    frame_type: u8,
+    version: u8,
+    request_id: u64,
+    /// Payload length in bytes.
+    len: u32,
+}
+
+impl Header {
+    /// Reads the header off the front of `bytes`.
+    fn parse(bytes: &[u8]) -> Result<Header, DecodeError> {
+        let mut r = Reader::new(bytes);
+        Ok(Header {
+            magic: r.array()?,
+            frame_type: r.u8()?,
+            version: r.u8()?,
+            request_id: r.u64()?,
+            len: r.u32()?,
+        })
+    }
+}
+
 impl From<DecodeError> for MalformedFrame {
     fn from(e: DecodeError) -> Self {
         MalformedFrame::Payload(e.to_string())
@@ -453,14 +477,16 @@ impl Frame {
         if bytes.len() < HEADER_LEN + TRAILER_LEN {
             return Err(malformed("frame shorter than header + trailer"));
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
+        let Header {
+            magic,
+            frame_type,
+            version,
+            request_id,
+            len,
+        } = Header::parse(bytes)?;
         if magic != MAGIC {
             return Err(MalformedFrame::BadMagic(magic));
         }
-        let frame_type = bytes[4];
-        let version = bytes[5];
-        let request_id = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[14..18].try_into().unwrap());
         if len > max_payload {
             return Err(MalformedFrame::Oversized {
                 len,
@@ -471,7 +497,7 @@ impl Frame {
             return Err(malformed("frame length disagrees with header"));
         }
         let body_end = HEADER_LEN + len as usize;
-        let received = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
+        let received = Reader::new(&bytes[body_end..]).u32()?;
         let computed = crc32(&bytes[..body_end]);
         if received != computed {
             return Err(MalformedFrame::BadCrc { computed, received });
@@ -487,11 +513,11 @@ impl Frame {
             },
             frame_type::HELLO_ACK => Frame::HelloAck {
                 version: r.u8()?,
-                challenge: r.option(|r| r.bytes(16).map(|b| <[u8; 16]>::try_from(b).unwrap()))?,
+                challenge: r.option(Reader::array::<16>)?,
             },
             frame_type::AUTH => Frame::Auth {
                 tenant: String::decode(&mut r)?,
-                mac: r.bytes(32).map(|b| <[u8; 32]>::try_from(b).unwrap())?,
+                mac: r.array::<32>()?,
             },
             frame_type::AUTH_OK => Frame::AuthOk,
             frame_type::SUBMIT => Frame::Submit {
@@ -851,11 +877,11 @@ impl FrameReader {
                 // Validate the prefix before waiting on the payload, so
                 // garbage is rejected without stalling for bytes that
                 // will never come.
-                let magic: [u8; 4] = self.buf[0..4].try_into().unwrap();
+                let Header { magic, len, .. } =
+                    Header::parse(&self.buf).map_err(|e| FrameReadError::Malformed(e.into()))?;
                 if magic != MAGIC {
                     return Err(FrameReadError::Malformed(MalformedFrame::BadMagic(magic)));
                 }
-                let len = u32::from_le_bytes(self.buf[14..18].try_into().unwrap());
                 if len > max_payload {
                     return Err(FrameReadError::Malformed(MalformedFrame::Oversized {
                         len,

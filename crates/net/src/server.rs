@@ -14,17 +14,27 @@
 //! connections cost file descriptors and a few hundred bytes each, not
 //! stacks.
 //!
-//! Responses are produced by completion watchers running on the
-//! service's workers, one watcher per connection: every job a
-//! connection submits is a batch tagged with its request id. The
-//! watcher serializes the response straight into its connection's
-//! outbound byte buffer — a `JobOk` is encoded from the borrowed
-//! report via [`Frame::encode_job_ok_into`], so the report is never
-//! cloned into an owned frame — and rings the I/O thread's doorbell
-//! ([`crate::reactor::Waker`]); the reactor hands the bytes to the
-//! connection's write buffer (a buffer swap when the write buffer is
-//! drained) and arms write-interest. Results stream back in
-//! *completion* order, matched by request id, never by arrival order.
+//! Responses are produced by completion watchers, one per connection:
+//! every job a connection submits is a batch tagged with its request
+//! id. The watcher serializes the response straight into its
+//! connection's outbound byte buffer — a `JobOk` is encoded from the
+//! borrowed report via [`Frame::encode_job_ok_into`], so the report is
+//! never cloned into an owned frame. On a service worker it then rings
+//! the I/O thread's doorbell ([`crate::reactor::Waker`]); the reactor
+//! hands the bytes to the connection's write buffer (a buffer swap when
+//! the write buffer is drained) and arms write-interest. Results stream
+//! back in *completion* order, matched by request id, never by arrival
+//! order.
+//!
+//! A cheap job can skip the workers altogether. The last two `Submit`s
+//! of a connection's read are submitted [inline](SubmitOptions::inline):
+//! when no job is queued, every worker is parked and the job's shape has
+//! averaged under [`tcast_service::INLINE_MAX_QUERIES`] group queries,
+//! the I/O thread runs it itself — through the service's own admission,
+//! claim, metrics and span path — and writes the response in the same
+//! pass, without ringing its own doorbell. A served job then wakes one
+//! server thread instead of three. Earlier submits of the same read go
+//! to the workers at once, so a burst runs on them.
 //!
 //! Backpressure is explicit at both edges. Inbound, a full service
 //! queue or in-flight window answers the request with an
@@ -41,6 +51,7 @@
 //! their responses are written, then each connection says `Goodbye` and
 //! closes.
 
+use std::cell::Cell;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -181,6 +192,11 @@ const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// (e.g. fd exhaustion).
 const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(500);
 
+/// Submits a read cycle holds back to its end, where each may run inline
+/// ([`SubmitOptions::inline`]); the cycle's earlier submits go to the
+/// workers as soon as they are read.
+const HELD_SUBMITS: usize = 2;
+
 /// Write-buffer head space reclaimed eagerly: once this many flushed
 /// bytes sit before the unsent tail, the buffer is compacted.
 const WBUF_COMPACT_AT: usize = 64 * 1024;
@@ -255,6 +271,7 @@ impl NetServer {
                 counters: service
                     .metrics_registry()
                     .net_counters(&format!("net/io-{k}")),
+                held: Vec::with_capacity(HELD_SUBMITS + 1),
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("tcast-net-io-{k}"))
@@ -320,6 +337,14 @@ impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+thread_local! {
+    /// The inbox of the I/O thread running on this thread (null on any
+    /// other thread). A watcher called here answers a job the I/O thread
+    /// ran inline, and the thread pumps the connection itself right after
+    /// the submit returns, so the watcher rings no doorbell.
+    static OWN_INBOX: Cell<*const Inbox> = const { Cell::new(std::ptr::null()) };
 }
 
 /// The acceptor→I/O-thread and watcher→I/O-thread handoff point. One
@@ -443,10 +468,14 @@ struct IoThread {
     config: NetServerConfig,
     shutdown: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
+    /// A read cycle's last admitted submits, kept for its end; empty
+    /// between cycles, so its capacity is reused.
+    held: Vec<(u64, tcast_service::QueryJob)>,
 }
 
 impl IoThread {
     fn run(mut self) {
+        OWN_INBOX.with(|own| own.set(Arc::as_ptr(&self.inbox)));
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut slots: Vec<usize> = Vec::new();
         // Swapped with the inbox's list each pass, so both keep their
@@ -626,8 +655,12 @@ impl IoThread {
         }
     }
 
-    /// Reads frames until the socket would block, dispatching each.
+    /// Reads frames until the socket would block, dispatching each. The
+    /// read's last [`HELD_SUBMITS`] admitted submits are held back to the
+    /// end and may run inline; every earlier one goes to the workers as
+    /// soon as it drops out of that window.
     fn read_cycle(&mut self, slot: usize) {
+        let mut held = std::mem::take(&mut self.held);
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
@@ -648,7 +681,13 @@ impl IoThread {
                 Ok(Some((frame, n))) => {
                     self.counters.frame_in(n as u64);
                     conn.last_activity = Instant::now();
-                    self.handle_frame(slot, frame, n);
+                    if let Some(next) = self.handle_frame(slot, frame, n) {
+                        held.push(next);
+                        if held.len() > HELD_SUBMITS {
+                            let (request_id, job) = held.remove(0);
+                            self.submit(slot, request_id, job, false);
+                        }
+                    }
                     let overflow = self.conns[slot]
                         .as_ref()
                         .is_some_and(|c| c.pending_writes() > self.config.max_pending_writes);
@@ -692,7 +731,16 @@ impl IoThread {
                 }
             }
         }
-        self.flush(slot);
+        let inline = !held.is_empty();
+        for (request_id, job) in held.drain(..) {
+            self.submit(slot, request_id, job, true);
+        }
+        self.held = held;
+        if inline {
+            self.pump(slot);
+        } else {
+            self.flush(slot);
+        }
     }
 
     /// Queues a connection-level error frame and transitions to a
@@ -712,11 +760,17 @@ impl IoThread {
         conn.phase = Phase::Draining { goodbye: false };
     }
 
-    fn handle_frame(&mut self, slot: usize, frame: Frame, wire_bytes: usize) {
+    /// Acts on one frame; an admitted `Submit` comes back, stamped with
+    /// its tenant and trace and counted in flight, for the caller to
+    /// [`submit`](Self::submit).
+    fn handle_frame(
+        &mut self,
+        slot: usize,
+        frame: Frame,
+        wire_bytes: usize,
+    ) -> Option<(u64, tcast_service::QueryJob)> {
         let draining = self.shutdown.load(Ordering::SeqCst);
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
+        let conn = self.conns[slot].as_mut()?;
         if conn.phase == Phase::Handshake {
             match frame {
                 Frame::Hello {
@@ -761,14 +815,18 @@ impl IoThread {
                     );
                 }
             }
-            return;
+            return None;
         }
         if conn.phase == Phase::AuthPending {
             match frame {
                 Frame::Auth { tenant, mac } => {
-                    let reg = self.tenants.as_ref().expect("AuthPending implies registry");
-                    let nonce = conn.challenge.expect("AuthPending implies challenge");
-                    match reg.verify(&tenant, &nonce, &mac) {
+                    // `AuthPending` is entered only with a registry and a
+                    // challenge; without either the credentials fail.
+                    let verified = match (self.tenants.as_ref(), conn.challenge) {
+                        (Some(reg), Some(nonce)) => reg.verify(&tenant, &nonce, &mac),
+                        _ => Err(tcast_tenant::AuthFailure::UnknownTenant),
+                    };
+                    match verified {
                         Ok(id) => {
                             conn.tenant = Some(id);
                             conn.phase = Phase::Active;
@@ -805,7 +863,7 @@ impl IoThread {
                     );
                 }
             }
-            return;
+            return None;
         }
         match frame {
             Frame::Submit { request_id, job } => {
@@ -816,14 +874,14 @@ impl IoThread {
                 );
                 if draining {
                     queue_frame(&self.counters, conn, &shutting_down(request_id));
-                    return;
+                    return None;
                 }
                 if conn.shared.inflight.load(Ordering::Acquire) >= self.config.max_inflight_per_conn
                 {
                     self.counters.busy_rejection();
                     let frame = busy(request_id, "connection in-flight window full");
                     queue_frame(&self.counters, conn, &frame);
-                    return;
+                    return None;
                 }
                 // The tenant comes from this connection's Auth handshake,
                 // never from the wire: a client cannot submit under
@@ -842,8 +900,12 @@ impl IoThread {
                 {
                     job.trace = tcast_obs::TraceId::fresh();
                 }
-                let (shared, watcher) = (conn.shared.clone(), conn.watcher.clone());
-                self.submit(slot, request_id, job, shared, watcher);
+                // Count the job before the pool can complete it; the
+                // watcher decrements only after the response frame is
+                // queued, so drain never closes the connection underneath
+                // a pending response.
+                conn.shared.inflight.fetch_add(1, Ordering::AcqRel);
+                return Some((request_id, job));
             }
             Frame::MetricsDump { request_id } => {
                 let families = self.service.metrics_registry().snapshot().families();
@@ -875,12 +937,14 @@ impl IoThread {
                 self.fail_conn(slot, ErrorCode::Malformed, "unexpected client frame".into());
             }
         }
+        None
     }
 
     /// The completion watcher of the connection behind `shared`: it
     /// serializes each job's response frame, under the request id its
-    /// batch is tagged with, into the connection's outbound buffer and
-    /// rings the I/O thread's doorbell.
+    /// batch is tagged with, into the connection's outbound buffer and,
+    /// unless it runs on the I/O thread itself, rings that thread's
+    /// doorbell.
     fn watcher(&self, shared: Arc<ConnShared>) -> CompletionWatcher {
         let inbox = self.inbox.clone();
         let counters = self.counters.clone();
@@ -911,6 +975,9 @@ impl IoThread {
                 counters.frame_out((out.len() - before) as u64);
             }
             shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            if OWN_INBOX.with(Cell::get) == Arc::as_ptr(&inbox) {
+                return;
+            }
             if shared
                 .notified
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -922,22 +989,22 @@ impl IoThread {
         })
     }
 
-    fn submit(
-        &mut self,
-        slot: usize,
-        request_id: u64,
-        job: tcast_service::QueryJob,
-        shared: Arc<ConnShared>,
-        watcher: CompletionWatcher,
-    ) {
-        // Count the job before the pool can complete it; the watcher
-        // decrements only after the response frame is queued, so drain
-        // never closes the connection underneath a pending response.
-        shared.inflight.fetch_add(1, Ordering::AcqRel);
-        let options = SubmitOptions::new()
+    /// Hands an admitted job to the service; with `inline`, a cheap job
+    /// may run on this thread before the call returns
+    /// ([`SubmitOptions::inline`]), its response then waiting in the
+    /// connection's outbound buffer for the caller to pump.
+    fn submit(&mut self, slot: usize, request_id: u64, job: tcast_service::QueryJob, inline: bool) {
+        let Some(conn) = self.conns[slot].as_ref() else {
+            return;
+        };
+        let shared = conn.shared.clone();
+        let mut options = SubmitOptions::new()
             .nonblocking()
-            .watched(watcher)
+            .watched(conn.watcher.clone())
             .tagged(request_id);
+        if inline {
+            options = options.inline();
+        }
         match self.service.submit_with(std::iter::once(job), options) {
             Ok(_batch) => {} // responses flow through the watcher
             Err(SubmitError::QueueFull(_)) => {

@@ -49,7 +49,7 @@ pub use metrics::{
 };
 pub use service::{
     Batch, Completion, CompletionWatcher, JobHandle, QueryService, ServiceClosed, ServiceConfig,
-    SubmitError, SubmitOptions,
+    SubmitError, SubmitOptions, INLINE_MAX_QUERIES,
 };
 
 /// Blessed service-tier entrypoints, layered over [`tcast::prelude`].

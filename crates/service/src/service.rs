@@ -19,6 +19,14 @@
 //! completion wakes a unit's waiter only once the unit is finished (or,
 //! when per-job handles share it, on every job).
 //!
+//! A submitter can be an executor as well ([`SubmitOptions::inline`]): a
+//! one-job batch whose predicted cost is under [`INLINE_MAX_QUERIES`],
+//! arriving when no job is queued and every worker is parked, is claimed
+//! in the same lock hold that queues it and run on the submitting thread
+//! before `submit_with` returns, instead of waking a worker for it. The
+//! prediction is the mean group queries of the jobs of the same shape
+//! run so far ([`CostTable`]); a shape not yet seen is never run inline.
+//!
 //! ## Scheduling
 //!
 //! Dequeue is per-tenant **deficit round robin**: each tenant owns a
@@ -44,14 +52,14 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use tcast_tenant::{Priority, TenantId, TenantRegistry};
 
-use tcast::{BatchRunner, ExecutionProfile, RoundTrace};
+use tcast::{BatchRunner, DefensePolicy, ExecutionProfile, RetryPolicy, RoundTrace};
 
 use crate::cache::SessionCache;
 use crate::job::{JobError, JobOutput, JobResult, QueryJob};
@@ -215,6 +223,13 @@ pub struct SubmitOptions {
     /// watcher can serve many batches (the network front-end tags each
     /// batch with its request id).
     pub tag: u64,
+    /// Run a cheap one-job batch on the submitting thread when handing it
+    /// over would cost a worker wakeup: no job is queued, every worker
+    /// is parked, and jobs of its shape have averaged under
+    /// [`INLINE_MAX_QUERIES`] group queries. The job is admitted, claimed,
+    /// executed and recorded exactly as a worker would, watcher included,
+    /// and the returned batch is already complete.
+    pub inline: bool,
 }
 
 impl Default for SubmitOptions {
@@ -223,6 +238,7 @@ impl Default for SubmitOptions {
             blocking: true,
             watcher: None,
             tag: 0,
+            inline: false,
         }
     }
 }
@@ -254,6 +270,13 @@ impl SubmitOptions {
         self.tag = tag;
         self
     }
+
+    /// Returns the options with [`Self::inline`] set.
+    #[must_use = "builder methods return new options; the original is unchanged"]
+    pub fn inline(mut self) -> Self {
+        self.inline = true;
+        self
+    }
 }
 
 impl std::fmt::Debug for SubmitOptions {
@@ -262,6 +285,7 @@ impl std::fmt::Debug for SubmitOptions {
             .field("blocking", &self.blocking)
             .field("watcher", &self.watcher.is_some())
             .field("tag", &self.tag)
+            .field("inline", &self.inline)
             .finish()
     }
 }
@@ -446,6 +470,8 @@ struct QueueState {
     rotation: VecDeque<Option<u32>>,
     /// Jobs enqueued but not yet claimed by a worker (all tenants).
     queued_jobs: usize,
+    /// Workers parked on `not_empty`, counted until they wake.
+    parked: usize,
     shutdown: bool,
 }
 
@@ -469,6 +495,79 @@ impl QueueState {
     }
 }
 
+/// Largest predicted cost, in group queries, of a job run on the
+/// submitting thread ([`SubmitOptions::inline`]): a few µs of engine time,
+/// well under what waking a worker and handing the result back costs.
+/// The serving mix (N=128, t=16) averages about 43 queries; hardened
+/// exact jobs at N=512 average about 350 and stay on the workers.
+pub const INLINE_MAX_QUERIES: u32 = 128;
+
+/// Slots in the [`CostTable`]; shapes that share a slot share a mean.
+const COST_SLOTS: usize = 64;
+
+/// Fixed-point scale of a [`CostTable`] entry (1/16 query).
+const COST_SCALE: u32 = 16;
+
+/// Running mean of group queries per job *shape* — algorithm, `n`, `t`,
+/// and whether loss, an adversary, retries or defenses are on — as an
+/// exponentially weighted mean (weight 1/8) in lock-free slots. A mean of
+/// 0 means the shape has not run yet. Updates race benignly: a lost
+/// update only delays the mean by one job.
+struct CostTable {
+    slots: [AtomicU32; COST_SLOTS],
+}
+
+impl Default for CostTable {
+    fn default() -> Self {
+        Self {
+            slots: std::array::from_fn(|_| AtomicU32::new(0)),
+        }
+    }
+}
+
+impl CostTable {
+    fn slot(&self, job: &QueryJob) -> &AtomicU32 {
+        let c = &job.channel;
+        let shape = [
+            job.algorithm as u64,
+            c.n as u64,
+            job.t as u64,
+            u64::from(c.loss.is_some())
+                | u64::from(c.adversary.is_some()) << 1
+                | u64::from(job.retry_policy() != RetryPolicy::default()) << 2
+                | u64::from(c.defense != DefensePolicy::default()) << 3,
+        ];
+        let mut key = [0u8; 32];
+        for (bytes, word) in key.chunks_exact_mut(8).zip(shape) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        let h = tcast::fingerprint64(&key);
+        &self.slots[(h % COST_SLOTS as u64) as usize]
+    }
+
+    /// Whether jobs shaped like `job` have averaged under
+    /// [`INLINE_MAX_QUERIES`].
+    fn cheap(&self, job: &QueryJob) -> bool {
+        let mean = self.slot(job).load(Ordering::Relaxed);
+        mean != 0 && mean < INLINE_MAX_QUERIES * COST_SCALE
+    }
+
+    /// Folds one finished job's query count into its shape's mean.
+    fn observe(&self, job: &QueryJob, queries: u64) {
+        let slot = self.slot(job);
+        let sample = queries
+            .saturating_mul(u64::from(COST_SCALE))
+            .clamp(1, u64::from(u32::MAX)) as u32;
+        let old = slot.load(Ordering::Relaxed);
+        let new = if old == 0 {
+            sample
+        } else {
+            (i64::from(old) + (i64::from(sample) - i64::from(old)) / 8).max(1) as u32
+        };
+        slot.store(new, Ordering::Relaxed);
+    }
+}
+
 struct Inner {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -487,16 +586,22 @@ struct Inner {
     /// Finished units nothing else holds, emptied, for the next submit
     /// to refill: at most [`SPARE_UNITS`], each the only reference.
     spares: Mutex<Vec<Arc<WorkUnit>>>,
+    /// Worker threads the pool runs (0 for a bare `Inner` in tests).
+    workers: usize,
+    /// Mean group queries per job shape, for [`SubmitOptions::inline`].
+    costs: CostTable,
 }
 
 impl Inner {
-    /// An empty queue and fresh metrics; no worker threads.
-    fn new(config: &ServiceConfig, tenants: Option<Arc<TenantRegistry>>) -> Self {
+    /// An empty queue and fresh metrics for a pool of `workers` threads,
+    /// none of them started yet.
+    fn new(config: &ServiceConfig, tenants: Option<Arc<TenantRegistry>>, workers: usize) -> Self {
         Self {
             state: Mutex::new(QueueState {
                 queues: BTreeMap::new(),
                 rotation: VecDeque::new(),
                 queued_jobs: 0,
+                parked: 0,
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
@@ -508,6 +613,8 @@ impl Inner {
             tenants,
             batch: config.batch_size.max(1),
             spares: Mutex::new(Vec::with_capacity(SPARE_UNITS)),
+            workers,
+            costs: CostTable::default(),
         }
     }
 
@@ -721,7 +828,7 @@ impl QueryService {
             config.workers
         };
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        let inner = Arc::new(Inner::new(&config, tenants));
+        let inner = Arc::new(Inner::new(&config, tenants, workers));
         let handles = (0..workers)
             .map(|i| {
                 let inner = inner.clone();
@@ -795,9 +902,14 @@ impl QueryService {
                 .map(|job| Slot::Queued(Payload::Query(job))),
             watcher,
         );
-        let (charged, lane) = {
+        let (charged, lane, cheap) = {
             let board = unit.board.lock();
             let queued = || board.slots.iter().filter_map(Slot::query_job);
+            let cheap = options.inline
+                && board.slots.len() == 1
+                && queued()
+                    .next()
+                    .is_some_and(|job| self.inner.costs.cheap(job));
             let charged = match &self.inner.tenants {
                 Some(reg) => charge_quotas(reg, queued()).map_err(|tenant| (reg, tenant)),
                 None => Ok(()),
@@ -808,7 +920,7 @@ impl QueryService {
             let lane = queued()
                 .next()
                 .map_or((None, Priority::Normal), |j| (j.tenant, j.priority));
-            (charged, lane)
+            (charged, lane, cheap)
         };
         if let Err((reg, tenant)) = charged {
             self.inner
@@ -818,7 +930,7 @@ impl QueryService {
             return Err(SubmitError::QuotaExceeded(self.take_back(unit)));
         }
         let result = self
-            .enqueue(unit, options.blocking, lane)
+            .enqueue(unit, options.blocking, lane, cheap)
             .map_err(|(unit, closed)| {
                 let jobs = self.take_back(unit);
                 if closed {
@@ -907,17 +1019,21 @@ impl QueryService {
             })
         });
         let unit = self.inner.unit(slots, None);
-        self.enqueue(unit, true, (None, Priority::Normal))
+        self.enqueue(unit, true, (None, Priority::Normal), false)
             .map_err(|_| ServiceClosed)
     }
 
     /// Queues `unit`; a rejected unit comes back with whether the service
-    /// was closed (else the queue was full).
+    /// was closed (else the queue was full). With `cheap` (a one-job
+    /// unit predicted under [`INLINE_MAX_QUERIES`]), a unit that would
+    /// have to wake a parked worker is claimed in the same lock hold and
+    /// run on this thread instead.
     fn enqueue(
         &self,
         unit: Arc<WorkUnit>,
         block: bool,
         lane: (Option<TenantId>, Priority),
+        cheap: bool,
     ) -> Result<Batch, (Arc<WorkUnit>, bool)> {
         let inner = self.inner.clone();
         if unit.len() == 0 {
@@ -941,8 +1057,23 @@ impl QueryService {
             }
             self.inner.not_full.wait(&mut st);
         }
+        // Handing the job over costs a wakeup only when nothing is queued
+        // and no worker is awake to come back for it.
+        let run_here = cheap && st.queued_jobs == 0 && st.parked == self.inner.workers;
         st.push(key, lane.1.band(), unit.clone(), self.inner.weight_of(key));
-        drop(st);
+        if run_here {
+            // The queue held nothing else, so DRR serves this unit next:
+            // the claim charges its tenant's deficit exactly as a
+            // worker's claim would.
+            let claim = claim_drr(&self.inner, &mut st, |next| std::ptr::eq(next, &*unit));
+            drop(st);
+            if let Some(claim) = claim {
+                run_inline(&self.inner, claim);
+                return Ok(Batch::new(unit, inner));
+            }
+        } else {
+            drop(st);
+        }
         // One job needs one worker; a parked worker that wakes for a
         // bigger unit claims up to a batch of it and leaves the rest to
         // the others (and to the unit's waiter).
@@ -1041,7 +1172,9 @@ fn worker_loop(inner: &Inner) {
                 if !claims.is_empty() || st.shutdown {
                     break;
                 }
+                st.parked += 1;
                 inner.not_empty.wait(&mut st);
+                st.parked -= 1;
             }
         }
         if claims.is_empty() {
@@ -1079,13 +1212,33 @@ fn help(inner: &Inner, unit: &Arc<WorkUnit>, until: usize) {
             let Some(claim) = claim else {
                 return;
             };
-            // The job's spans must not nest under whatever span the
-            // waiting caller has open: they are local roots under the
-            // job's own propagated context, as on a worker.
-            let _detached = tcast_obs::detached();
-            run_claims(inner, std::iter::once(claim), &mut runner);
+            run_detached(inner, claim, &mut runner);
         }
     });
+}
+
+/// Runs a claim the submitting thread took for itself
+/// ([`SubmitOptions::inline`]) on the thread's helper scratch, or on a
+/// fresh runner in the one case that scratch is busy: a job that itself
+/// submits inline.
+fn run_inline(inner: &Inner, claim: (Arc<WorkUnit>, usize)) {
+    let mut claim = Some(claim);
+    let _ = HELPER.try_with(|runner| {
+        if let (Ok(mut runner), Some(claim)) = (runner.try_borrow_mut(), claim.take()) {
+            run_detached(inner, claim, &mut runner);
+        }
+    });
+    if let Some(claim) = claim {
+        run_detached(inner, claim, &mut BatchRunner::new(ExecutionProfile::new()));
+    }
+}
+
+/// Runs one claim on a thread that is not a worker. The job's spans must
+/// not nest under whatever span that thread has open: they are local
+/// roots under the job's own propagated context, as on a worker.
+fn run_detached(inner: &Inner, claim: (Arc<WorkUnit>, usize), runner: &mut BatchRunner) {
+    let _detached = tcast_obs::detached();
+    run_claims(inner, std::iter::once(claim), runner);
 }
 
 /// Claims the next job under deficit round robin (caller holds the
@@ -1228,6 +1381,9 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
                 run_query(inner, label, &job, runner)
             };
             inner.metrics.record_queue_wait(queue_wait);
+            if let Ok(JobOutput::Report(report)) = &result {
+                inner.costs.observe(&job, report.queries);
+            }
             if let (Some(tenant), Some(reg)) = (job.tenant, &inner.tenants) {
                 // The quota charge taken at admission is returned here,
                 // whatever the outcome — in-flight means admitted and
@@ -1994,8 +2150,8 @@ mod tests {
         // (weight 2): a 3-job unit.
         // No worker threads: the queues move only when the test claims.
         let config = ServiceConfig::default();
-        let worker = Inner::new(&config, Some(registry.clone()));
-        let helper = Inner::new(&config, Some(registry));
+        let worker = Inner::new(&config, Some(registry.clone()), 0);
+        let helper = Inner::new(&config, Some(registry), 0);
         let mut units = Vec::new();
         for inner in [&worker, &helper] {
             let queued = [
@@ -2052,7 +2208,7 @@ mod tests {
         let a = registry.register(TenantSpec::new("a", b"ka"));
         let b = registry.register(TenantSpec::new("b", b"kb"));
         // No worker threads: the queues move only when the test claims.
-        let inner = Inner::new(&ServiceConfig::default(), Some(Arc::new(registry)));
+        let inner = Inner::new(&ServiceConfig::default(), Some(Arc::new(registry)), 0);
         let unit = |jobs: u64| {
             WorkUnit::new(
                 (0..jobs)

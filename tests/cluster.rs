@@ -11,7 +11,11 @@ use std::time::{Duration, Instant};
 
 use tcast::{CaptureModel, ChannelSpec, CollisionModel, QueryReport};
 use tcast_net::{ClusterConfig, ClusterEvent, NetServer, NetServerConfig, ShardedClient};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
+
+#[path = "support/net.rs"]
+mod net;
+use net::in_process;
 
 const MODELS: [CollisionModel; 3] = [
     CollisionModel::OnePlus,
@@ -36,25 +40,8 @@ fn job_mix(count: usize, base_seed: u64) -> Vec<QueryJob> {
         .collect()
 }
 
-fn in_process(jobs: &[QueryJob]) -> Vec<QueryReport> {
-    let service = QueryService::new(ServiceConfig::with_workers(4));
-    service
-        .submit(jobs.to_vec())
-        .expect("service open")
-        .wait()
-        .into_iter()
-        .map(|r| match r.expect("job succeeded") {
-            JobOutput::Report(report) => report,
-            other => panic!("query job produced {other:?}"),
-        })
-        .collect()
-}
-
 fn start_server(workers: usize) -> (NetServer, Arc<QueryService>) {
-    let service = Arc::new(QueryService::new(ServiceConfig::with_workers(workers)));
-    let server = NetServer::bind("127.0.0.1:0", service.clone(), NetServerConfig::default())
-        .expect("bind ephemeral port");
-    (server, service)
+    net::start_server(workers, NetServerConfig::default())
 }
 
 /// An address with no listener behind it (bound once to reserve a free

@@ -141,6 +141,6 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
 }}
 "#
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fairness.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fairness.json");
     std::fs::write(path, json).expect("write BENCH_fairness.json");
 }

@@ -4,12 +4,15 @@
 //! with out-of-order completion matched by request id, transparent
 //! `Busy` retry under backpressure, and drain-on-shutdown.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use tcast::{CaptureModel, ChannelSpec, CollisionModel, QueryReport};
-use tcast_net::{NetClient, NetClientConfig, NetError, NetServer, NetServerConfig};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
+use tcast_net::{NetClient, NetClientConfig, NetError, NetServerConfig};
+use tcast_service::{AlgorithmSpec, JobOutput, QueryJob};
+
+#[path = "support/net.rs"]
+mod net;
+use net::{in_process, start_server};
 
 const MODELS: [CollisionModel; 3] = [
     CollisionModel::OnePlus,
@@ -32,27 +35,6 @@ fn full_coverage_batch(n: usize, x: usize, t: usize, base_seed: u64) -> Vec<Quer
         }
     }
     jobs
-}
-
-fn in_process(jobs: &[QueryJob]) -> Vec<QueryReport> {
-    let service = QueryService::new(ServiceConfig::with_workers(2));
-    service
-        .submit(jobs.to_vec())
-        .expect("service open")
-        .wait()
-        .into_iter()
-        .map(|r| match r.expect("job succeeded") {
-            JobOutput::Report(report) => report,
-            other => panic!("query job produced {other:?}"),
-        })
-        .collect()
-}
-
-fn start_server(workers: usize, config: NetServerConfig) -> (NetServer, Arc<QueryService>) {
-    let service = Arc::new(QueryService::new(ServiceConfig::with_workers(workers)));
-    let server =
-        NetServer::bind("127.0.0.1:0", service.clone(), config).expect("bind ephemeral port");
-    (server, service)
 }
 
 #[test]

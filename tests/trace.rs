@@ -15,13 +15,13 @@ use tcast_net::{
     ShardedClient, DEFAULT_MAX_PAYLOAD, PROTOCOL_V4,
 };
 use tcast_obs::{add_sink, check_nesting, MemorySink, Record, RecordKind, TraceId};
-use tcast_service::{AlgorithmSpec, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{AlgorithmSpec, QueryJob, QueryService};
+
+#[path = "support/net.rs"]
+mod net;
 
 fn start_server(workers: usize) -> (NetServer, Arc<QueryService>) {
-    let service = Arc::new(QueryService::new(ServiceConfig::with_workers(workers)));
-    let server = NetServer::bind("127.0.0.1:0", service.clone(), NetServerConfig::default())
-        .expect("bind ephemeral port");
-    (server, service)
+    net::start_server(workers, NetServerConfig::default())
 }
 
 fn traced_job(seed: u64, trace: TraceId) -> QueryJob {
