@@ -1125,8 +1125,14 @@ impl Conn {
         }
     }
 
-    fn close(&self) {
-        self.closing.store(true, Ordering::SeqCst);
+    /// Starts closing the connection: wakes the resend thread and the
+    /// fallback reader to stop, says `Goodbye` and half-closes the
+    /// socket, without waiting for either thread ([`Self::join`] does).
+    /// Idempotent.
+    fn stop(&self) {
+        if self.closing.swap(true, Ordering::SeqCst) {
+            return;
+        }
         // Notified under the lock the resend thread checks `closing`
         // under, so the wake-up cannot fall between check and park.
         {
@@ -1140,9 +1146,16 @@ impl Conn {
         if let Some(stream) = self.write.lock().stream.take() {
             let _ = stream.shutdown(Shutdown::Write);
         }
+        // Likewise under the lock the reader checks `closing` under, so
+        // `close` never waits out a read tick.
+        let _side = self.read.lock();
+        self.read_tick.notify_all();
+    }
+
+    /// Joins the threads of a [stopped](Self::stop) connection.
+    fn join(&self) {
         let handle = self.reader.lock().take();
         if let Some(handle) = handle {
-            self.read_tick.notify_all();
             let _ = handle.join();
         }
         // Only a thread reading the stream starts the resend thread, and
@@ -1276,8 +1289,22 @@ impl NetClient {
 
     /// Says `Goodbye` on every connection and joins the reader threads.
     pub fn close(self) {
+        self.stop();
+        self.join();
+    }
+
+    /// Starts closing every connection without waiting for its threads,
+    /// so that several clients can wind down at once.
+    pub(crate) fn stop(&self) {
         for conn in &self.conns {
-            conn.close();
+            conn.stop();
+        }
+    }
+
+    /// Joins the threads of every [stopped](Self::stop) connection.
+    pub(crate) fn join(&self) {
+        for conn in &self.conns {
+            conn.join();
         }
     }
 }
@@ -1355,11 +1382,8 @@ fn fetch_one<T>(
 
 impl Drop for NetClient {
     fn drop(&mut self) {
-        for conn in &self.conns {
-            if !conn.closing.load(Ordering::SeqCst) {
-                conn.close();
-            }
-        }
+        self.stop();
+        self.join();
     }
 }
 

@@ -43,6 +43,9 @@
 //! job produces a bit-identical report on any shard. A background
 //! prober re-dials down shards with exponential backoff and puts them
 //! back into rotation once the `Hello`/`HelloAck` round trip succeeds.
+//! It sleeps until the next re-dial or load sample falls due, and while
+//! every shard is up and sampling is off it parks until a mark-down or
+//! [`ShardedClient::close`] wakes it.
 //!
 //! Everything observable is recorded: shard state transitions and
 //! re-routes in an event log ([`ShardedClient::events`]), per-shard
@@ -56,15 +59,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use tcast::{fingerprint64, fingerprint64_extend};
 use tcast_service::{metric_names, Family, MetricsRegistry, MetricsSnapshot, QueryJob};
 
 use crate::client::{NetClient, NetClientConfig, NetError, NetJobHandle, NetJobResult};
-
-/// How often the prober thread wakes to check for due re-dials.
-const PROBE_TICK: Duration = Duration::from_millis(10);
 
 /// Reference queue wait for the load weight `REF / (REF + wait_us)`: a
 /// shard whose median queue wait reaches this carries half the routing
@@ -336,6 +336,11 @@ struct ClusterInner {
     metrics: MetricsRegistry,
     config: ClusterConfig,
     closing: AtomicBool,
+    /// Set, under its lock, by a mark-down or `close` for the prober to
+    /// see; the prober clears it before each pass.
+    prober_kicked: Mutex<bool>,
+    /// Where the prober parks between passes.
+    prober_bell: Condvar,
 }
 
 impl ClusterInner {
@@ -366,7 +371,62 @@ impl ClusterInner {
             metrics,
             config,
             closing: AtomicBool::new(false),
+            prober_kicked: Mutex::new(false),
+            prober_bell: Condvar::new(),
         }
+    }
+
+    /// Wakes the prober for a pass now. The flag is set under the lock
+    /// the prober parks under, so the wake cannot fall between its last
+    /// pass and its wait.
+    fn kick_prober(&self) {
+        *self.prober_kicked.lock() = true;
+        self.prober_bell.notify_one();
+    }
+
+    /// The prober thread: a pass re-dials the down shards that are due
+    /// and, with [`ClusterConfig::load_aware`], samples the shards' load
+    /// when the interval has passed. Between passes it parks until the
+    /// earliest re-dial or sample falls due, or, when nothing is due at
+    /// all, until a mark-down or `close` kicks it.
+    fn probe_loop(&self) {
+        let mut last_sample: Option<Instant> = None;
+        while !self.closing.load(Ordering::SeqCst) {
+            *self.prober_kicked.lock() = false;
+            self.probe_down_shards();
+            let interval = self.config.load_sample_interval;
+            if self.config.load_aware && last_sample.is_none_or(|at| at.elapsed() >= interval) {
+                self.sample_shard_loads();
+                last_sample = Some(Instant::now());
+            }
+            let due = self
+                .next_redial()
+                .into_iter()
+                .chain(last_sample.map(|at| at + interval))
+                .min();
+            let mut kicked = self.prober_kicked.lock();
+            if *kicked || self.closing.load(Ordering::SeqCst) {
+                continue;
+            }
+            match due {
+                None => self.prober_bell.wait(&mut kicked),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if !left.is_zero() {
+                        self.prober_bell.wait_for(&mut kicked, left);
+                    }
+                }
+            }
+        }
+    }
+
+    /// When the earliest down shard falls due for a re-dial; `None`
+    /// while every shard is up.
+    fn next_redial(&self) -> Option<Instant> {
+        (0..self.addrs.len())
+            .filter(|&shard| !self.healthy[shard].load(Ordering::SeqCst))
+            .map(|shard| self.shards[shard].lock().next_probe)
+            .min()
     }
 
     fn push_event(&self, event: ClusterEvent) {
@@ -545,8 +605,8 @@ impl ClusterInner {
         }
     }
 
-    /// Takes `shard` out of rotation (idempotent) and schedules an
-    /// immediate probe.
+    /// Takes `shard` out of rotation (idempotent) and wakes the prober
+    /// for an immediate re-dial.
     fn mark_down(&self, shard: usize, detail: &str) {
         if self.healthy[shard].swap(false, Ordering::SeqCst) {
             let client = {
@@ -567,6 +627,7 @@ impl ClusterInner {
                 shard,
                 detail: detail.to_string(),
             });
+            self.kick_prober();
         }
     }
 
@@ -794,20 +855,7 @@ impl ShardedClient {
             let inner = inner.clone();
             std::thread::Builder::new()
                 .name("tcast-cluster-prober".into())
-                .spawn(move || {
-                    let mut last_sample: Option<Instant> = None;
-                    while !inner.closing.load(Ordering::SeqCst) {
-                        inner.probe_down_shards();
-                        let due = inner.config.load_aware
-                            && last_sample
-                                .is_none_or(|at| at.elapsed() >= inner.config.load_sample_interval);
-                        if due {
-                            inner.sample_shard_loads();
-                            last_sample = Some(Instant::now());
-                        }
-                        std::thread::sleep(PROBE_TICK);
-                    }
-                })
+                .spawn(move || inner.probe_loop())
                 .map_err(|e| NetError::ConnectionLost(format!("spawn prober: {e}")))?
         };
 
@@ -901,14 +949,23 @@ impl ShardedClient {
 
     fn shutdown(&mut self) {
         self.inner.closing.store(true, Ordering::SeqCst);
+        self.inner.kick_prober();
+        // Wake every thread first and join them after, so their wake-ups
+        // overlap instead of queueing one behind another.
+        let clients: Vec<NetClient> = self
+            .inner
+            .shards
+            .iter()
+            .filter_map(|state| state.lock().client.take())
+            .collect();
+        for client in &clients {
+            client.stop();
+        }
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
-        for state in &self.inner.shards {
-            let client = state.lock().client.take();
-            if let Some(client) = client {
-                client.close();
-            }
+        for client in clients {
+            client.close();
         }
     }
 }

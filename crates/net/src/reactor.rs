@@ -16,10 +16,13 @@
 //! - [`poll_fds`] — waits until any entry is ready or the timeout
 //!   elapses, retrying `EINTR` internally;
 //! - [`Waker`] — a socketpair-based doorbell so threads *not* in the
-//!   poll set (completion watchers on service workers, the acceptor,
-//!   shutdown) can interrupt a sleeping I/O thread;
+//!   poll set (completion watchers on service workers, I/O thread 0
+//!   handing over an accepted socket, shutdown) can interrupt a sleeping
+//!   I/O thread;
 //! - [`AcceptBackoff`] — the escalation policy for repeated `accept(2)`
-//!   failures (`EMFILE` during a connection flood must not spin).
+//!   failures (`EMFILE` during a connection flood must not spin): the
+//!   accepting I/O thread leaves its listener out of the poll set for
+//!   each pause.
 //!
 //! `poll` scans the fd list linearly, so a poll set of `n` connections
 //! costs O(n) per wakeup. That is the right trade here: the server caps
@@ -116,11 +119,14 @@ extern "C" {
 /// Waits until at least one entry in `fds` is ready or `timeout`
 /// elapses; returns how many entries have non-empty `revents`.
 ///
-/// `EINTR` is retried internally (with the full timeout — callers run
-/// this inside a tick loop, so occasional over-sleeping is harmless).
-/// A zero return is a clean timeout.
+/// The timeout is rounded up to whole milliseconds, so a wait for a
+/// deadline never returns just before it. `EINTR` is retried internally
+/// (with the full timeout — callers run this inside a tick loop, so
+/// occasional over-sleeping is harmless). A zero return is a clean
+/// timeout.
 pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    let millis = core::ffi::c_int::try_from(timeout.as_millis()).unwrap_or(core::ffi::c_int::MAX);
+    let millis = core::ffi::c_int::try_from(timeout.as_micros().div_ceil(1000))
+        .unwrap_or(core::ffi::c_int::MAX);
     loop {
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, millis) };
         if rc >= 0 {
@@ -165,10 +171,12 @@ impl Waker {
     }
 
     /// Consumes all pending wake signals (call after the poller
-    /// observes the waker fd readable, before re-polling).
+    /// observes the waker fd readable, before re-polling). A read that
+    /// comes back short has emptied the socket, so only a full one is
+    /// followed by another: one `recv` per doorbell in the common case.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 

@@ -1,9 +1,15 @@
 //! `NetServer` — the event-driven TCP front-end wrapping a
 //! [`QueryService`].
 //!
-//! One acceptor thread polls the listener and hands fresh sockets
-//! round-robin to a small fixed pool of I/O threads (default
-//! `min(8, cores)`, see [`NetServerConfig::io_threads`]). Each I/O
+//! A small fixed pool of I/O threads (default `min(8, cores)`, see
+//! [`NetServerConfig::io_threads`]) are the server's only threads. I/O
+//! thread 0 keeps the non-blocking listener in its own poll set: when it
+//! turns readable the thread accepts until `accept(2)` would block and
+//! deals the sockets round-robin over the pool, registering its own
+//! share at once and pushing each other one to its owner's inbox with a
+//! doorbell ring. After a failed accept (fd exhaustion in a flood) the
+//! listener leaves the poll set for an [`AcceptBackoff`] pause, so the
+//! thread keeps serving its connections instead of sleeping. Each I/O
 //! thread multiplexes its share of non-blocking connections through a
 //! [`crate::reactor`] readiness loop: per-connection state — the
 //! negotiation phase, the stateful [`FrameReader`] surviving partial
@@ -46,10 +52,12 @@
 //! closed — a dead write path ends the connection promptly instead of
 //! leaving a zombie that admits jobs nobody will read.
 //!
-//! Shutdown drains: the acceptor stops, every connection refuses new
+//! Shutdown drains: [`NetServer::shutdown`] sets a flag and rings every
+//! I/O thread's doorbell. Thread 0 closes the listener and tells the
+//! others no connection will follow; every connection refuses new
 //! submits with [`ErrorCode::ShuttingDown`], in-flight jobs finish and
 //! their responses are written, then each connection says `Goodbye` and
-//! closes.
+//! closes, and the threads exit once their connections are gone.
 
 use std::cell::Cell;
 use std::io::{self, Write};
@@ -180,8 +188,9 @@ impl NetServerConfig {
     }
 }
 
-/// How long reactor and acceptor sleeps last before re-checking
-/// deadlines and shutdown state.
+/// How long an I/O thread's `poll` lasts at most before the thread
+/// re-checks connection deadlines. Shutdown rings the doorbell instead
+/// of waiting for it.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// First backoff after a failed `accept(2)`; doubles per consecutive
@@ -210,7 +219,6 @@ pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     inboxes: Vec<Arc<Inbox>>,
-    acceptor: Option<JoinHandle<()>>,
     io_threads: Vec<JoinHandle<()>>,
     /// Keeps the collector registered as a process-wide trace sink for
     /// the server's lifetime.
@@ -246,16 +254,14 @@ impl NetServer {
             inboxes.push(Arc::new(Inbox::new()?));
         }
 
-        let mut acceptor = {
-            let shutdown = shutdown.clone();
-            let inboxes = inboxes.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("tcast-net-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &inboxes, &shutdown, &server_counters))?,
-            )
-        };
-
+        let mut listener = Some(Listener {
+            socket: listener,
+            inboxes: inboxes.clone(),
+            next: 0,
+            backoff: AcceptBackoff::new(ACCEPT_BACKOFF_BASE, ACCEPT_BACKOFF_CAP),
+            paused_until: None,
+            counters: server_counters,
+        });
         let mut io_threads = Vec::with_capacity(pool);
         for (k, inbox) in inboxes.iter().enumerate() {
             let worker = IoThread {
@@ -263,6 +269,7 @@ impl NetServer {
                 free: Vec::new(),
                 live: 0,
                 inbox: inbox.clone(),
+                listener: listener.take(),
                 tenants: service.tenant_registry(),
                 service: service.clone(),
                 collector: collector.clone(),
@@ -282,9 +289,6 @@ impl NetServer {
                     // Unwind the threads already running so none outlives
                     // the failed bind.
                     shutdown.store(true, Ordering::SeqCst);
-                    if let Some(handle) = acceptor.take() {
-                        let _ = handle.join();
-                    }
                     for inbox in &inboxes {
                         inbox.waker.wake();
                     }
@@ -300,7 +304,6 @@ impl NetServer {
             addr,
             shutdown,
             inboxes,
-            acceptor,
             io_threads,
             _trace_sink: trace_sink,
         })
@@ -319,11 +322,8 @@ impl NetServer {
 
     fn stop_and_join(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor exits first and marks every inbox done, so I/O
-        // threads know no further connections can arrive.
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        // I/O thread 0 closes the listener on this wake and marks every
+        // inbox done, so the others know no further connections arrive.
         for inbox in &self.inboxes {
             inbox.waker.wake();
         }
@@ -347,15 +347,17 @@ thread_local! {
     static OWN_INBOX: Cell<*const Inbox> = const { Cell::new(std::ptr::null()) };
 }
 
-/// The acceptor→I/O-thread and watcher→I/O-thread handoff point. One
-/// per I/O thread; every producer rings [`Inbox::waker`] after pushing.
+/// The handoff point into one I/O thread, for the sockets I/O thread 0
+/// accepts on its behalf and for watcher completions. Every producer
+/// rings [`Inbox::waker`] after pushing.
 struct Inbox {
     /// Sockets accepted but not yet registered with the reactor.
     new_conns: Mutex<Vec<TcpStream>>,
     /// Connections whose watchers queued response bytes since the
     /// reactor last looked.
     completions: Mutex<Vec<Arc<ConnShared>>>,
-    /// Set by the acceptor on exit: no more `new_conns` will ever come.
+    /// Set by I/O thread 0 when it closes the listener: no more
+    /// `new_conns` will ever come.
     acceptor_done: AtomicBool,
     waker: Waker,
 }
@@ -459,6 +461,8 @@ struct IoThread {
     free: Vec<usize>,
     live: usize,
     inbox: Arc<Inbox>,
+    /// The listening socket, on I/O thread 0 only, until shutdown.
+    listener: Option<Listener>,
     service: Arc<QueryService>,
     /// The wrapped service's tenant registry, if any. Present ⇒ every
     /// connection must pass the `Auth` challenge before submitting.
@@ -471,6 +475,37 @@ struct IoThread {
     /// A read cycle's last admitted submits, kept for its end; empty
     /// between cycles, so its capacity is reused.
     held: Vec<(u64, tcast_service::QueryJob)>,
+}
+
+/// The server's listening socket and its round-robin cursor, owned by
+/// I/O thread 0, which accepts between reads on its own connections.
+struct Listener {
+    socket: TcpListener,
+    /// Every I/O thread's inbox, in thread order; index 0 is the owner's.
+    inboxes: Vec<Arc<Inbox>>,
+    /// Accepted connections so far; the next one goes to thread
+    /// `next % inboxes.len()`.
+    next: usize,
+    backoff: AcceptBackoff,
+    /// After a failed `accept(2)`, when the listener rejoins the poll set.
+    paused_until: Option<Instant>,
+    /// The `net/server` row, which counts accept errors.
+    counters: Arc<NetCounters>,
+}
+
+impl Listener {
+    /// The listener's poll entry, or `None` while an accept-error pause
+    /// runs, in which case `timeout` is cut to the pause's end.
+    fn poll_fd(&mut self, now: Instant, timeout: &mut Duration) -> Option<PollFd> {
+        if let Some(until) = self.paused_until {
+            if until > now {
+                *timeout = (*timeout).min(until - now);
+                return None;
+            }
+            self.paused_until = None;
+        }
+        Some(PollFd::readable(self.socket.as_raw_fd()))
+    }
 }
 
 impl IoThread {
@@ -502,17 +537,28 @@ impl IoThread {
 
             self.sweep();
 
-            if self.shutdown.load(Ordering::SeqCst)
-                && self.live == 0
-                && self.inbox.acceptor_done.load(Ordering::Acquire)
-                && self.inbox.new_conns.lock().is_empty()
-            {
-                return;
+            if self.shutdown.load(Ordering::SeqCst) {
+                self.stop_accepting();
+                if self.live == 0
+                    && self.inbox.acceptor_done.load(Ordering::Acquire)
+                    && self.inbox.new_conns.lock().is_empty()
+                {
+                    return;
+                }
             }
 
             pollfds.clear();
             slots.clear();
             pollfds.push(self.inbox.waker.poll_fd());
+            let mut timeout = POLL_TICK;
+            let listening = self
+                .listener
+                .as_mut()
+                .and_then(|listener| listener.poll_fd(Instant::now(), &mut timeout));
+            if let Some(fd) = listening {
+                pollfds.push(fd);
+            }
+            let first_conn = pollfds.len();
             for (slot, entry) in self.conns.iter().enumerate() {
                 let Some(conn) = entry else { continue };
                 let want_read = !conn.read_stopped;
@@ -522,15 +568,15 @@ impl IoThread {
                     slots.push(slot);
                 }
             }
-            let _ = poll_fds(&mut pollfds, POLL_TICK);
+            let _ = poll_fds(&mut pollfds, timeout);
             if pollfds[0].is_readable() {
                 self.inbox.waker.drain();
             }
-            for i in 1..pollfds.len() {
+            for i in first_conn..pollfds.len() {
                 if !pollfds[i].is_ready() {
                     continue;
                 }
-                let slot = slots[i - 1];
+                let slot = slots[i - first_conn];
                 if pollfds[i].is_writable() {
                     self.flush(slot);
                 }
@@ -538,6 +584,67 @@ impl IoThread {
                     self.read_cycle(slot);
                 }
             }
+            if listening.is_some() && pollfds[1].is_readable() {
+                self.accept_ready();
+            }
+        }
+    }
+
+    /// Accepts until the listener would block, handing the sockets out
+    /// round-robin: this thread registers its own share at once and
+    /// pushes every other one to its owner's inbox. A failed `accept(2)`
+    /// is counted and takes the listener out of the poll set for the
+    /// backoff's pause.
+    fn accept_ready(&mut self) {
+        let Some(mut listener) = self.listener.take() else {
+            return;
+        };
+        loop {
+            match listener.socket.accept() {
+                Ok((stream, _peer)) => {
+                    listener.backoff.on_success();
+                    let owner = listener.next % listener.inboxes.len();
+                    listener.next = listener.next.wrapping_add(1);
+                    if owner == 0 {
+                        self.register(stream);
+                    } else {
+                        let inbox = &listener.inboxes[owner];
+                        inbox.new_conns.lock().push(stream);
+                        inbox.waker.wake();
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    // Persistent failure (EMFILE during a flood) must
+                    // neither spin nor pass silently: count it and back
+                    // off geometrically.
+                    listener.counters.accept_error();
+                    let pause = listener.backoff.on_error();
+                    tcast_obs::event(
+                        tcast_obs::TraceId::NONE,
+                        "net.accept.error",
+                        &[(
+                            "consecutive",
+                            u64::from(listener.backoff.consecutive_errors()),
+                        )],
+                    );
+                    listener.paused_until = Some(Instant::now() + pause);
+                    break;
+                }
+            }
+        }
+        self.listener = Some(listener);
+    }
+
+    /// Closes the listener, if this thread holds it, and tells every I/O
+    /// thread that no more connections will arrive.
+    fn stop_accepting(&mut self) {
+        let Some(listener) = self.listener.take() else {
+            return;
+        };
+        for inbox in &listener.inboxes {
+            inbox.acceptor_done.store(true, Ordering::Release);
+            inbox.waker.wake();
         }
     }
 
@@ -1131,53 +1238,6 @@ impl IoThread {
             // keeping a zombie around.
             self.close(slot);
         }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    inboxes: &[Arc<Inbox>],
-    shutdown: &AtomicBool,
-    counters: &NetCounters,
-) {
-    let mut backoff = AcceptBackoff::new(ACCEPT_BACKOFF_BASE, ACCEPT_BACKOFF_CAP);
-    let mut next = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
-        let mut fds = [PollFd::readable(listener.as_raw_fd())];
-        let _ = poll_fds(&mut fds, POLL_TICK);
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    backoff.on_success();
-                    let inbox = &inboxes[next % inboxes.len()];
-                    next = next.wrapping_add(1);
-                    inbox.new_conns.lock().push(stream);
-                    inbox.waker.wake();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    // Persistent failure (EMFILE during a flood) must
-                    // neither spin nor pass silently: count it and back
-                    // off geometrically.
-                    counters.accept_error();
-                    let pause = backoff.on_error();
-                    tcast_obs::event(
-                        tcast_obs::TraceId::NONE,
-                        "net.accept.error",
-                        &[("consecutive", u64::from(backoff.consecutive_errors()))],
-                    );
-                    std::thread::sleep(pause);
-                    break;
-                }
-            }
-        }
-    }
-    for inbox in inboxes {
-        inbox.acceptor_done.store(true, Ordering::Release);
-        inbox.waker.wake();
     }
 }
 

@@ -175,7 +175,8 @@ impl NetCounters {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one connection admitted by a server acceptor.
+    /// Records one connection a server registered with one of its I/O
+    /// threads (the `net/io-K` row of the thread that owns it).
     pub fn conn_opened(&self) {
         self.conns_opened.fetch_add(1, Ordering::Relaxed);
     }

@@ -630,3 +630,36 @@ fn queue_wait_signal_is_exposed_over_the_wire() {
     client.close();
     server.shutdown();
 }
+
+/// `close` wakes the prober under the lock it parks under, so closing a
+/// cluster client waits out no probe tick. A prober that slept in fixed
+/// 10 ms ticks made every close here wait most of one. The budget
+/// forgives one slow close in ten: on a 2-vCPU host, closes that take
+/// well under 1 ms in the median were seen to take 5–13 ms now and then
+/// while the suite's other tests kept both CPUs busy.
+#[test]
+fn closing_a_cluster_client_takes_no_probe_tick() {
+    let servers: Vec<_> = (0..2).map(|_| start_server(1)).collect();
+    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
+    let job = job_mix(1, 0xC105E);
+    let took: Vec<Duration> = (0..10)
+        .map(|_| {
+            let cluster =
+                ShardedClient::connect(addrs.clone(), ClusterConfig::default()).expect("connect");
+            for result in cluster.submit(job.clone()).wait() {
+                result.expect("cluster job succeeded");
+            }
+            let start = Instant::now();
+            cluster.close();
+            start.elapsed()
+        })
+        .collect();
+    let slow = took
+        .iter()
+        .filter(|t| **t >= Duration::from_millis(5))
+        .count();
+    assert!(slow <= 1, "{slow} of 10 closes took 5 ms or more: {took:?}");
+    for (server, _) in servers {
+        server.shutdown();
+    }
+}

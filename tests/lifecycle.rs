@@ -260,3 +260,33 @@ fn connection_gauges_track_open_and_closed_sockets() {
     );
     server.shutdown();
 }
+
+/// Shutdown rings every I/O thread's doorbell, and the thread holding
+/// the listener closes it on that wake, so a server that has accepted a
+/// connection shuts down without waiting out a poll tick. A separate
+/// acceptor thread polling on a 25 ms tick made every shutdown here wait
+/// most of one. The budget forgives one slow cycle in ten, for the host
+/// holding the CPU at the wrong moment.
+#[test]
+fn shutdown_after_a_connection_takes_no_poll_tick() {
+    let service = Arc::new(QueryService::new(ServiceConfig::with_workers(1)));
+    let took: Vec<Duration> = (0..10)
+        .map(|_| {
+            let server =
+                NetServer::bind("127.0.0.1:0", service.clone(), NetServerConfig::default())
+                    .expect("bind ephemeral port");
+            let _conn = handshake(&server);
+            let start = Instant::now();
+            server.shutdown();
+            start.elapsed()
+        })
+        .collect();
+    let slow = took
+        .iter()
+        .filter(|t| **t >= Duration::from_millis(5))
+        .count();
+    assert!(
+        slow <= 1,
+        "{slow} of 10 shutdowns took 5 ms or more: {took:?}"
+    );
+}
