@@ -8,7 +8,6 @@
 //! queries (1.4%), concentrated at single-HACK groups.
 
 use tcast_motes::{run_testbed, TestbedConfig, TestbedReport};
-use tcast_stats::Summary;
 
 use crate::output::{Figure, Series, Table};
 
@@ -77,15 +76,6 @@ fn error_table_from(report: &TestbedReport, cfg: &TestbedConfig) -> Table {
         ]);
     }
     table
-}
-
-/// Convenience: summarize mean query counts over one threshold's rows.
-pub fn mean_queries(report: &TestbedReport, t: usize) -> Summary {
-    let mut s = Summary::new();
-    for row in report.rows_for_t(t) {
-        s.record(row.queries.mean());
-    }
-    s
 }
 
 #[cfg(test)]

@@ -123,11 +123,6 @@ impl<T> MoteOs<T> {
             .unwrap_or(false)
     }
 
-    /// Pending task count.
-    pub fn pending_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Advances the runtime one step: drains the task queue first (tasks
     /// never interleave with time), then fires the next timer event,
     /// advancing the clock. `None` when fully idle.

@@ -10,16 +10,16 @@
 //! other thread does (leader/follower): it hands every response it reads
 //! to its handle's slot and returns once its own has come, passing the
 //! read side on to a waiter parked behind it. The waiter is then the only
-//! thread a response wakes. Each connection keeps one reader thread as a
-//! fallback; it never blocks in `read` while jobs are waited on, but
-//! drains the socket every 25 ms when nobody leads, which covers handles
-//! nobody waits on, `Busy` rejections and the server's `Goodbye`.
+//! thread a response wakes. Each connection keeps one background thread,
+//! the fallback reader; it never blocks in `read` while jobs are waited
+//! on, but drains the socket every 25 ms when nobody leads, which covers
+//! handles nobody waits on, `Busy` rejections and the server's `Goodbye`.
 //!
 //! `Busy` error frames (admission backpressure) are retried
 //! transparently with jittered linear backoff up to a configurable
-//! budget, from one resend thread per connection; a
-//! dead connection is re-dialed once per submit before the affected
-//! handles fail with [`NetError::ConnectionLost`].
+//! budget: the fallback reader sends each resend when it falls due,
+//! waking early for it. A dead connection is re-dialed once per submit
+//! before the affected handles fail with [`NetError::ConnectionLost`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -553,16 +553,11 @@ struct Conn {
     slots: SlotPool,
     /// The current stream's read half, led by one thread at a time.
     read: Mutex<ReadSide>,
-    /// Wakes the fallback reader early: the stream ended or the
-    /// connection is closing.
+    /// Wakes the fallback reader early: the stream ended, the
+    /// connection is closing, or a `Busy` resend was scheduled.
     read_tick: Condvar,
     /// The fallback reader of the current stream.
     reader: Mutex<Option<JoinHandle<()>>>,
-    /// `Busy`-rejected jobs waiting out their backoff, and the thread
-    /// that resends them.
-    resends: Mutex<Resends>,
-    /// Wakes the resend thread for an earlier due time or for `close`.
-    resend_due: Condvar,
     dead: AtomicBool,
     closing: AtomicBool,
     /// Highest request id seen in a response, for the out-of-order stat.
@@ -595,20 +590,14 @@ struct ReadSide {
     /// The stream ended and every job pending on it was failed; nobody
     /// reads it again.
     over: bool,
+    /// `Busy`-rejected jobs waiting out their backoff: request ids by
+    /// due time, earliest first. The fallback reader sends them.
+    resends: BinaryHeap<Reverse<(Instant, u64)>>,
 }
 
 struct ReadIo {
     stream: TcpStream,
     reader: FrameReader,
-}
-
-/// A connection's `Busy` resend schedule: request ids by due time,
-/// earliest first, plus the one thread that sends them, started by the
-/// connection's first `Busy`.
-#[derive(Default)]
-struct Resends {
-    due: BinaryHeap<Reverse<(Instant, u64)>>,
-    thread: Option<JoinHandle<()>>,
 }
 
 /// A connection's write half and the buffer every outbound frame is
@@ -670,11 +659,10 @@ impl Conn {
                 io: None,
                 followers: Vec::new(),
                 over: true,
+                resends: BinaryHeap::new(),
             }),
             read_tick: Condvar::new(),
             reader: Mutex::new(None),
-            resends: Mutex::default(),
-            resend_due: Condvar::new(),
             dead: AtomicBool::new(true),
             closing: AtomicBool::new(false),
             last_arrived: AtomicU64::new(0),
@@ -782,11 +770,7 @@ impl Conn {
     /// responses itself until its own has come. Otherwise it parks on its
     /// slot as a follower and is woken by its response or by the lead
     /// coming free.
-    fn wait_on(
-        self: &Arc<Self>,
-        slot: &Arc<Slot>,
-        deadline: Option<Instant>,
-    ) -> Option<NetJobResult> {
+    fn wait_on(&self, slot: &Arc<Slot>, deadline: Option<Instant>) -> Option<NetJobResult> {
         loop {
             let mut state = slot.state.lock();
             if let Some(result) = slot.consume(&mut state) {
@@ -843,7 +827,7 @@ impl Conn {
 
     /// Reads the connection until `slot` resolves or `deadline` passes,
     /// then lets go of the lead. A stream that ends is ended here.
-    fn lead(self: &Arc<Self>, mut io: ReadIo, slot: &Slot, deadline: Option<Instant>) {
+    fn lead(&self, mut io: ReadIo, slot: &Slot, deadline: Option<Instant>) {
         loop {
             if slot.is_resolved() {
                 break;
@@ -885,7 +869,7 @@ impl Conn {
 
     /// Reads one frame, blocking up to [`READ_TICK`], and acts on it. An
     /// error is the reason the stream ended.
-    fn read_frame(self: &Arc<Self>, io: &mut ReadIo) -> Result<(), NetError> {
+    fn read_frame(&self, io: &mut ReadIo) -> Result<(), NetError> {
         match io.reader.read_from(&mut io.stream, DEFAULT_MAX_PAYLOAD) {
             Ok(None) => Ok(()),
             Ok(Some((frame, n))) => {
@@ -902,7 +886,7 @@ impl Conn {
 
     /// Resolves the job a response frame answers. A frame that ends the
     /// stream comes back as the error every job still pending fails with.
-    fn dispatch(self: &Arc<Self>, frame: Frame) -> Result<(), NetError> {
+    fn dispatch(&self, frame: Frame) -> Result<(), NetError> {
         match frame {
             Frame::JobOk { request_id, report } => {
                 self.track_arrival(request_id);
@@ -970,6 +954,8 @@ impl Conn {
             let mut side = self.read.lock();
             side.over = true;
             side.io = None;
+            // Every job they name fails below.
+            side.resends.clear();
         }
         self.read_tick.notify_all();
         self.dead.store(true, Ordering::SeqCst);
@@ -980,11 +966,13 @@ impl Conn {
         }
     }
 
-    /// The fallback reader of one stream. It leads only while nobody
-    /// else does: every [`READ_TICK`] it reads whatever the socket holds
-    /// without waiting for more, and lets go. Once the connection is
-    /// closing it reads continuously, so the server's `Goodbye` (or an
-    /// empty pending map) ends the stream promptly.
+    /// The fallback reader of one stream. It sends each `Busy` resend
+    /// once it is due, and leads only while nobody else does: every
+    /// [`READ_TICK`], or sooner when a resend falls due, it reads
+    /// whatever the socket holds without waiting for more, and lets go.
+    /// Once the connection is closing it sends nothing and reads
+    /// continuously, so the server's `Goodbye` (or an empty pending map)
+    /// ends the stream promptly.
     fn read_loop(self: Arc<Self>) {
         let mut side = self.read.lock();
         loop {
@@ -996,6 +984,15 @@ impl Conn {
                 drop(side);
                 self.end(NetError::ConnectionLost("connection closed".into()));
                 return;
+            }
+            if let Some(&Reverse((due, request_id))) = side.resends.peek() {
+                if !closing && due <= Instant::now() {
+                    side.resends.pop();
+                    drop(side);
+                    self.resend(request_id);
+                    side = self.read.lock();
+                    continue;
+                }
             }
             if let Some(mut io) = side.io.take() {
                 drop(side);
@@ -1016,12 +1013,20 @@ impl Conn {
                     continue;
                 }
             }
-            self.read_tick.wait_for(&mut side, READ_TICK);
+            // Peeked under the lock `handle_busy` notifies under, so a
+            // resend scheduled since is never slept through.
+            let tick = match side.resends.peek() {
+                Some(Reverse((due, _))) if !closing => {
+                    READ_TICK.min(due.saturating_duration_since(Instant::now()))
+                }
+                _ => READ_TICK,
+            };
+            self.read_tick.wait_for(&mut side, tick);
         }
     }
 
     /// Reads and acts on frames while the socket has bytes waiting.
-    fn drain(self: &Arc<Self>, io: &mut ReadIo) -> Result<(), NetError> {
+    fn drain(&self, io: &mut ReadIo) -> Result<(), NetError> {
         while readable(&io.stream, Duration::ZERO) {
             self.read_frame(io)?;
         }
@@ -1055,12 +1060,12 @@ impl Conn {
     }
 
     /// Schedules a `Busy`-rejected job's resend after a jittered linear
-    /// backoff, on the connection's resend thread so the reading thread
-    /// keeps draining responses meanwhile. The jitter is decorrelated — drawn
-    /// fresh per retry from this connection's own stream — so
+    /// backoff, for the fallback reader to send, so the reading thread
+    /// keeps draining responses meanwhile. The jitter is decorrelated —
+    /// drawn fresh per retry from this connection's own stream — so
     /// connections rejected by the same backpressure wave spread out
     /// instead of resending in lockstep.
-    fn handle_busy(self: &Arc<Self>, request_id: u64) {
+    fn handle_busy(&self, request_id: u64) {
         let attempt = {
             let mut pending = self.pending.lock();
             let Some(p) = pending.get_mut(&request_id) else {
@@ -1077,67 +1082,32 @@ impl Conn {
         };
         let scale = f64::from(attempt) * next_jitter(&self.jitter);
         let due = Instant::now() + self.config.busy_backoff.mul_f64(scale);
-        let mut resends = self.resends.lock();
-        if resends.thread.is_none() {
-            let conn = self.clone();
-            match std::thread::Builder::new()
-                .name("tcast-net-client-resend".into())
-                .spawn(move || conn.resend_loop())
-            {
-                Ok(handle) => resends.thread = Some(handle),
-                Err(e) => {
-                    drop(resends);
-                    let e = NetError::ConnectionLost(format!("resend thread failed: {e}"));
-                    self.resolve_pending(request_id, |_| Err(e));
-                    return;
-                }
-            }
-        }
-        resends.due.push(Reverse((due, request_id)));
         self.busy_resends.fetch_add(1, Ordering::Relaxed);
-        self.resend_due.notify_one();
+        // Notified under the lock the fallback reader peeks the schedule
+        // under, so the wake-up cannot fall between peek and park.
+        let mut side = self.read.lock();
+        side.resends.push(Reverse((due, request_id)));
+        self.read_tick.notify_all();
     }
 
-    /// The resend thread: sends each scheduled job once it is due, until
-    /// the connection closes. A job no longer pending (its connection
-    /// died meanwhile) is skipped.
-    fn resend_loop(self: Arc<Self>) {
-        let mut resends = self.resends.lock();
-        while !self.closing.load(Ordering::SeqCst) {
-            let Some(&Reverse((due, request_id))) = resends.due.peek() else {
-                self.resend_due.wait(&mut resends);
-                continue;
-            };
-            let now = Instant::now();
-            if due > now {
-                self.resend_due.wait_for(&mut resends, due - now);
-                continue;
+    /// Sends a due resend, unless the job is no longer pending (its
+    /// connection died meanwhile).
+    fn resend(&self, request_id: u64) {
+        let job = self.pending.lock().get(&request_id).map(|p| p.job);
+        if let Some(job) = job {
+            if let Err(e) = self.send(&Frame::Submit { request_id, job }) {
+                self.resolve_pending(request_id, |_| Err(e));
             }
-            resends.due.pop();
-            drop(resends);
-            let job = self.pending.lock().get(&request_id).map(|p| p.job);
-            if let Some(job) = job {
-                if let Err(e) = self.send(&Frame::Submit { request_id, job }) {
-                    self.resolve_pending(request_id, |_| Err(e));
-                }
-            }
-            resends = self.resends.lock();
         }
     }
 
-    /// Starts closing the connection: wakes the resend thread and the
-    /// fallback reader to stop, says `Goodbye` and half-closes the
-    /// socket, without waiting for either thread ([`Self::join`] does).
-    /// Idempotent.
+    /// Starts closing the connection: stops its `Busy` resends, says
+    /// `Goodbye`, half-closes the socket and wakes the fallback reader to
+    /// read out the stream, without waiting for it ([`Self::join`]
+    /// does). Idempotent.
     fn stop(&self) {
         if self.closing.swap(true, Ordering::SeqCst) {
             return;
-        }
-        // Notified under the lock the resend thread checks `closing`
-        // under, so the wake-up cannot fall between check and park.
-        {
-            let _resends = self.resends.lock();
-            self.resend_due.notify_all();
         }
         let _ = self.send(&Frame::Goodbye);
         // Half-close so the server sees EOF after our Goodbye; the
@@ -1146,22 +1116,16 @@ impl Conn {
         if let Some(stream) = self.write.lock().stream.take() {
             let _ = stream.shutdown(Shutdown::Write);
         }
-        // Likewise under the lock the reader checks `closing` under, so
+        // Notified under the lock the reader checks `closing` under, so
         // `close` never waits out a read tick.
         let _side = self.read.lock();
         self.read_tick.notify_all();
     }
 
-    /// Joins the threads of a [stopped](Self::stop) connection.
+    /// Joins the fallback reader of a [stopped](Self::stop) connection.
     fn join(&self) {
         let handle = self.reader.lock().take();
         if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        // Only a thread reading the stream starts the resend thread, and
-        // nobody reads an ended stream, so none can start after this.
-        let resender = self.resends.lock().thread.take();
-        if let Some(handle) = resender {
             let _ = handle.join();
         }
     }
@@ -1287,21 +1251,21 @@ impl NetClient {
         fetch_trace_export(self.conns[0].addr, &self.conns[0].config, max_traces)
     }
 
-    /// Says `Goodbye` on every connection and joins the reader threads.
+    /// Says `Goodbye` on every connection and joins its fallback reader.
     pub fn close(self) {
         self.stop();
         self.join();
     }
 
-    /// Starts closing every connection without waiting for its threads,
-    /// so that several clients can wind down at once.
+    /// Starts closing every connection without waiting for its fallback
+    /// reader, so that several clients can wind down at once.
     pub(crate) fn stop(&self) {
         for conn in &self.conns {
             conn.stop();
         }
     }
 
-    /// Joins the threads of every [stopped](Self::stop) connection.
+    /// Joins the fallback reader of every [stopped](Self::stop) connection.
     pub(crate) fn join(&self) {
         for conn in &self.conns {
             conn.join();

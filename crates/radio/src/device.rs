@@ -91,11 +91,6 @@ impl RadioDevice {
         self.on = on;
     }
 
-    /// Whether the radio is powered.
-    pub fn is_on(&self) -> bool {
-        self.on
-    }
-
     /// Reconfigures the register file.
     pub fn set_config(&mut self, config: DeviceConfig) {
         self.config = config;

@@ -49,11 +49,6 @@ impl RcdChannel {
     pub fn stack_mut(&mut self) -> &mut RcdStack {
         &mut self.stack
     }
-
-    /// Unwraps the stack.
-    pub fn into_stack(self) -> RcdStack {
-        self.stack
-    }
 }
 
 impl GroupQueryChannel for RcdChannel {

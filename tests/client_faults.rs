@@ -372,3 +372,63 @@ fn split_frames_late_answers_and_cuts_resolve_every_handle_once() {
         }
     }
 }
+
+/// A job bounced with `Busy` while its own waiter leads the read side is
+/// resent once its backoff ends, not at the fallback reader's next
+/// 25 ms tick: with a 1 ms backoff, the resent `Submit` reaches the peer
+/// within 10 ms of the `Busy` in at least 9 of 10 tries.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_busy_resend_goes_out_when_its_backoff_ends() {
+    const TRIES: u64 = 10;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let accepting = std::thread::spawn(move || accept(&listener));
+    let client = NetClient::connect(
+        addr,
+        NetClientConfig::default().with_busy_backoff(Duration::from_millis(1)),
+    )
+    .expect("connect");
+    let mut link = accepting.join().expect("peer accepted");
+    let mut gaps = Vec::new();
+    for k in 0..TRIES {
+        let job = job(k);
+        let handle = client.submit_one(job);
+        let (id, _) = link.submits.recv_timeout(PEER_PATIENCE).expect("submit");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| handle.wait());
+            // Long enough for the waiter to take the read side. Should the
+            // fallback reader hold it instead, the bound holds all the same.
+            std::thread::sleep(Duration::from_millis(2));
+            let busy = Frame::Error {
+                request_id: id,
+                code: ErrorCode::Busy,
+                detail: "scripted".into(),
+            };
+            link.stream
+                .write_all(&busy.to_bytes())
+                .expect("busy written");
+            let bounced = Instant::now();
+            let (resent, _) = link
+                .submits
+                .recv_timeout(PEER_PATIENCE)
+                .expect("the bounced job was resent");
+            gaps.push(bounced.elapsed());
+            assert_eq!(resent, id, "try {k}: resent another job");
+            link.stream
+                .write_all(&answer(id, &job))
+                .expect("answer written");
+            assert_eq!(waiter.join().expect("waiter"), Ok(job.execute()), "try {k}");
+        });
+    }
+    client.close();
+    link.forwarder.join().expect("forwarder");
+    let prompt = gaps
+        .iter()
+        .filter(|gap| **gap <= Duration::from_millis(10))
+        .count();
+    assert!(
+        prompt >= 9,
+        "only {prompt} of {TRIES} resends within 10 ms of their Busy: {gaps:?}"
+    );
+}
