@@ -1274,10 +1274,9 @@ impl NetClient {
 }
 
 /// One-shot metrics fetch over its own short-lived connection
-/// (handshake → `MetricsDump` → `Metrics` → `Goodbye`). The cluster's
-/// load sampler and the `top` dashboard call this directly with a shard
-/// address so sampling never takes a shard lock or touches pooled
-/// connections.
+/// (handshake → `MetricsDump` → `Metrics` → `Goodbye`). The `top`
+/// dashboard calls this directly with a shard address so sampling never
+/// takes a shard lock or touches pooled connections.
 pub fn fetch_metrics(addr: SocketAddr, config: &NetClientConfig) -> Result<Vec<Family>, NetError> {
     let accept = |frame: Frame| match frame {
         Frame::Metrics { families, .. } => Some(families),

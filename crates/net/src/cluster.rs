@@ -13,28 +13,6 @@
 //!   (each re-hashes among the survivors); jobs on healthy shards do
 //!   not reshuffle.
 //!
-//! With [`ClusterConfig::load_aware`] enabled, routing upgrades to
-//! *weighted* rendezvous: a background sampler on the prober thread
-//! fetches each healthy shard's metric families over the wire and reads
-//! the service-wide `tcast_queue_wait_microseconds` p50. Each shard's
-//! hash draw is converted to an exponential score `-ln(u) / w` with
-//! weight `w = REF / (REF + queue_wait_us)`, and the lowest score wins
-//! — so a backed-up shard sheds load proportionally while placement
-//! stays sticky for most keys. Signals degrade safely: a shard whose
-//! sample is stale (older than [`ClusterConfig::load_staleness`])
-//! weighs as if idle, and when *no* fresh signal exists the router
-//! falls back to exactly the unweighted integer rendezvous above.
-//!
-//! [`ClusterConfig::slo_penalty`] folds shard *health* into the same
-//! weighted draw: the sampler also reads each shard's worst
-//! short-window `tcast_slo_burn_rate` and the growth of
-//! `tcast_anomalies_total` (summed over algorithms) since its previous
-//! pass, and divides the shard's weight by
-//! `1 + burn + 0.5·new_anomalies` (capped at 16) — a shard that is
-//! burning its error budget or emitting anomalous verdicts sheds load
-//! before it fails outright, yet keeps enough traffic to demonstrate
-//! recovery.
-//!
 //! Failure handling is transparent: a handle that resolves to
 //! [`NetError::ConnectionLost`] or [`NetError::ServerShutdown`] marks
 //! the shard down, re-routes the job to the best surviving shard, and
@@ -43,9 +21,8 @@
 //! job produces a bit-identical report on any shard. A background
 //! prober re-dials down shards with exponential backoff and puts them
 //! back into rotation once the `Hello`/`HelloAck` round trip succeeds.
-//! It sleeps until the next re-dial or load sample falls due, and while
-//! every shard is up and sampling is off it parks until a mark-down or
-//! [`ShardedClient::close`] wakes it.
+//! It sleeps until the earliest re-dial falls due, and while every shard
+//! is up it parks until a mark-down or [`ShardedClient::close`] wakes it.
 //!
 //! Everything observable is recorded: shard state transitions and
 //! re-routes in an event log ([`ShardedClient::events`]), per-shard
@@ -54,7 +31,7 @@
 
 use std::cell::RefCell;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,24 +39,9 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use tcast::{fingerprint64, fingerprint64_extend};
-use tcast_service::{metric_names, Family, MetricsRegistry, MetricsSnapshot, QueryJob};
+use tcast_service::{MetricsRegistry, MetricsSnapshot, QueryJob};
 
 use crate::client::{NetClient, NetClientConfig, NetError, NetJobHandle, NetJobResult};
-
-/// Reference queue wait for the load weight `REF / (REF + wait_us)`: a
-/// shard whose median queue wait reaches this carries half the routing
-/// weight of an idle one.
-const LOAD_REF_US: f64 = 1000.0;
-
-/// Upper bound on the SLO/anomaly health penalty divisor, so one sick
-/// shard is shed aggressively but never rounded fully out of rotation
-/// (it still absorbs a trickle of traffic, which is how it proves it
-/// recovered).
-const MAX_HEALTH_PENALTY: f64 = 16.0;
-
-/// Health-penalty contribution per anomaly observed since the previous
-/// sample of the same shard.
-const ANOMALY_PENALTY: f64 = 0.5;
 
 /// Tuning knobs for [`ShardedClient`]. Construct via
 /// [`ClusterConfig::default`] plus the `with_*` builders — the struct
@@ -95,26 +57,6 @@ pub struct ClusterConfig {
     pub probe_backoff: Duration,
     /// Upper bound on the probe backoff.
     pub probe_max_backoff: Duration,
-    /// Route by *weighted* rendezvous, biased away from shards reporting
-    /// high queue waits in their wire-exposed metrics. Off by default:
-    /// unweighted routing keeps placement a pure function of the job key
-    /// and the healthy set, which maximizes per-shard cache affinity.
-    pub load_aware: bool,
-    /// How often the background sampler polls each healthy shard's
-    /// metrics for its queue-wait signal (only with `load_aware`).
-    pub load_sample_interval: Duration,
-    /// A load sample older than this no longer biases routing: the shard
-    /// weighs as if idle, and with no fresh sample anywhere the router
-    /// is exactly the unweighted rendezvous.
-    pub load_staleness: Duration,
-    /// Additionally penalize shards whose wire-exposed metrics report
-    /// SLO budget burn or fresh anomalies (only with `load_aware`): the
-    /// sampler reads the worst short-window `tcast_slo_burn_rate` and
-    /// the `tcast_anomalies_total` delta since its previous sample, and
-    /// divides the shard's routing weight by
-    /// `1 + burn_short + 0.5 * new_anomalies` (capped). Stale health
-    /// samples decay to no penalty exactly like load samples.
-    pub slo_penalty: bool,
 }
 
 impl Default for ClusterConfig {
@@ -123,10 +65,6 @@ impl Default for ClusterConfig {
             client: NetClientConfig::default(),
             probe_backoff: Duration::from_millis(50),
             probe_max_backoff: Duration::from_secs(2),
-            load_aware: false,
-            load_sample_interval: Duration::from_millis(500),
-            load_staleness: Duration::from_secs(3),
-            slo_penalty: false,
         }
     }
 }
@@ -147,30 +85,6 @@ impl ClusterConfig {
     /// Sets [`Self::probe_max_backoff`].
     pub fn with_probe_max_backoff(mut self, probe_max_backoff: Duration) -> Self {
         self.probe_max_backoff = probe_max_backoff;
-        self
-    }
-
-    /// Sets [`Self::load_aware`].
-    pub fn with_load_aware(mut self, load_aware: bool) -> Self {
-        self.load_aware = load_aware;
-        self
-    }
-
-    /// Sets [`Self::load_sample_interval`].
-    pub fn with_load_sample_interval(mut self, load_sample_interval: Duration) -> Self {
-        self.load_sample_interval = load_sample_interval;
-        self
-    }
-
-    /// Sets [`Self::load_staleness`].
-    pub fn with_load_staleness(mut self, load_staleness: Duration) -> Self {
-        self.load_staleness = load_staleness;
-        self
-    }
-
-    /// Sets [`Self::slo_penalty`].
-    pub fn with_slo_penalty(mut self, slo_penalty: bool) -> Self {
-        self.slo_penalty = slo_penalty;
         self
     }
 }
@@ -212,91 +126,6 @@ struct ShardState {
     next_probe: Instant,
 }
 
-/// The latest queue-wait signal for one shard, as sampled from its
-/// wire-exposed metrics (or injected by a test seam).
-struct ShardLoad {
-    /// Sampled p50 queue wait in microseconds, stored as `f64` bits.
-    queue_wait_us: AtomicU64,
-    /// Milliseconds since the cluster started, plus one, at sampling
-    /// time; `0` means never sampled.
-    sampled_at_ms: AtomicU64,
-    /// SLO/anomaly health penalty divisor in `[1, MAX_HEALTH_PENALTY]`,
-    /// stored as `f64` bits.
-    health_penalty: AtomicU64,
-    /// Timestamp of the health penalty, same encoding as
-    /// `sampled_at_ms`; `0` means never sampled.
-    health_at_ms: AtomicU64,
-    /// `tcast_anomalies_total` at the previous sample, plus one, so the
-    /// sampler can penalize the *delta*; `0` means no previous reading.
-    last_anomalies: AtomicU64,
-}
-
-impl ShardLoad {
-    fn new() -> Self {
-        Self {
-            queue_wait_us: AtomicU64::new(0),
-            sampled_at_ms: AtomicU64::new(0),
-            health_penalty: AtomicU64::new(1.0f64.to_bits()),
-            health_at_ms: AtomicU64::new(0),
-            last_anomalies: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, queue_wait_us: f64, now_ms: u64) {
-        self.queue_wait_us
-            .store(queue_wait_us.to_bits(), Ordering::Relaxed);
-        self.sampled_at_ms.store(now_ms + 1, Ordering::Release);
-    }
-
-    fn record_health(&self, penalty: f64, now_ms: u64) {
-        let penalty = penalty.clamp(1.0, MAX_HEALTH_PENALTY);
-        self.health_penalty
-            .store(penalty.to_bits(), Ordering::Relaxed);
-        self.health_at_ms.store(now_ms + 1, Ordering::Release);
-    }
-
-    fn is_fresh(&self, now_ms: u64, staleness: Duration) -> bool {
-        Self::fresh_at(
-            self.sampled_at_ms.load(Ordering::Acquire),
-            now_ms,
-            staleness,
-        )
-    }
-
-    fn health_is_fresh(&self, now_ms: u64, staleness: Duration) -> bool {
-        Self::fresh_at(self.health_at_ms.load(Ordering::Acquire), now_ms, staleness)
-    }
-
-    fn fresh_at(at: u64, now_ms: u64, staleness: Duration) -> bool {
-        at != 0 && now_ms.saturating_sub(at - 1) <= staleness.as_millis() as u64
-    }
-
-    /// Whether any signal (queue wait or health) is fresh enough to
-    /// bias routing.
-    fn has_fresh_signal(&self, now_ms: u64, staleness: Duration) -> bool {
-        self.is_fresh(now_ms, staleness) || self.health_is_fresh(now_ms, staleness)
-    }
-
-    /// The routing weight in `(0, 1]`: `1` when idle or when every
-    /// sample went stale, shrinking toward `0` as queue waits grow past
-    /// [`LOAD_REF_US`] and as the SLO/anomaly health penalty grows.
-    fn weight(&self, now_ms: u64, staleness: Duration) -> f64 {
-        let load = if self.is_fresh(now_ms, staleness) {
-            let wait = f64::from_bits(self.queue_wait_us.load(Ordering::Relaxed)).max(0.0);
-            LOAD_REF_US / (LOAD_REF_US + wait)
-        } else {
-            1.0
-        };
-        let penalty = if self.health_is_fresh(now_ms, staleness) {
-            f64::from_bits(self.health_penalty.load(Ordering::Relaxed))
-                .clamp(1.0, MAX_HEALTH_PENALTY)
-        } else {
-            1.0
-        };
-        load / penalty
-    }
-}
-
 thread_local! {
     /// The routing thread's job-key buffer, reused by every route.
     static ROUTE_KEY: RefCell<Vec<u8>> =
@@ -327,11 +156,6 @@ struct ClusterInner {
     /// Health flags readable without touching a shard lock, so routing
     /// never blocks on a shard that is mid-(re)connect.
     healthy: Vec<AtomicBool>,
-    /// Per-shard load signals feeding weighted routing (inert unless
-    /// [`ClusterConfig::load_aware`]).
-    loads: Vec<ShardLoad>,
-    /// Epoch for the millisecond timestamps in [`ShardLoad`].
-    started: Instant,
     events: Mutex<Vec<ClusterEvent>>,
     metrics: MetricsRegistry,
     config: ClusterConfig,
@@ -359,14 +183,11 @@ impl ClusterInner {
             .enumerate()
             .map(|(shard, addr)| fingerprint64(format!("{shard}:{addr}").as_bytes()))
             .collect();
-        let loads = addrs.iter().map(|_| ShardLoad::new()).collect();
         Self {
             addrs,
             label_states,
             shards,
             healthy,
-            loads,
-            started: Instant::now(),
             events: Mutex::new(events),
             metrics,
             config,
@@ -384,26 +205,14 @@ impl ClusterInner {
         self.prober_bell.notify_one();
     }
 
-    /// The prober thread: a pass re-dials the down shards that are due
-    /// and, with [`ClusterConfig::load_aware`], samples the shards' load
-    /// when the interval has passed. Between passes it parks until the
-    /// earliest re-dial or sample falls due, or, when nothing is due at
-    /// all, until a mark-down or `close` kicks it.
+    /// The prober thread: a pass re-dials the down shards that are due.
+    /// Between passes it waits for the earliest re-dial, or, while every
+    /// shard is up, parks until a mark-down or `close` kicks it.
     fn probe_loop(&self) {
-        let mut last_sample: Option<Instant> = None;
         while !self.closing.load(Ordering::SeqCst) {
             *self.prober_kicked.lock() = false;
             self.probe_down_shards();
-            let interval = self.config.load_sample_interval;
-            if self.config.load_aware && last_sample.is_none_or(|at| at.elapsed() >= interval) {
-                self.sample_shard_loads();
-                last_sample = Some(Instant::now());
-            }
-            let due = self
-                .next_redial()
-                .into_iter()
-                .chain(last_sample.map(|at| at + interval))
-                .min();
+            let due = self.next_redial();
             let mut kicked = self.prober_kicked.lock();
             if *kicked || self.closing.load(Ordering::SeqCst) {
                 continue;
@@ -433,20 +242,10 @@ impl ClusterInner {
         self.events.lock().push(event);
     }
 
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Rendezvous-hashes `job` over the healthy, non-excluded shards.
-    ///
-    /// With `load_aware` set and at least one candidate carrying a fresh
-    /// load sample, each shard's draw becomes the exponential score
-    /// `-ln(u) / w` (lowest wins), which picks shards with probability
-    /// proportional to their weight while staying sticky per key. With
-    /// no fresh signal this is bit-for-bit the classic unweighted
-    /// integer rendezvous (highest fingerprint wins, ties to the lowest
-    /// index). Routing allocates nothing: the job key is encoded into
-    /// the thread's reused buffer.
+    /// Rendezvous-hashes `job` over the healthy, non-excluded shards:
+    /// the highest fingerprint wins, ties to the lowest index. Routing
+    /// allocates nothing: the job key is encoded into the thread's
+    /// reused buffer.
     fn route(&self, job: &QueryJob, excluded: &[bool]) -> Option<usize> {
         ROUTE_KEY.with_borrow_mut(|key| {
             key.clear();
@@ -457,112 +256,18 @@ impl ClusterInner {
 
     /// [`route`](Self::route) over an encoded job key.
     fn route_key(&self, key: &[u8], excluded: &[bool]) -> Option<usize> {
-        let now_ms = self.now_ms();
-        let staleness = self.config.load_staleness;
-        let weighted = self.config.load_aware
-            && self.loads.iter().enumerate().any(|(shard, load)| {
-                !is_excluded(excluded, shard)
-                    && self.healthy[shard].load(Ordering::SeqCst)
-                    && load.has_fresh_signal(now_ms, staleness)
-            });
-        let mut best_plain: Option<(u64, usize)> = None;
-        let mut best_scored: Option<(f64, usize)> = None;
+        let mut best: Option<(u64, usize)> = None;
         for (shard, &label_state) in self.label_states.iter().enumerate() {
             if is_excluded(excluded, shard) || !self.healthy[shard].load(Ordering::SeqCst) {
                 continue;
             }
             let fingerprint = fingerprint64_extend(label_state, key);
-            if weighted {
-                // Top 53 bits → uniform in (0, 1), so ln never sees 0.
-                let u = ((fingerprint >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-                let score = -u.ln() / self.loads[shard].weight(now_ms, staleness);
-                // Strict `<` keeps ties deterministic (lowest index wins).
-                if best_scored.is_none_or(|(s, _)| score < s) {
-                    best_scored = Some((score, shard));
-                }
-            } else {
-                // Strict `>` keeps ties deterministic (lowest index wins).
-                if best_plain.is_none_or(|(w, _)| fingerprint > w) {
-                    best_plain = Some((fingerprint, shard));
-                }
+            // Strict `>` keeps ties deterministic (lowest index wins).
+            if best.is_none_or(|(w, _)| fingerprint > w) {
+                best = Some((fingerprint, shard));
             }
         }
-        best_scored
-            .map(|(_, shard)| shard)
-            .or(best_plain.map(|(_, shard)| shard))
-    }
-
-    /// One sampler pass: fetch each healthy shard's metric families over
-    /// its own short-lived connection (never a shard lock) and record
-    /// the queue-wait p50. Shards that answer without the queue-wait
-    /// family (no jobs executed yet) simply contribute no sample.
-    fn sample_shard_loads(&self) {
-        for shard in 0..self.addrs.len() {
-            if self.closing.load(Ordering::SeqCst) {
-                return;
-            }
-            if !self.healthy[shard].load(Ordering::SeqCst) {
-                continue;
-            }
-            let Ok(families) = crate::client::fetch_metrics(self.addrs[shard], &self.config.client)
-            else {
-                continue;
-            };
-            let queue_wait = Family::find(&families, metric_names::QUEUE_WAIT_MICROSECONDS);
-            if let Some(queue_wait_us) = queue_wait.and_then(|f| f.quantile(0.5)) {
-                self.loads[shard].record(queue_wait_us, self.now_ms());
-                tcast_obs::event(
-                    tcast_obs::TraceId::NONE,
-                    "cluster.load_sample",
-                    &[
-                        ("shard", shard as u64),
-                        ("queue_wait_us", queue_wait_us as u64),
-                    ],
-                );
-            }
-            if self.config.slo_penalty {
-                self.sample_shard_health(shard, &families);
-            }
-        }
-    }
-
-    /// Folds one shard's worst short-window SLO burn and the growth of
-    /// its anomaly total (summed over algorithms) since this sampler's
-    /// previous reading into a single health-penalty divisor, so a shard
-    /// is not punished forever for ancient history.
-    fn sample_shard_health(&self, shard: usize, families: &[Family]) {
-        let burn = Family::find(families, metric_names::SLO_BURN_RATE).and_then(|f| {
-            f.samples
-                .iter()
-                .filter(|s| s.labels.iter().any(|(k, v)| k == "window" && v == "short"))
-                .filter_map(|s| s.value.scalar())
-                .reduce(f64::max)
-        });
-        let anomalies = Family::find(families, metric_names::ANOMALIES_TOTAL)
-            .filter(|f| !f.samples.is_empty())
-            .map(|f| f.values().sum::<f64>() as u64);
-        if burn.is_none() && anomalies.is_none() {
-            return;
-        }
-        let new_anomalies = anomalies.map_or(0, |total| {
-            // The previous total plus one; 0 until a baseline exists.
-            let prev = self.loads[shard]
-                .last_anomalies
-                .swap(total + 1, Ordering::Relaxed);
-            prev.checked_sub(1)
-                .map_or(0, |prev| total.saturating_sub(prev))
-        });
-        let penalty = 1.0 + burn.unwrap_or(0.0).max(0.0) + ANOMALY_PENALTY * new_anomalies as f64;
-        self.loads[shard].record_health(penalty, self.now_ms());
-        tcast_obs::event(
-            tcast_obs::TraceId::NONE,
-            "cluster.health_sample",
-            &[
-                ("shard", shard as u64),
-                ("penalty_milli", (penalty * 1000.0) as u64),
-                ("new_anomalies", new_anomalies),
-            ],
-        );
+        best.map(|(_, shard)| shard)
     }
 
     /// Writes `job` to `shard`'s connection; `None` when the shard has
@@ -574,12 +279,10 @@ impl ClusterInner {
     }
 
     /// Routes and submits `job`, excluding shards in its `route` as
-    /// placements fail. Returns `true` once the job is on some wire.
-    fn place(&self, job: &QueryJob, route: &mut Route) -> bool {
+    /// placements fail. Returns the shard once the job is on its wire.
+    fn place(&self, job: &QueryJob, route: &mut Route) -> Option<usize> {
         loop {
-            let Some(next) = self.route(job, &route.excluded) else {
-                return false;
-            };
+            let next = self.route(job, &route.excluded)?;
             // The route decision is a span (not a bare event) so the
             // remote tiers can stitch under it: when the span records,
             // its id travels in the submit as the job's parent span
@@ -598,7 +301,7 @@ impl ClusterInner {
                 Some(handle) => {
                     route.shard = Some(next);
                     route.handle = Some(handle);
-                    return true;
+                    return Some(next);
                 }
                 None => exclude(&mut route.excluded, next),
             }
@@ -763,11 +466,10 @@ impl ClusterBatch {
                 _ => return result,
             }
             let from = route.shard.take();
-            if !inner.place(job, &mut route) {
+            let Some(to) = inner.place(job, &mut route) else {
                 // Nowhere left to go: report the original failure.
                 return result;
-            }
-            let to = route.shard.expect("placed job has a shard");
+            };
             match from {
                 Some(from) => tcast_obs::event(
                     job.trace,
@@ -880,31 +582,9 @@ impl ShardedClient {
     }
 
     /// The shard `job` would route to right now, or `None` when no
-    /// shard is healthy. Stable while the healthy set is unchanged —
-    /// and, under [`ClusterConfig::load_aware`], while the shards' load
-    /// samples are unchanged.
+    /// shard is healthy. Stable while the healthy set is unchanged.
     pub fn route_of(&self, job: &QueryJob) -> Option<usize> {
         self.inner.route(job, &[])
-    }
-
-    /// Records a queue-wait load sample for `shard` as if the background
-    /// sampler had just fetched it off the wire. A deterministic seam
-    /// for tests and external control planes; routing treats injected
-    /// and sampled signals identically (including staleness decay).
-    pub fn inject_load_sample(&self, shard: usize, queue_wait: Duration) {
-        assert!(shard < self.inner.addrs.len(), "no such shard: {shard}");
-        self.inner.loads[shard].record(queue_wait.as_secs_f64() * 1e6, self.inner.now_ms());
-    }
-
-    /// Records an SLO/anomaly health-penalty sample for `shard` as if
-    /// the background sampler had just derived it from the shard's
-    /// metrics. The same deterministic seam as
-    /// [`Self::inject_load_sample`]: the penalty divides the shard's
-    /// routing weight (clamped to `[1, 16]`) and decays with the load
-    /// staleness window.
-    pub fn inject_health_sample(&self, shard: usize, penalty: f64) {
-        assert!(shard < self.inner.addrs.len(), "no such shard: {shard}");
-        self.inner.loads[shard].record_health(penalty, self.inner.now_ms());
     }
 
     /// Submits `jobs` across the cluster, pipelined: every job is
@@ -989,7 +669,7 @@ mod tests {
     use tcast_service::AlgorithmSpec;
 
     /// A three-shard cluster that never dials: routing reads only the
-    /// addresses, the health flags and the load signals.
+    /// addresses and the health flags.
     fn offline_cluster() -> ClusterInner {
         let addrs: Vec<SocketAddr> = ["127.0.0.1:7101", "10.0.0.2:7102", "[::1]:7103"]
             .iter()

@@ -484,8 +484,7 @@ impl MetricsRegistry {
     /// Unlike [`record_tenant_job`](Self::record_tenant_job) this covers
     /// every job — tenanted or on the default lane — and feeds the
     /// un-labelled `tcast_queue_wait_microseconds` summary in the
-    /// Prometheus exposition: the load signal cluster clients sample for
-    /// weighted shard selection.
+    /// Prometheus exposition, which the `top` dashboard reads per shard.
     pub fn record_queue_wait(&self, queue_wait: Duration) {
         let micros = queue_wait.as_secs_f64() * 1e6;
         let mut shard = self.shard();
@@ -901,7 +900,7 @@ fn columns<R>(out: &mut String, markdown: bool, rows: &[R], gated: bool, table: 
 }
 
 /// The family names other crates read from a scrape (the `top`
-/// dashboard and the cluster's load and health sampler). The tables
+/// dashboard). The tables
 /// below use the same constants, so renaming a family breaks its readers'
 /// build instead of leaving them to read a family that is never sent.
 pub mod metric_names {

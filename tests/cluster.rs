@@ -312,306 +312,9 @@ fn priorities_and_tenancy_ride_through_the_cluster() {
     }
 }
 
-/// Load-aware weighted routing under a skewed 3-shard load signal:
-/// placements shed off the loaded shard, the modeled p99 queue wait
-/// beats pure rendezvous, and the reports stay bit-identical.
-#[test]
-fn weighted_routing_beats_rendezvous_p99_under_skewed_load() {
-    let servers: Vec<_> = (0..3).map(|_| start_server(2)).collect();
-    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
-    // Two front-ends over the same shards (identical labels): one pure
-    // rendezvous, one load-aware. The aware one keeps the background
-    // sampler out of the way so the test owns the signal via the
-    // injection seam.
-    let plain = ShardedClient::connect(addrs.clone(), ClusterConfig::default()).expect("connect");
-    let aware = ShardedClient::connect(
-        addrs,
-        ClusterConfig::default()
-            .with_load_aware(true)
-            .with_load_sample_interval(Duration::from_secs(3600))
-            .with_load_staleness(Duration::from_secs(3600)),
-    )
-    .expect("connect");
-
-    // Shard 0 reports a 20 ms median queue wait; shards 1 and 2 idle.
-    aware.inject_load_sample(0, Duration::from_millis(20));
-    aware.inject_load_sample(1, Duration::from_micros(50));
-    aware.inject_load_sample(2, Duration::from_micros(50));
-
-    let jobs = job_mix(600, 0x10AD_BA1A);
-    let place = |cluster: &ShardedClient| -> Vec<usize> {
-        jobs.iter()
-            .map(|j| cluster.route_of(j).expect("healthy shard"))
-            .collect()
-    };
-    let plain_placement = place(&plain);
-    let aware_placement = place(&aware);
-
-    let share = |placement: &[usize], shard: usize| {
-        placement.iter().filter(|&&s| s == shard).count() as f64 / placement.len() as f64
-    };
-    assert!(
-        (0.2..0.47).contains(&share(&plain_placement, 0)),
-        "pure rendezvous should spread evenly; shard 0 got {:.3}",
-        share(&plain_placement, 0)
-    );
-    assert!(
-        share(&aware_placement, 0) < 0.15,
-        "weighted routing should shed load off the slow shard; it kept {:.3}",
-        share(&aware_placement, 0)
-    );
-
-    // Model each shard as a serial queue, 10x slower service on the
-    // loaded shard: a job's wait is the work queued ahead of it on its
-    // shard. The weighted placement's p99 wait must beat rendezvous.
-    let p99_wait = |placement: &[usize]| -> u64 {
-        let mut depth = [0u64; 3];
-        let mut waits: Vec<u64> = placement
-            .iter()
-            .map(|&s| {
-                let wait = depth[s];
-                depth[s] += if s == 0 { 10 } else { 1 };
-                wait
-            })
-            .collect();
-        waits.sort_unstable();
-        waits[(waits.len() * 99) / 100]
-    };
-    let (plain_p99, aware_p99) = (p99_wait(&plain_placement), p99_wait(&aware_placement));
-    assert!(
-        aware_p99 < plain_p99,
-        "weighted p99 wait {aware_p99} must beat rendezvous p99 {plain_p99}"
-    );
-
-    // The weighted path changes placement only — reports stay
-    // bit-identical to in-process execution.
-    let sample: Vec<QueryJob> = jobs.iter().take(24).copied().collect();
-    let expected = in_process(&sample);
-    let got: Vec<QueryReport> = aware
-        .submit(sample)
-        .wait()
-        .into_iter()
-        .map(|r| r.expect("job succeeded"))
-        .collect();
-    assert_eq!(expected, got);
-
-    plain.close();
-    aware.close();
-    for (server, _service) in servers {
-        server.shutdown();
-    }
-}
-
-/// Signal-degradation contract: before any load sample arrives and
-/// again after every sample goes stale, a load-aware cluster routes
-/// exactly like pure rendezvous.
-#[test]
-fn load_aware_routing_degrades_to_rendezvous_on_stale_signals() {
-    let servers: Vec<_> = (0..3).map(|_| start_server(1)).collect();
-    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
-    let plain = ShardedClient::connect(addrs.clone(), ClusterConfig::default()).expect("connect");
-    let aware = ShardedClient::connect(
-        addrs,
-        ClusterConfig::default()
-            .with_load_aware(true)
-            .with_load_sample_interval(Duration::from_secs(3600))
-            .with_load_staleness(Duration::from_millis(80)),
-    )
-    .expect("connect");
-
-    let jobs = job_mix(120, 0x0005_7A1E);
-    let routes = |cluster: &ShardedClient| -> Vec<Option<usize>> {
-        jobs.iter().map(|j| cluster.route_of(j)).collect()
-    };
-
-    // No sample yet: the weighted router IS the unweighted one.
-    assert_eq!(routes(&aware), routes(&plain), "no-signal routing differs");
-
-    // A heavily skewed fresh signal must move at least one placement.
-    aware.inject_load_sample(0, Duration::from_millis(50));
-    aware.inject_load_sample(1, Duration::from_micros(1));
-    aware.inject_load_sample(2, Duration::from_micros(1));
-    assert_ne!(
-        routes(&aware),
-        routes(&plain),
-        "a skewed fresh signal must bias placement"
-    );
-
-    // Once the samples age past the staleness window, the router falls
-    // back to pure rendezvous — bit-for-bit the same placements.
-    std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(routes(&aware), routes(&plain), "stale routing differs");
-
-    plain.close();
-    aware.close();
-    for (server, _service) in servers {
-        server.shutdown();
-    }
-}
-
-/// SLO-health biasing: a shard carrying a fresh health penalty (burning
-/// its error budget or emitting anomalies) sheds placements exactly
-/// like a loaded one, the penalty composes with the queue-wait signal,
-/// and a stale penalty decays back to pure rendezvous.
-#[test]
-fn slo_health_penalty_sheds_load_off_a_burning_shard() {
-    let servers: Vec<_> = (0..3).map(|_| start_server(1)).collect();
-    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
-    let plain = ShardedClient::connect(addrs.clone(), ClusterConfig::default()).expect("connect");
-    let sick = ShardedClient::connect(
-        addrs,
-        ClusterConfig::default()
-            .with_load_aware(true)
-            .with_slo_penalty(true)
-            .with_load_sample_interval(Duration::from_secs(3600))
-            .with_load_staleness(Duration::from_millis(200)),
-    )
-    .expect("connect");
-
-    let jobs = job_mix(600, 0x510_BAD);
-    let share = |cluster: &ShardedClient, shard: usize| -> f64 {
-        let hits = jobs
-            .iter()
-            .filter(|j| cluster.route_of(j) == Some(shard))
-            .count();
-        hits as f64 / jobs.len() as f64
-    };
-
-    // Before any signal, the penalty-enabled router IS rendezvous.
-    let baseline = share(&plain, 0);
-    assert!(
-        (share(&sick, 0) - baseline).abs() < f64::EPSILON,
-        "no-signal routing must match rendezvous"
-    );
-
-    // A fast-burning shard (penalty ≈ 1 + 14.4 burn) sheds most of its
-    // keys even with no queue-wait signal at all.
-    sick.inject_health_sample(0, 15.4);
-    let penalized = share(&sick, 0);
-    assert!(
-        penalized < baseline / 2.0,
-        "a burning shard must shed placements: kept {penalized:.3} of baseline {baseline:.3}"
-    );
-
-    // The penalty composes with queue wait: loading the same shard on
-    // top of the burn sheds strictly more than the burn alone.
-    sick.inject_load_sample(0, Duration::from_millis(20));
-    let both = share(&sick, 0);
-    assert!(
-        both <= penalized,
-        "burn + load ({both:.3}) must shed at least as much as burn alone ({penalized:.3})"
-    );
-
-    // Once the health sample goes stale the router returns to pure
-    // rendezvous (the load sample above decays on the same clock).
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(
-        (share(&sick, 0) - baseline).abs() < f64::EPSILON,
-        "stale penalties must decay to rendezvous"
-    );
-
-    plain.close();
-    sick.close();
-    for (server, _service) in servers {
-        server.shutdown();
-    }
-}
-
-/// Regression: the sampler used to read the anomaly total by stripping
-/// the bare name `tcast_anomalies_total` off each exposition line, but
-/// every real sample carries an `algorithm` label, so the parse always
-/// failed and the anomaly half of the SLO penalty never fired outside
-/// injected samples. A shard emitting anomalous verdicts must now shed
-/// placements on the sampled signal alone.
-#[test]
-fn a_shard_emitting_anomalies_sheds_placements() {
-    use tcast::{AdversaryConfig, AdversaryModel, DefensePolicy};
-    use tcast_net::{NetClient, NetClientConfig};
-
-    let servers: Vec<_> = (0..2).map(|_| start_server(1)).collect();
-    let addrs: Vec<_> = servers.iter().map(|(s, _)| s.local_addr()).collect();
-    let direct: Vec<NetClient> = addrs
-        .iter()
-        .map(|addr| NetClient::connect(*addr, NetClientConfig::default()).expect("connect"))
-        .collect();
-    // Clean traffic on both shards first, so the sampler's first pass
-    // reads an anomaly baseline of zero everywhere.
-    for client in &direct {
-        for result in client.submit(job_mix(6, 0xA_0A1)).wait() {
-            result.expect("job succeeded");
-        }
-    }
-    let cluster = ShardedClient::connect(
-        addrs,
-        ClusterConfig::default()
-            .with_load_aware(true)
-            .with_slo_penalty(true)
-            .with_load_sample_interval(Duration::from_millis(25))
-            .with_load_staleness(Duration::from_secs(60)),
-    )
-    .expect("connect");
-
-    let probe = job_mix(300, 0xA_0A2);
-    let share_of_shard_0 = || {
-        let hits = probe
-            .iter()
-            .filter(|j| cluster.route_of(j) == Some(0))
-            .count();
-        hits as f64 / probe.len() as f64
-    };
-    let jammed = |k: u64| {
-        let spec = ChannelSpec::adversarial(
-            64,
-            8,
-            CollisionModel::OnePlus,
-            None,
-            AdversaryConfig {
-                model: AdversaryModel::Jammer { duty_mille: 1000 },
-                seed: k,
-            },
-        )
-        .seeded(k, k + 1)
-        .with_defense(DefensePolicy::hardened());
-        QueryJob::new(AlgorithmSpec::TwoTBins, spec, 8, k)
-    };
-
-    // Anomalies keep flowing into shard 0 alone, so every sampler pass
-    // after the baseline sees the shard's total grow.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut next = 0;
-    let mut share = share_of_shard_0();
-    while share >= 0.35 && Instant::now() < deadline {
-        for result in direct[0]
-            .submit((next..next + 4).map(jammed).collect())
-            .wait()
-        {
-            let report = result.expect("jammed job answered");
-            assert!(
-                report.anomalies > 0,
-                "hardened defenses must flag the jammer"
-            );
-        }
-        next += 4;
-        std::thread::sleep(Duration::from_millis(10));
-        share = share_of_shard_0();
-    }
-    assert!(
-        share < 0.35,
-        "a shard emitting anomalies kept {share:.3} of the placements"
-    );
-
-    cluster.close();
-    for client in direct {
-        client.close();
-    }
-    for (server, _service) in servers {
-        server.shutdown();
-    }
-}
-
-/// The queue-wait signal the sampler feeds on is actually exposed over
-/// the wire: after a shard executes jobs, its metrics carry the
-/// `tcast_queue_wait_microseconds` summary the sampler reads.
+/// The queue-wait signal `top` reads is actually exposed over the wire:
+/// after a shard executes jobs, its metrics carry the
+/// `tcast_queue_wait_microseconds` summary.
 #[test]
 fn queue_wait_signal_is_exposed_over_the_wire() {
     use tcast_net::{NetClient, NetClientConfig};
