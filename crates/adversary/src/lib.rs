@@ -6,7 +6,7 @@
 //! drops that assumption. [`AdversaryChannel`] wraps any
 //! [`GroupQueryChannel`] and perturbs its observations according to a
 //! plain-data [`AdversaryConfig`] (defined in `tcast` so it rides inside
-//! [`ChannelSpec`], the wire codec, and session cache keys):
+//! [`ChannelSpec`], the wire codec, and job identity keys):
 //!
 //! * **false responders** — idle nodes that answer *active* whenever a
 //!   query addresses them, inflating the apparent positive count;

@@ -18,7 +18,7 @@ use crate::types::{CollisionModel, NodeId};
 /// Plain-data description of a Byzantine participant model.
 ///
 /// Lives in `tcast` (not `tcast-adversary`) so it can ride inside
-/// [`ChannelSpec`] through the wire codec and session cache keys; the
+/// [`ChannelSpec`] through the wire codec and job identity keys; the
 /// live wrapper that *implements* the behaviour is
 /// `tcast_adversary::AdversaryChannel`, which the `tcast_adversary`
 /// builders apply.
@@ -119,8 +119,8 @@ pub struct ChannelSpec {
 }
 
 impl ChannelSpec {
-    /// The longest [`cache_key_into`](Self::cache_key_into) encoding any
-    /// spec appends, in bytes: `n` and `x` (8 + 8), a 2+ model with
+    /// The longest [`encode`](crate::WireEncode::encode) output of any
+    /// spec, in bytes: `n` and `x` (8 + 8), a 2+ model with
     /// geometric capture (10), loss (17), both seeds (16), a retry policy
     /// with a budget (13), an adversary with a `u64` parameter (18) and
     /// the defense policy (9).
@@ -189,20 +189,6 @@ impl ChannelSpec {
     pub fn with_defense(mut self, defense: DefensePolicy) -> Self {
         self.defense = defense;
         self
-    }
-
-    /// Appends this spec's full cache identity to `out`.
-    ///
-    /// Two specs append identical bytes iff rebuilding them yields
-    /// bit-identical channels *and* identical session retry behaviour:
-    /// every field participates (population, truth count, model, loss,
-    /// both seeds, retry policy). Session caches extend the buffer with
-    /// the job's own fields (algorithm, threshold, session seed) and use
-    /// the exact bytes as the key, so a cache hit can never return a
-    /// report the job would not have produced itself.
-    pub fn cache_key_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::WireEncode;
-        self.encode(out);
     }
 
     /// Builds the honest channel this spec describes (its adversary, if

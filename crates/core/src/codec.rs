@@ -170,7 +170,7 @@ impl<'a> Reader<'a> {
 ///
 /// Deterministic across processes and platforms (no per-process hasher
 /// seed), so it is usable wherever two machines must agree on a hash of
-/// the same encoded value — rendezvous shard weights, cache key
+/// the same encoded value — rendezvous shard weights, job identity
 /// digests, log correlation. Not collision-resistant against an
 /// adversary; exact-match keys should keep the full encoding.
 pub fn fingerprint64(bytes: &[u8]) -> u64 {

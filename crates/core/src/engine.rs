@@ -166,8 +166,10 @@ impl Session {
     }
 
     /// Encodes the finished session as a wire [`QueryReport`]
-    /// (byte-identical to `QueryReport::encode` on [`Session::into_report`];
-    /// pinned by a unit test below) without materializing the report.
+    /// (byte-identical to `QueryReport::encode` on the report that
+    /// [`Session::finish_reusing`] builds with no lead round; pinned by
+    /// `encoded_path_matches_report_encode_bytes` in `batch.rs`) without
+    /// materializing the report.
     pub(crate) fn encode_report_into(&self, answer: bool, out: &mut Vec<u8>) {
         use crate::codec::{put_u32, put_u64, put_usize, WireEncode};
         out.push(u8::from(answer));
@@ -250,20 +252,6 @@ impl Session {
     /// Anomalies detected so far (observations no honest channel makes).
     pub fn anomalies(&self) -> u64 {
         self.anomalies
-    }
-
-    /// Finalizes the session into a report.
-    pub fn into_report(self, answer: bool) -> QueryReport {
-        QueryReport {
-            answer,
-            queries: self.queries,
-            rounds: self.rounds,
-            retry_queries: self.retry_queries,
-            defense_queries: self.defense_queries,
-            anomalies: self.anomalies,
-            confirmed_positives: self.confirmed,
-            trace: self.trace,
-        }
     }
 
     /// Opens a round with the defense layer's empty-group canary when

@@ -8,7 +8,7 @@
 //! a deterministic query cluster needs:
 //!
 //! - **Stability** — the same job always routes to the same shard while
-//!   the healthy set is unchanged, so per-shard session caches stay hot.
+//!   the healthy set is unchanged, so routing is reproducible.
 //! - **Minimal disruption** — when a shard dies, only *its* jobs move
 //!   (each re-hashes among the survivors); jobs on healthy shards do
 //!   not reshuffle.

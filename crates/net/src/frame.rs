@@ -599,11 +599,7 @@ fn encode_frame_into(
 }
 
 fn encode_job(job: &QueryJob, out: &mut Vec<u8>) {
-    let algorithm = AlgorithmSpec::ALL
-        .iter()
-        .position(|a| *a == job.algorithm)
-        .expect("algorithm registered in AlgorithmSpec::ALL") as u8;
-    out.push(algorithm);
+    out.push(job.algorithm.tag());
     job.channel.encode(out);
     put_usize(out, job.t);
     put_u64(out, job.session_seed);

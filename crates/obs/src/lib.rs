@@ -44,7 +44,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write as IoWrite};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -319,79 +319,16 @@ impl TraceSink for MemorySink {
 /// `{"t_ns":..,"kind":"span_start","name":"..","trace":"%016x",`
 /// `"span":..,"parent":..,"dur_ns":..,"fields":{"bins":4,..}}`
 /// (`dur_ns` only on `span_end`, `fields` only when non-empty).
-///
-/// With [`JsonlSink::with_max_bytes`] the file is size-capped: once the
-/// live file passes the cap it is atomically renamed to `<path>.1`
-/// (replacing any previous rollover) and a fresh file takes its place,
-/// so an unattended soak holds at most two generations on disk instead
-/// of filling it.
 pub struct JsonlSink {
-    out: Mutex<JsonlWriter>,
-    path: PathBuf,
-    max_bytes: Option<u64>,
-}
-
-struct JsonlWriter {
-    out: BufWriter<File>,
-    written: u64,
+    out: Mutex<BufWriter<File>>,
 }
 
 impl JsonlSink {
-    /// Create (truncating) `path` and return a sink writing to it, with
-    /// no size cap.
+    /// Create (truncating) `path` and return a sink writing to it.
     pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<JsonlSink> {
-        Self::build(path.as_ref(), None)
-    }
-
-    /// Like [`JsonlSink::create`], but the live file rolls over to
-    /// `<path>.1` once it exceeds `max_bytes` (a cap of 0 rolls on every
-    /// batch). At most one rolled file is kept — rollover replaces it.
-    pub fn with_max_bytes<P: AsRef<Path>>(path: P, max_bytes: u64) -> std::io::Result<JsonlSink> {
-        Self::build(path.as_ref(), Some(max_bytes))
-    }
-
-    fn build(path: &Path, max_bytes: Option<u64>) -> std::io::Result<JsonlSink> {
-        let file = File::create(path)?;
         Ok(JsonlSink {
-            out: Mutex::new(JsonlWriter {
-                out: BufWriter::new(file),
-                written: 0,
-            }),
-            path: path.to_path_buf(),
-            max_bytes,
+            out: Mutex::new(BufWriter::new(File::create(path)?)),
         })
-    }
-
-    /// The path rolled-over output moves to: `<path>.1`.
-    pub fn rolled_path(&self) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(".1");
-        PathBuf::from(os)
-    }
-
-    /// Flushes the live file, renames it to [`Self::rolled_path`]
-    /// (replacing any previous rollover), and starts a fresh live file.
-    /// On any I/O failure the current file stays in place — records are
-    /// never dropped to enforce the cap.
-    fn rollover(&self, w: &mut JsonlWriter) {
-        if w.out.flush().is_err() {
-            return;
-        }
-        if std::fs::rename(&self.path, self.rolled_path()).is_err() {
-            return;
-        }
-        match File::create(&self.path) {
-            Ok(file) => {
-                w.out = BufWriter::new(file);
-                w.written = 0;
-            }
-            Err(_) => {
-                // The old file was renamed away but a new one could not
-                // be created; keep writing to the renamed file via the
-                // existing handle rather than losing records.
-                w.written = 0;
-            }
-        }
     }
 
     fn render(r: &Record, line: &mut String) {
@@ -425,23 +362,16 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn consume(&self, records: &[Record]) {
-        let mut w = self.out.lock().unwrap();
+        let mut out = self.out.lock().unwrap();
         let mut line = String::with_capacity(160);
         for r in records {
             Self::render(r, &mut line);
-            if w.out.write_all(line.as_bytes()).is_ok() {
-                w.written += line.len() as u64;
-            }
-            if let Some(cap) = self.max_bytes {
-                if w.written > cap {
-                    self.rollover(&mut w);
-                }
-            }
+            let _ = out.write_all(line.as_bytes());
         }
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().unwrap().out.flush();
+        let _ = self.out.lock().unwrap().flush();
     }
 }
 
@@ -1151,70 +1081,6 @@ mod tests {
         drop(guard);
         assert_eq!(SpanContext::default(), SpanContext::NONE);
         assert!(!SpanContext::NONE.has_parent());
-    }
-
-    #[test]
-    fn jsonl_sink_rolls_over_at_the_byte_cap() {
-        let dir = std::env::temp_dir().join(format!("tcast-obs-roll-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("capped.jsonl");
-        let trace = TraceId::fresh();
-        let cap = 2048u64;
-        let sink = Arc::new(JsonlSink::with_max_bytes(&path, cap).unwrap());
-        let rolled = sink.rolled_path();
-        let _ = std::fs::remove_file(&rolled);
-        {
-            let guard = add_sink(sink.clone());
-            // Far more than the cap's worth of records.
-            for i in 0..400u64 {
-                event(trace, "fill", &[("i", i), ("pad", u64::MAX)]);
-            }
-            flush();
-            drop(guard);
-        }
-        let live = std::fs::metadata(&path).expect("live file exists").len();
-        let old = std::fs::metadata(&rolled)
-            .expect("rollover file exists")
-            .len();
-        // Disk usage is bounded: the live file restarts after each
-        // rollover and the rolled generation is itself one capped file,
-        // so a soak of any length holds at most ~two caps on disk.
-        assert!(
-            live <= cap + 256,
-            "live file {live} bytes exceeds the cap {cap}"
-        );
-        assert!(
-            old <= cap + 256,
-            "rolled file {old} bytes exceeds the cap {cap}"
-        );
-        assert!(live + old > cap, "cap was never crossed: {live} + {old}");
-        // Retention is a contiguous newest suffix: every retained line
-        // parses, the most recent record is present, and no record in
-        // the retained window was skipped.
-        let mut seen = Vec::new();
-        for p in [&rolled, &path] {
-            let text = std::fs::read_to_string(p).unwrap();
-            for line in text.lines().filter(|l| l.contains(&format!("\"{trace}\""))) {
-                assert!(
-                    line.starts_with('{') && line.ends_with('}'),
-                    "bad line: {line}"
-                );
-                let i = line
-                    .split("\"i\":")
-                    .nth(1)
-                    .and_then(|rest| rest.split([',', '}']).next())
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .unwrap_or_else(|| panic!("line lacks an i field: {line}"));
-                seen.push(i);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen.last(), Some(&399), "newest record was lost");
-        for pair in seen.windows(2) {
-            assert_eq!(pair[1], pair[0] + 1, "gap inside the retained window");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rolled);
     }
 
     #[test]

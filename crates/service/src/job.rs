@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use tcast::{
     Abns, ChannelSpec, EngineScratch, ExecutionProfile, ExpIncrease, OracleBins, ProbAbns,
-    QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins,
+    QueryReport, RetryPolicy, ThresholdQuerier, TwoTBins, WireEncode,
 };
 use tcast_stats::Summary;
 
@@ -52,6 +52,12 @@ impl AlgorithmSpec {
         AlgorithmSpec::ProbAbns,
         AlgorithmSpec::OracleBins,
     ];
+
+    /// The algorithm's wire tag: its index in [`Self::ALL`], which lists
+    /// the variants in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
 
     /// Stable identifier used as the metrics label.
     pub fn name(self) -> &'static str {
@@ -219,18 +225,18 @@ impl QueryJob {
     /// seed (8 + 8) and a retry budget (9).
     pub const MAX_CACHE_KEY_LEN: usize = 1 + ChannelSpec::MAX_CACHE_KEY_LEN + 8 + 8 + 9;
 
-    /// This job's exact result identity, as bytes: every field that
-    /// shapes the produced [`QueryReport`] participates — the algorithm,
-    /// the full channel spec (both seeds, model, loss, retry policy), the
-    /// threshold, the session seed, and the retry budget. The deadline is
-    /// deliberately excluded: it decides *whether* a session runs, never
-    /// what it reports, so a resubmission under a different deadline can
-    /// still be served from a session cache.
+    /// This job's identity key, as bytes: every field that shapes the
+    /// produced [`QueryReport`] participates — the algorithm, the full
+    /// channel spec (both seeds, model, loss, retry policy), the
+    /// threshold, the session seed, and the retry budget. The deadline,
+    /// trace id, tenant and priority are deliberately excluded: they
+    /// decide *whether* and *when* a session runs, never what it
+    /// reports.
     ///
     /// Two jobs with equal keys produce bit-identical reports (execution
-    /// is a pure function of the spec), which is what makes the key safe
-    /// as an exact-match cache key: no hashing, no collisions. The key is
-    /// one allocation of [`Self::MAX_CACHE_KEY_LEN`] bytes.
+    /// is a pure function of the spec), so cluster placement keys on
+    /// these bytes. The key is one allocation of
+    /// [`Self::MAX_CACHE_KEY_LEN`] bytes.
     pub fn cache_key(&self) -> Vec<u8> {
         let mut key = Vec::with_capacity(Self::MAX_CACHE_KEY_LEN);
         self.cache_key_into(&mut key);
@@ -240,12 +246,8 @@ impl QueryJob {
     /// Appends [`cache_key`](Self::cache_key)'s bytes to `out`, so a
     /// caller that keys many jobs can reuse one buffer.
     pub fn cache_key_into(&self, out: &mut Vec<u8>) {
-        let algorithm = AlgorithmSpec::ALL
-            .iter()
-            .position(|a| *a == self.algorithm)
-            .expect("algorithm registered in AlgorithmSpec::ALL") as u8;
-        out.push(algorithm);
-        self.channel.cache_key_into(out);
+        out.push(self.algorithm.tag());
+        self.channel.encode(out);
         out.extend_from_slice(&(self.t as u64).to_le_bytes());
         out.extend_from_slice(&self.session_seed.to_le_bytes());
         match self.retry_budget {
@@ -461,15 +463,15 @@ mod tests {
             base.cache_key(),
             base.with_deadline(Duration::from_secs(1)).cache_key()
         );
-        // Neither must the trace id: observability must not defeat the
-        // session cache.
+        // Neither must the trace id: observability must not move a job
+        // to another shard.
         assert_eq!(
             base.cache_key(),
             base.with_trace(tcast_obs::TraceId::fresh()).cache_key()
         );
         // Nor tenant or priority: scheduling metadata never shapes the
-        // report, and cross-tenant cache hits on identical specs are
-        // exactly the point of a shared session cache.
+        // report, so identical specs from different tenants share one
+        // identity.
         assert_eq!(
             base.cache_key(),
             base.with_tenant(tcast_tenant::TenantId(7)).cache_key()
@@ -546,5 +548,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), AlgorithmSpec::ALL.len());
+    }
+
+    #[test]
+    fn algorithm_tags_are_indices_into_all() {
+        for (i, alg) in AlgorithmSpec::ALL.iter().enumerate() {
+            assert_eq!(usize::from(alg.tag()), i, "{}", alg.name());
+        }
     }
 }

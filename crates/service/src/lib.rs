@@ -37,7 +37,6 @@
 //! through this service; see `examples/service.rs` for a mixed-traffic
 //! demo.
 
-mod cache;
 mod job;
 mod metrics;
 mod service;

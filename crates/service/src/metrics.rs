@@ -418,14 +418,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one session-cache hit under `label`, alongside the normal
-    /// [`record`](Self::record) of the cached result — so cached jobs
-    /// count in every total exactly like executed ones, plus here.
-    pub(crate) fn record_cache_hit(&self, label: &str) {
-        let mut shard = self.shard();
-        get_or_insert(&mut shard.rows, label, MetricsRow::new).cache_hits += 1;
-    }
-
     /// Pre-registers `tenant`'s metric series at zero. Called when a
     /// tenant first appears (e.g. on a successful auth handshake), so
     /// its Prometheus series exist — stable, at zero — from the first
@@ -581,11 +573,6 @@ pub struct MetricsRow {
     pub verdict_yes: u64,
     /// Sessions that answered `x < t`.
     pub verdict_no: u64,
-    /// Jobs served from the session cache instead of re-simulation.
-    /// Cached jobs still count in every other column — identical totals
-    /// to having executed them — so this is purity of savings, not a
-    /// correction to apply elsewhere.
-    pub cache_hits: u64,
     /// Wall-clock latency per successful job, in microseconds.
     pub latency_us: Summary,
     /// Successful-job latency distribution, 2ms bins over `[0, 100ms)`.
@@ -616,7 +603,6 @@ impl MetricsRow {
             rounds: 0,
             verdict_yes: 0,
             verdict_no: 0,
-            cache_hits: 0,
             latency_us: Summary::new(),
             latency_hist: Histogram::new(0.0, LATENCY_HI_US, LATENCY_BINS),
             failed_latency_us: Summary::new(),
@@ -642,7 +628,6 @@ impl MetricsRow {
         self.rounds += other.rounds;
         self.verdict_yes += other.verdict_yes;
         self.verdict_no += other.verdict_no;
-        self.cache_hits += other.cache_hits;
         self.latency_us.merge(&other.latency_us);
         self.latency_hist.merge(&other.latency_hist);
         self.failed_latency_us.merge(&other.failed_latency_us);
@@ -801,7 +786,7 @@ fn sampled(s: &Summary, f: impl FnOnce(&Summary) -> f64) -> Option<f64> {
 }
 
 #[rustfmt::skip]
-const JOB_COLUMNS: [Column<MetricsRow>; 16] = [
+const JOB_COLUMNS: [Column<MetricsRow>; 15] = [
     ("label", Some("label"), |r| Key(&r.label)),
     ("jobs", Some("jobs"), |r| Count(r.jobs)),
     ("panics", Some("panics"), |r| Count(r.panics)),
@@ -813,7 +798,6 @@ const JOB_COLUMNS: [Column<MetricsRow>; 16] = [
     ("rounds", Some("rounds"), |r| Count(r.rounds)),
     ("verdict_yes", Some("yes"), |r| Count(r.verdict_yes)),
     ("verdict_no", Some("no"), |r| Count(r.verdict_no)),
-    ("cache_hits", Some("cached"), |r| Count(r.cache_hits)),
     ("mean_latency_us", Some("latency (µs)"), |r| Num(sampled(&r.latency_us, Summary::mean), 1)),
     ("max_latency_us", None, |r| Num(sampled(&r.latency_us, Summary::max), 1)),
     ("mean_queries_per_job", Some("queries/job"),
@@ -932,7 +916,7 @@ type NameHelp = (&'static str, &'static str);
 type RowFamily<R> = (NameHelp, MetricKind, fn(&R) -> MetricValue);
 
 #[rustfmt::skip]
-const JOB_COUNTERS: [RowFamily<MetricsRow>; 9] = [
+const JOB_COUNTERS: [RowFamily<MetricsRow>; 8] = [
     ((metric_names::JOBS_TOTAL, "Jobs finished, including panicked and deadline-expired ones."),
      Counter, |r| Int(r.jobs)),
     (("tcast_job_panics_total", "Jobs that panicked."), Counter, |r| Int(r.panics)),
@@ -948,8 +932,6 @@ const JOB_COUNTERS: [RowFamily<MetricsRow>; 9] = [
     ((metric_names::ANOMALIES_TOTAL, "Adversary-suspected anomalies flagged across all sessions."),
      Counter, |r| Int(r.anomalies)),
     (("tcast_rounds_total", "Rounds across all sessions."), Counter, |r| Int(r.rounds)),
-    (("tcast_cache_hits_total", "Jobs served from the session cache."),
-     Counter, |r| Int(r.cache_hits)),
 ];
 
 const VERDICTS: NameHelp = ("tcast_verdicts_total", "Session verdicts by outcome.");
@@ -1406,12 +1388,12 @@ mod tests {
         assert_eq!(
             lines.next().unwrap(),
             "label,jobs,panics,deadline_exceeded,queries,retries,defenses,anomalies,rounds,\
-             verdict_yes,verdict_no,cache_hits,mean_latency_us,max_latency_us,\
+             verdict_yes,verdict_no,mean_latency_us,max_latency_us,\
              mean_queries_per_job,mean_retries_per_job"
         );
         assert_eq!(
             lines.next().unwrap(),
-            "x,3,0,1,50,4,0,0,3,1,1,0,200.0,300.0,25.00,2.00"
+            "x,3,0,1,50,4,0,0,3,1,1,200.0,300.0,25.00,2.00"
         );
         assert!(lines.next().is_none());
     }
@@ -1457,22 +1439,6 @@ mod tests {
         });
 
         assert_eq!(reference.snapshot().to_csv(), sharded.snapshot().to_csv());
-    }
-
-    #[test]
-    fn cache_hits_surface_in_rows_and_dumps() {
-        let m = MetricsRegistry::new();
-        m.record("x", &report(true, 4, 1), Duration::from_micros(100));
-        m.record("x", &report(true, 4, 1), Duration::from_micros(1));
-        m.record_cache_hit("x");
-        let snap = m.snapshot();
-        let r = &snap.rows[0];
-        assert_eq!(
-            (r.jobs, r.cache_hits),
-            (2, 1),
-            "hits ride along, not instead"
-        );
-        assert!(snap.to_csv().contains("x,2,0,0,8,0,0,0,2,2,0,1,"));
     }
 
     #[test]
@@ -1647,9 +1613,6 @@ tcast_anomalies_total{algorithm="x"} 0
 # HELP tcast_rounds_total Rounds across all sessions.
 # TYPE tcast_rounds_total counter
 tcast_rounds_total{algorithm="x"} 3
-# HELP tcast_cache_hits_total Jobs served from the session cache.
-# TYPE tcast_cache_hits_total counter
-tcast_cache_hits_total{algorithm="x"} 0
 # HELP tcast_verdicts_total Session verdicts by outcome.
 # TYPE tcast_verdicts_total counter
 tcast_verdicts_total{algorithm="x",verdict="yes"} 1

@@ -61,7 +61,6 @@ use tcast_tenant::{Priority, TenantId, TenantRegistry};
 
 use tcast::{BatchRunner, DefensePolicy, ExecutionProfile, RetryPolicy, RoundTrace};
 
-use crate::cache::SessionCache;
 use crate::job::{JobError, JobOutput, JobResult, QueryJob};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
@@ -78,11 +77,6 @@ pub struct ServiceConfig {
     /// Maximum jobs waiting in the admission queue before `submit` blocks
     /// (and `try_submit` rejects).
     pub queue_capacity: usize,
-    /// Capacity (in reports) of the LRU session result cache consulted
-    /// before executing a query job; `0` (the default) disables caching.
-    /// Safe at any size: keys are the job's exact encoded identity
-    /// ([`QueryJob::cache_key`]), and execution is a pure function of it.
-    pub session_cache: usize,
     /// Maximum jobs a worker claims per scheduler pass (one lock hold),
     /// then executes back to back over its pooled engine buffers
     /// (default 8). Scheduling order, per-job queue-wait accounting,
@@ -98,7 +92,6 @@ impl Default for ServiceConfig {
         Self {
             workers: 0,
             queue_capacity: 4096,
-            session_cache: 0,
             batch_size: 8,
         }
     }
@@ -126,14 +119,6 @@ impl ServiceConfig {
     #[must_use = "builder methods return a new config; the original is unchanged"]
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Returns the config with a session result cache of `capacity`
-    /// reports (`0` disables caching).
-    #[must_use = "builder methods return a new config; the original is unchanged"]
-    pub fn with_session_cache(mut self, capacity: usize) -> Self {
-        self.session_cache = capacity;
         self
     }
 }
@@ -574,9 +559,6 @@ struct Inner {
     not_full: Condvar,
     capacity: usize,
     metrics: Arc<MetricsRegistry>,
-    /// Optional LRU of finished reports, keyed by exact job identity;
-    /// `None` when `ServiceConfig::session_cache` is 0.
-    cache: Option<Mutex<SessionCache>>,
     /// Tenant identities, weights, and quotas; `None` runs the service
     /// single-tenant (every job on the default lane, no quotas).
     tenants: Option<Arc<TenantRegistry>>,
@@ -608,8 +590,6 @@ impl Inner {
             not_full: Condvar::new(),
             capacity: config.queue_capacity,
             metrics: Arc::new(MetricsRegistry::new()),
-            cache: (config.session_cache > 0)
-                .then(|| Mutex::new(SessionCache::new(config.session_cache))),
             tenants,
             batch: config.batch_size.max(1),
             spares: Mutex::new(Vec::with_capacity(SPARE_UNITS)),
@@ -1378,7 +1358,7 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
                 );
                 Err(JobError::DeadlineExceeded)
             } else {
-                run_query(inner, label, &job, runner)
+                run_query(&job, runner)
             };
             inner.metrics.record_queue_wait(queue_wait);
             if let Ok(JobOutput::Report(report)) = &result {
@@ -1423,29 +1403,16 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     }
 }
 
-/// Runs one query job, consulting the session cache when configured.
+/// Runs one query job on the worker's pooled scratch, turning a panic
+/// into [`JobError::Panicked`].
 ///
-/// A cached report flows through the same metrics path as a computed one
-/// (execution is pure, so totals stay identical to an uncached run); the
-/// hit itself is tallied separately as `cache_hits`. Only clean reports
-/// are cached — a panic is not a result worth replaying.
-fn run_query(inner: &Inner, label: &str, job: &QueryJob, runner: &mut BatchRunner) -> JobResult {
-    let cached = inner.cache.as_ref().map(|c| (c, job.cache_key()));
-    if let Some(report) = cached.as_ref().and_then(|(c, key)| c.lock().get(key)) {
-        inner.metrics.record_cache_hit(label);
-        tcast_obs::event_current("service.cache_hit", &[]);
-        return Ok(JobOutput::Report(report));
-    }
-    // The worker's pooled scratch survives a panicking session: buffers
-    // are cleared before every use, so a poisoned-looking scratch cannot
-    // exist — capacity is the only state that persists.
-    let outcome = catch_unwind(AssertUnwindSafe(|| job.execute_in(runner.scratch())))
+/// The scratch survives a panicking session: buffers are cleared before
+/// every use, so a poisoned-looking scratch cannot exist — capacity is
+/// the only state that persists.
+fn run_query(job: &QueryJob, runner: &mut BatchRunner) -> JobResult {
+    catch_unwind(AssertUnwindSafe(|| job.execute_in(runner.scratch())))
         .map(JobOutput::Report)
-        .map_err(to_job_error);
-    if let (Some((cache, key)), Ok(JobOutput::Report(report))) = (cached, &outcome) {
-        cache.lock().insert(key, report.clone());
-    }
-    outcome
+        .map_err(to_job_error)
 }
 
 fn to_job_error(payload: Box<dyn std::any::Any + Send>) -> JobError {
@@ -1850,54 +1817,6 @@ mod tests {
             }
         }
         assert_eq!(hits.load(Ordering::Relaxed), 60);
-    }
-
-    #[test]
-    fn session_cache_serves_repeats_without_changing_results() {
-        let service = QueryService::new(ServiceConfig::with_workers(2).with_session_cache(64));
-        let jobs: Vec<QueryJob> = (0..4).map(job).collect();
-        let expected: Vec<_> = jobs.iter().map(|j| j.execute()).collect();
-        let first = reports(service.submit(jobs.clone()).unwrap().wait());
-        assert_eq!(first, expected);
-        // Same batch again: all four served from cache, bit-identically.
-        let second = reports(service.submit(jobs).unwrap().wait());
-        assert_eq!(second, expected);
-        let snap = service.metrics();
-        let row = snap.rows.iter().find(|r| r.label == "2tBins").unwrap();
-        assert_eq!(row.jobs, 8, "cached jobs still count as jobs");
-        assert_eq!(row.cache_hits, 4);
-        assert_eq!(row.verdict_yes, 8, "verdict totals match an uncached run");
-    }
-
-    #[test]
-    fn session_cache_is_disabled_by_default() {
-        let service = QueryService::new(ServiceConfig::with_workers(1));
-        service.submit(vec![job(1)]).unwrap().wait();
-        service.submit(vec![job(1)]).unwrap().wait();
-        let snap = service.metrics();
-        let row = snap.rows.iter().find(|r| r.label == "2tBins").unwrap();
-        assert_eq!((row.jobs, row.cache_hits), (2, 0));
-    }
-
-    #[test]
-    fn session_cache_capacity_bounds_what_survives() {
-        // Capacity 1: A, B, A — B evicts A, so the second A recomputes.
-        let service = QueryService::new(ServiceConfig::with_workers(1).with_session_cache(1));
-        for j in [job(1), job(2), job(1)] {
-            service.submit(vec![j]).unwrap().wait();
-        }
-        let snap = service.metrics();
-        let row = snap.rows.iter().find(|r| r.label == "2tBins").unwrap();
-        assert_eq!((row.jobs, row.cache_hits), (3, 0));
-
-        // Capacity 2: the same sequence hits on the second A.
-        let service = QueryService::new(ServiceConfig::with_workers(1).with_session_cache(2));
-        for j in [job(1), job(2), job(1)] {
-            service.submit(vec![j]).unwrap().wait();
-        }
-        let snap = service.metrics();
-        let row = snap.rows.iter().find(|r| r.label == "2tBins").unwrap();
-        assert_eq!((row.jobs, row.cache_hits), (3, 1));
     }
 
     #[test]

@@ -70,10 +70,10 @@ fn snapshot() -> MetricsSnapshot {
     m.snapshot()
 }
 
-const CSV: &str = r#"label,jobs,panics,deadline_exceeded,queries,retries,defenses,anomalies,rounds,verdict_yes,verdict_no,cache_hits,mean_latency_us,max_latency_us,mean_queries_per_job,mean_retries_per_job
-2tBins,1,0,1,0,0,0,0,0,0,0,0,0.0,0.0,0.00,0.00
-ABNS,4,1,0,124,14,9,3,9,2,1,0,1083.3,2750.0,41.33,4.67
-sweep-point,1,0,0,0,0,0,0,0,0,0,0,1234.0,1234.0,0.00,0.00
+const CSV: &str = r#"label,jobs,panics,deadline_exceeded,queries,retries,defenses,anomalies,rounds,verdict_yes,verdict_no,mean_latency_us,max_latency_us,mean_queries_per_job,mean_retries_per_job
+2tBins,1,0,1,0,0,0,0,0,0,0,0.0,0.0,0.00,0.00
+ABNS,4,1,0,124,14,9,3,9,2,1,1083.3,2750.0,41.33,4.67
+sweep-point,1,0,0,0,0,0,0,0,0,0,1234.0,1234.0,0.00,0.00
 
 label,frames_in,frames_out,bytes_in,bytes_out,decode_errors,busy_rejections,auth_failures,reconnects,accept_errors,conns_opened,conns_closed,open_connections,io_threads
 net/conn-0,2,1,160,210,1,1,1,1,0,0,0,0,0
@@ -84,11 +84,11 @@ gold,3,4,1900.0,1500.0,5100.0,5100.0
 silver,0,0,0.0,0.0,0.0,0.0
 "#;
 
-const MARKDOWN: &str = r#"| label | jobs | panics | deadline | queries | retries | defenses | anomalies | rounds | yes | no | cached | latency (µs) | queries/job |
-|-------|-----:|-------:|---------:|--------:|--------:|---------:|----------:|-------:|----:|---:|-------:|-------------:|------------:|
-| 2tBins | 1 | 0 | 1 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | - | - |
-| ABNS | 4 | 1 | 0 | 124 | 14 | 9 | 3 | 9 | 2 | 1 | 0 | 1083.3 | 41.3 |
-| sweep-point | 1 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 1234.0 | - |
+const MARKDOWN: &str = r#"| label | jobs | panics | deadline | queries | retries | defenses | anomalies | rounds | yes | no | latency (µs) | queries/job |
+|-------|-----:|-------:|---------:|--------:|--------:|---------:|----------:|-------:|----:|---:|-------------:|------------:|
+| 2tBins | 1 | 0 | 1 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | - | - |
+| ABNS | 4 | 1 | 0 | 124 | 14 | 9 | 3 | 9 | 2 | 1 | 1083.3 | 41.3 |
+| sweep-point | 1 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 1234.0 | - |
 
 | connection | frames in | frames out | bytes in | bytes out | decode errs | busy | auth errs | reconnects | accept errs | open | io threads |
 |------------|----------:|-----------:|---------:|----------:|------------:|-----:|----------:|-----------:|------------:|-----:|-----------:|
@@ -141,11 +141,6 @@ tcast_anomalies_total{algorithm="sweep-point"} 0
 tcast_rounds_total{algorithm="2tBins"} 0
 tcast_rounds_total{algorithm="ABNS"} 9
 tcast_rounds_total{algorithm="sweep-point"} 0
-# HELP tcast_cache_hits_total Jobs served from the session cache.
-# TYPE tcast_cache_hits_total counter
-tcast_cache_hits_total{algorithm="2tBins"} 0
-tcast_cache_hits_total{algorithm="ABNS"} 0
-tcast_cache_hits_total{algorithm="sweep-point"} 0
 # HELP tcast_verdicts_total Session verdicts by outcome.
 # TYPE tcast_verdicts_total counter
 tcast_verdicts_total{algorithm="2tBins",verdict="yes"} 0
