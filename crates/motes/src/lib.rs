@@ -5,11 +5,6 @@
 //! The top of the full-stack reproduction, mirroring the paper's
 //! experimental methodology (Section IV-D):
 //!
-//! * [`runtime`] — the TinyOS-like execution model: FIFO run-to-completion
-//!   tasks and one-shot/periodic timers over the virtual clock.
-//! * [`serial`] — the laptop-to-mote control interface: every mote exposes
-//!   `configure` / `query` / `reboot` procedures over a serial link, and a
-//!   central controller drives runs through them.
 //! * [`network`] — event-driven full-stack implementations of the two
 //!   traditional baselines over the simulated PHY: CSMA feedback collection
 //!   (802.15.4 CSMA-CA contention, collisions and all) and TDMA sequential
@@ -20,11 +15,7 @@
 //!   group size — the paper's 102-out-of-7200 analysis).
 
 pub mod network;
-pub mod runtime;
-pub mod serial;
 pub mod testbed;
 
 pub use network::{FullStackReport, MoteNetwork, NetworkConfig};
-pub use runtime::{Dispatch, MoteOs, TaskId, TimerId};
-pub use serial::{SerialCommand, SerialResponse};
 pub use testbed::{run_testbed, ErrorStats, TestbedConfig, TestbedReport, TestbedRow};

@@ -2,10 +2,11 @@
 //!
 //! Methodology, mirroring the paper: one initiator plus 12 participant
 //! TelosB motes on a fixed deployment; for each threshold `t` in {2, 4, 6}
-//! and each positive count `x` in 0..=12, the laptop configures the motes
-//! over serial, triggers a 2tBins query on the initiator, collects the
-//! result, and reboots all motes before the next run. 100 runs per
-//! configuration. Ground truth is known to the controller, so every run is
+//! and each positive count `x` in 0..=12, the harness installs `x` random
+//! positives on the RCD stack, runs a 2tBins query from the initiator, and
+//! reboots all motes before the next run. (The paper's laptop drives these
+//! steps over serial; here they are direct calls.) 100 runs per
+//! configuration. Ground truth is known to the harness, so every run is
 //! classified correct / false-negative / false-positive, and every group
 //! query is bucketed by its positive-member count `k` (the paper observes
 //! that false negatives concentrate at `k = 1`).
@@ -16,8 +17,6 @@ use rand::SeedableRng;
 use tcast::{population, QueryReport, ThresholdQuerier, TwoTBins};
 use tcast_rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 use tcast_stats::Summary;
-
-use crate::serial::{supports, MoteRole, SerialCommand, SerialResponse};
 
 /// Testbed sweep configuration.
 #[derive(Debug, Clone)]
@@ -148,7 +147,7 @@ pub fn run_testbed(cfg: &TestbedConfig, seed: u64) -> TestbedReport {
     TestbedReport { rows, errors }
 }
 
-/// One serial-driven run: configure → query → reboot.
+/// One run: install `x` positives, run a 2tBins session, reboot.
 fn run_one(
     channel: &mut RcdChannel,
     nodes: &[tcast::NodeId],
@@ -156,26 +155,8 @@ fn run_one(
     x: usize,
     rng: &mut SmallRng,
 ) -> QueryReport {
-    // Laptop configures the motes over serial.
     channel.stack_mut().set_random_positives(x);
-    let configure = SerialCommand::Configure {
-        positive: false, // per-mote value is installed by the stack above
-        threshold: t,
-    };
-    debug_assert!(supports(MoteRole::Initiator, &configure));
-    debug_assert!(supports(MoteRole::Participant, &configure));
-    debug_assert!(supports(MoteRole::Initiator, &SerialCommand::Query));
-
-    // Initiator executes the 2tBins session over the radio.
     let report = TwoTBins.run(nodes, t, channel, rng);
-    let _response = SerialResponse::QueryResult {
-        answer: report.answer,
-        queries: report.queries,
-        rounds: report.rounds,
-    };
-
-    // Reboot everything before the next run.
-    debug_assert!(supports(MoteRole::Participant, &SerialCommand::Reboot));
     channel.stack_mut().reboot();
     report
 }

@@ -222,11 +222,6 @@ struct Slot {
     /// Counts its parked waiters, so resolving a slot nobody waits on
     /// yet makes no futex syscall.
     cv: Condvar,
-    /// Set by [`NetBatch::handles`] once a second handle shares the
-    /// slot: every waiter then clones the result instead of taking it.
-    /// An explicit flag, because `Arc::strong_count` also counts the
-    /// `Pending` entry, which the reading thread drops on its own time.
-    shared: AtomicBool,
 }
 
 impl Slot {
@@ -234,7 +229,6 @@ impl Slot {
         Arc::new(Self {
             state: Mutex::new(None),
             cv: Condvar::new(),
-            shared: AtomicBool::new(false),
         })
     }
 
@@ -243,17 +237,6 @@ impl Slot {
         if state.is_none() {
             *state = Some(result);
             self.cv.notify_all();
-        }
-    }
-
-    /// The resolved result, or `None` while unresolved: moved out when
-    /// this waiter is the slot's only handle, cloned when
-    /// [`NetBatch::handles`] shared it.
-    fn consume(&self, state: &mut Option<NetJobResult>) -> Option<NetJobResult> {
-        if self.shared.load(Ordering::Acquire) {
-            state.clone()
-        } else {
-            state.take()
         }
     }
 
@@ -275,7 +258,7 @@ impl Slot {
 const SPARE_SLOTS: usize = 256;
 
 /// A connection's spare slots, each the only reference to itself and
-/// reset to unresolved and unshared.
+/// reset to unresolved.
 ///
 /// Whichever side lets go of a slot last offers it back: the reading
 /// thread after resolving it, or a handle after `wait`/`wait_timeout`
@@ -299,10 +282,9 @@ impl SlotPool {
         let Some(spare) = Arc::get_mut(&mut slot) else {
             return;
         };
-        // An unread result (a shared, timed-out or unwaited handle's)
-        // goes now, so the next job's waiter cannot see it.
+        // An unread result (a timed-out or unwaited handle's) goes now,
+        // so the next job's waiter cannot see it.
         *spare.state.get_mut() = None;
-        *spare.shared.get_mut() = false;
         let mut spares = self.spares.lock();
         if spares.len() < SPARE_SLOTS {
             spares.push(slot);
@@ -312,8 +294,7 @@ impl SlotPool {
 
 /// A handle to one in-flight remote job.
 ///
-/// Waiting consumes the handle and moves the report out of its slot;
-/// only handles shared through [`NetBatch::handles`] clone it.
+/// Waiting consumes the handle and moves the report out of its slot.
 #[must_use = "a network job handle does nothing unless waited on"]
 pub struct NetJobHandle {
     slot: Arc<Slot>,
@@ -357,7 +338,7 @@ impl NetJobHandle {
         match &self.conn {
             Some(conn) => conn.wait_on(&self.slot, deadline),
             // A failed handle is resolved from the start.
-            None => self.slot.consume(&mut self.slot.state.lock()),
+            None => self.slot.state.lock().take(),
         }
     }
 
@@ -385,23 +366,6 @@ impl NetBatch {
     /// Whether the batch carries no jobs.
     pub fn is_empty(&self) -> bool {
         self.handles.is_empty()
-    }
-
-    /// Per-job completion handles, in submission order — non-consuming,
-    /// mirroring the in-process `Batch::handles`. The batch itself can
-    /// still be waited on afterwards; handles and batch share the
-    /// underlying slots.
-    pub fn handles(&self) -> Vec<NetJobHandle> {
-        self.handles
-            .iter()
-            .map(|h| {
-                h.slot.shared.store(true, Ordering::Release);
-                NetJobHandle {
-                    slot: h.slot.clone(),
-                    conn: h.conn.clone(),
-                }
-            })
-            .collect()
     }
 
     /// Blocks until every response arrived; results in submission order.
@@ -773,7 +737,7 @@ impl Conn {
     fn wait_on(&self, slot: &Arc<Slot>, deadline: Option<Instant>) -> Option<NetJobResult> {
         loop {
             let mut state = slot.state.lock();
-            if let Some(result) = slot.consume(&mut state) {
+            if let Some(result) = state.take() {
                 return Some(result);
             }
             let now = Instant::now();
@@ -1464,8 +1428,8 @@ mod tests {
 
     /// One connection recycles its slots through every way a handle can
     /// end — waited before and after its response, dropped unwaited,
-    /// timed out before its response, shared by `NetBatch::handles`, and
-    /// cut off by a dying peer — and no handle ever sees another job's
+    /// timed out before its response, in a batch answered out of order,
+    /// and cut off by a dying peer — and no handle ever sees another job's
     /// result: each resolves to its own in-process report or a typed
     /// error. A slot reset under a handle still waiting on it would
     /// leave that wait blocked for good, so the rounds run on a thread
@@ -1531,28 +1495,19 @@ mod tests {
                 "round {round}: answered before it was sent"
             );
 
-            // Shared: the batch and its handles all see their own job's
+            // A two-job batch answered out of order sees each job's own
             // report; c's late answer lands in between.
             let (d, e) = (next(), next());
             let batch = client.submit(vec![d, e]);
-            let shared = batch.handles();
             let (id_d, _) = peer.submitted();
             let (id_e, _) = peer.submitted();
             peer.answer(id_e, &e);
             peer.answer(id_c, &c);
             peer.answer(id_d, &d);
-            let mut shared = shared.into_iter();
-            let first = shared.next().expect("handle d");
-            assert_eq!(first.wait(), Ok(d.execute()), "round {round}: shared d");
             assert_eq!(
                 batch.wait(),
                 vec![Ok(d.execute()), Ok(e.execute())],
                 "round {round}: batch"
-            );
-            assert_eq!(
-                shared.next().expect("handle e").wait(),
-                Ok(e.execute()),
-                "round {round}: shared e"
             );
 
             // A dying peer: f is answered first, g never.

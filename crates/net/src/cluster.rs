@@ -30,6 +30,7 @@
 //! own metrics registry ([`ShardedClient::metrics`]).
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -88,6 +89,11 @@ impl ClusterConfig {
         self
     }
 }
+
+/// Most events [`ShardedClient::events`] keeps: the log drops its
+/// oldest entry for each new one past this, so a long-lived client with
+/// a flapping shard stays bounded.
+const EVENT_LOG_CAP: usize = 1024;
 
 /// One entry in the cluster's observable history.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +162,8 @@ struct ClusterInner {
     /// Health flags readable without touching a shard lock, so routing
     /// never blocks on a shard that is mid-(re)connect.
     healthy: Vec<AtomicBool>,
-    events: Mutex<Vec<ClusterEvent>>,
+    /// The most recent [`EVENT_LOG_CAP`] events, oldest first.
+    events: Mutex<VecDeque<ClusterEvent>>,
     metrics: MetricsRegistry,
     config: ClusterConfig,
     closing: AtomicBool,
@@ -183,6 +190,8 @@ impl ClusterInner {
             .enumerate()
             .map(|(shard, addr)| fingerprint64(format!("{shard}:{addr}").as_bytes()))
             .collect();
+        let mut events = VecDeque::from(events);
+        events.drain(..events.len().saturating_sub(EVENT_LOG_CAP));
         Self {
             addrs,
             label_states,
@@ -239,7 +248,15 @@ impl ClusterInner {
     }
 
     fn push_event(&self, event: ClusterEvent) {
-        self.events.lock().push(event);
+        let mut events = self.events.lock();
+        if events.len() == EVENT_LOG_CAP {
+            events.pop_front();
+        }
+        events.push_back(event);
+    }
+
+    fn events(&self) -> Vec<ClusterEvent> {
+        self.events.lock().iter().cloned().collect()
     }
 
     /// Rendezvous-hashes `job` over the healthy, non-excluded shards:
@@ -607,10 +624,11 @@ impl ShardedClient {
         }
     }
 
-    /// Events recorded so far (shard transitions and re-routes), oldest
-    /// first.
+    /// The most recent events (shard transitions and re-routes), oldest
+    /// first. The log keeps the last 1024, a fixed cap, and drops older
+    /// ones.
     pub fn events(&self) -> Vec<ClusterEvent> {
-        self.inner.events.lock().clone()
+        self.inner.events()
     }
 
     /// Snapshot of the cluster's own metrics registry: one
@@ -746,6 +764,18 @@ mod tests {
                 QueryJob::new(algorithm, channel, t, i)
             })
             .collect()
+    }
+
+    #[test]
+    fn the_event_log_keeps_the_most_recent_events() {
+        let cluster = offline_cluster();
+        for shard in 0..2 * EVENT_LOG_CAP {
+            cluster.push_event(ClusterEvent::ShardUp { shard });
+        }
+        let want: Vec<ClusterEvent> = (EVENT_LOG_CAP..2 * EVENT_LOG_CAP)
+            .map(|shard| ClusterEvent::ShardUp { shard })
+            .collect();
+        assert_eq!(cluster.events(), want);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   error frames, a peer that stops reading its responses is closed
 //!   rather than buffered for unboundedly, and shutdown drains
 //!   in-flight work before closing.
-//! - [`client`]: [`NetClient`], a pooled, pipelined client whose
-//!   submit/wait API mirrors the in-process `Batch`/`JobHandle` shape.
+//! - [`client`]: [`NetClient`], a pooled, pipelined client: a submit
+//!   returns a [`NetBatch`] or one [`NetJobHandle`] per job, each waited
+//!   on once, like the in-process `Batch`.
 //! - [`cluster`]: [`ShardedClient`], a front-end fanning jobs across
 //!   several servers by rendezvous hashing on each job's identity
 //!   bytes, with transparent failover to surviving shards and

@@ -12,8 +12,9 @@
 //!   session seed. Workers rebuild everything from the spec, so execution
 //!   is a pure function of the job.
 //! * **Bounded admission.** [`QueryService::submit`] blocks when the
-//!   queue is over capacity; [`QueryService::try_submit`] hands the jobs
-//!   back instead. Producers can't outrun the pool unboundedly.
+//!   queue is over capacity; a [non-blocking](SubmitOptions::nonblocking)
+//!   [`QueryService::submit_with`] hands the jobs back instead. Producers
+//!   can't outrun the pool unboundedly.
 //! * **Deterministic scheduling.** Workers steal jobs through an atomic
 //!   claim index, yet batch results always come back in submission order
 //!   and bit-identical at any worker count — seeds live in the jobs, not
@@ -47,8 +48,8 @@ pub use metrics::{
     MetricsSnapshot, NetCounters, NetMetricsRow, Sample, TenantMetricsRow,
 };
 pub use service::{
-    Batch, Completion, CompletionWatcher, JobHandle, QueryService, ServiceClosed, ServiceConfig,
-    SubmitError, SubmitOptions, INLINE_MAX_QUERIES,
+    Batch, Completion, CompletionWatcher, QueryService, ServiceClosed, ServiceConfig, SubmitError,
+    SubmitOptions, INLINE_MAX_QUERIES,
 };
 
 /// Blessed service-tier entrypoints, layered over [`tcast::prelude`].
@@ -61,7 +62,5 @@ pub mod prelude {
 
     pub use crate::job::{AlgorithmSpec, JobError, JobOutput, JobResult, QueryJob};
     pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-    pub use crate::service::{
-        Batch, JobHandle, QueryService, ServiceConfig, SubmitError, SubmitOptions,
-    };
+    pub use crate::service::{Batch, QueryService, ServiceConfig, SubmitError, SubmitOptions};
 }

@@ -10,14 +10,13 @@
 //! implement the bounded-queue protocol: `not_empty` parks idle workers,
 //! `not_full` parks producers once `queue_capacity` jobs are waiting.
 //!
-//! A thread blocked in [`Batch::wait`] or [`JobHandle::wait`] is an
-//! executor too: while its own unit is the one the scheduler would serve
-//! next, it claims and runs that unit's jobs through the same claim and
-//! execution path a worker uses, and parks only when its unit is done,
-//! fully claimed, or not next. A thread is woken only when it is parked
-//! and can proceed: an enqueue of one job wakes one worker, and a
-//! completion wakes a unit's waiter only once the unit is finished (or,
-//! when per-job handles share it, on every job).
+//! A thread blocked in [`Batch::wait`] is an executor too: while its own
+//! unit is the one the scheduler would serve next, it claims and runs
+//! that unit's jobs through the same claim and execution path a worker
+//! uses, and parks only when its unit is done, fully claimed, or not
+//! next. A thread is woken only when it is parked and can proceed: an
+//! enqueue of one job wakes one worker, and a completion wakes a unit's
+//! waiter only once the unit is finished.
 //!
 //! A submitter can be an executor as well ([`SubmitOptions::inline`]): a
 //! one-job batch whose predicted cost is under [`INLINE_MAX_QUERIES`],
@@ -52,7 +51,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,7 +74,7 @@ pub struct ServiceConfig {
     /// Worker threads; `0` means one per available CPU.
     pub workers: usize,
     /// Maximum jobs waiting in the admission queue before `submit` blocks
-    /// (and `try_submit` rejects).
+    /// (and a [non-blocking](SubmitOptions::nonblocking) submit rejects).
     pub queue_capacity: usize,
     /// Maximum jobs a worker claims per scheduler pass (one lock hold),
     /// then executes back to back over its pooled engine buffers
@@ -135,7 +134,7 @@ impl std::fmt::Display for ServiceClosed {
 
 impl std::error::Error for ServiceClosed {}
 
-/// Why [`QueryService::try_submit`] did not accept a batch. The jobs are
+/// Why [`QueryService::submit_with`] did not accept a batch. The jobs are
 /// handed back so the caller can retry or shed load.
 #[derive(Debug)]
 pub enum SubmitError {
@@ -190,11 +189,9 @@ pub struct Completion {
 }
 
 /// How [`QueryService::submit_with`] admits a batch: the one options
-/// struct behind the whole submit surface. The named entrypoints
-/// ([`QueryService::submit`], [`QueryService::try_submit`],
-/// [`QueryService::submit_watched`]) are thin delegates over three
-/// corners of this space; the network front-end submits non-blocking
-/// and watched, with a tag, through `submit_with` itself.
+/// struct behind the whole submit surface. [`QueryService::submit`] is
+/// the default corner (blocking, no watcher); the network front-end
+/// submits non-blocking and watched, with a tag.
 #[derive(Clone)]
 pub struct SubmitOptions {
     /// Block while the admission queue is over capacity (backpressure).
@@ -300,13 +297,6 @@ impl Slot {
             _ => None,
         }
     }
-
-    fn result(&self) -> Option<&JobResult> {
-        match self {
-            Slot::Done(result) => Some(result),
-            _ => None,
-        }
-    }
 }
 
 /// A unit's slots and how many of them are done, under one lock.
@@ -347,9 +337,6 @@ struct WorkUnit {
     /// Completion hook for watched batches and the batch's tag; `None`
     /// for plain submits.
     watcher: Option<(CompletionWatcher, u64)>,
-    /// Set once [`Batch::handles`] shares the unit: [`Batch::wait`] and
-    /// the handles then clone the results instead of moving them out.
-    shared: AtomicBool,
 }
 
 impl WorkUnit {
@@ -369,7 +356,6 @@ impl WorkUnit {
             board: Mutex::new(board),
             done: Condvar::new(),
             watcher,
-            shared: AtomicBool::new(false),
         }
     }
 
@@ -397,13 +383,6 @@ impl WorkUnit {
         let mut board = self.board.lock();
         self.done
             .wait_while(&mut board, |b| b.completed < b.slots.len());
-        if self.shared.load(Ordering::Acquire) {
-            return board
-                .slots
-                .iter()
-                .map(|s| s.result().expect("all slots completed").clone())
-                .collect();
-        }
         board
             .slots
             .iter_mut()
@@ -412,13 +391,6 @@ impl WorkUnit {
                 _ => unreachable!("all slots completed"),
             })
             .collect()
-    }
-
-    fn wait_one(&self, index: usize) -> JobResult {
-        let mut board = self.board.lock();
-        self.done
-            .wait_while(&mut board, |b| b.slots[index].result().is_none());
-        board.slots[index].result().expect("slot completed").clone()
     }
 
     /// Takes back the jobs of a query unit that was never queued.
@@ -626,9 +598,8 @@ impl Inner {
     /// full or the unit's slots are over [`SPARE_SLOTS`].
     ///
     /// A report still in a slot then is one nothing can read: its batch
-    /// and handles are gone, and they only ever cloned a report they did
-    /// not move out. The unit keeps the first such report's round trace
-    /// as its spare.
+    /// was dropped unwaited (a wait moves every report out). The unit
+    /// keeps the first such report's round trace as its spare.
     fn recycle(&self, mut unit: Arc<WorkUnit>) {
         let Some(spare) = Arc::get_mut(&mut unit) else {
             return;
@@ -695,23 +666,8 @@ impl Batch {
     /// serve next, the calling thread runs its jobs instead of sleeping.
     pub fn wait(self) -> Vec<JobResult> {
         let unit = self.unit();
-        help(&self.inner, unit, unit.len());
+        help(&self.inner, unit);
         unit.wait_all()
-    }
-
-    /// Per-job completion handles, in submission order. The batch can
-    /// still be waited on afterwards; it then clones the results the
-    /// handles also see.
-    pub fn handles(&self) -> Vec<JobHandle> {
-        let unit = self.unit();
-        unit.shared.store(true, Ordering::Release);
-        (0..unit.len())
-            .map(|index| JobHandle {
-                unit: unit.clone(),
-                inner: self.inner.clone(),
-                index,
-            })
-            .collect()
     }
 
     /// Number of jobs in the batch.
@@ -730,29 +686,6 @@ impl Drop for Batch {
         if let Some(unit) = self.unit.take() {
             self.inner.recycle(unit);
         }
-    }
-}
-
-/// Completion handle for a single job within a batch.
-#[must_use = "a job handle does nothing unless waited on"]
-pub struct JobHandle {
-    unit: Arc<WorkUnit>,
-    inner: Arc<Inner>,
-    index: usize,
-}
-
-impl JobHandle {
-    /// Blocks until this job finished; other jobs in the batch may still
-    /// be running. Like [`Batch::wait`], the calling thread runs the
-    /// batch's jobs up to this one while the batch is served next.
-    pub fn wait(self) -> JobResult {
-        help(&self.inner, &self.unit, self.index + 1);
-        self.unit.wait_one(self.index)
-    }
-
-    /// Index of this job within its batch.
-    pub fn index(&self) -> usize {
-        self.index
     }
 }
 
@@ -948,32 +881,6 @@ impl QueryService {
         I::IntoIter: ExactSizeIterator,
     {
         self.submit_with(jobs, SubmitOptions::new())
-    }
-
-    /// Like [`submit`](Self::submit), additionally invoking `on_complete`
-    /// on the worker thread as each job finishes. Delegates to
-    /// [`submit_with`](Self::submit_with) with a watcher.
-    pub fn submit_watched<I>(
-        &self,
-        jobs: I,
-        on_complete: CompletionWatcher,
-    ) -> Result<Batch, SubmitError>
-    where
-        I: IntoIterator<Item = QueryJob>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.submit_with(jobs, SubmitOptions::new().watched(on_complete))
-    }
-
-    /// Like [`submit`](Self::submit) but never blocks: a full queue hands
-    /// the jobs back in [`SubmitError::QueueFull`]. Delegates to
-    /// [`submit_with`](Self::submit_with).
-    pub fn try_submit<I>(&self, jobs: I) -> Result<Batch, SubmitError>
-    where
-        I: IntoIterator<Item = QueryJob>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.submit_with(jobs, SubmitOptions::new().nonblocking())
     }
 
     /// The jobs of a query unit that was never queued; the unit itself
@@ -1173,10 +1080,10 @@ thread_local! {
 }
 
 /// Runs `unit`'s jobs on the calling thread, one claim at a time, while
-/// the scheduler would serve `unit` next and its first `until` slots are
-/// not all claimed. Returns as soon as either stops holding; the caller
-/// then parks on the unit's result board.
-fn help(inner: &Inner, unit: &Arc<WorkUnit>, until: usize) {
+/// the scheduler would serve `unit` next and it has unclaimed slots.
+/// Returns as soon as either stops holding; the caller then parks on the
+/// unit's result board.
+fn help(inner: &Inner, unit: &Arc<WorkUnit>) {
     let _ = HELPER.try_with(|runner| {
         let Ok(mut runner) = runner.try_borrow_mut() else {
             return;
@@ -1184,7 +1091,7 @@ fn help(inner: &Inner, unit: &Arc<WorkUnit>, until: usize) {
         loop {
             let claim = {
                 let mut st = inner.state.lock();
-                if unit.next.load(Ordering::Relaxed) >= until {
+                if unit.next.load(Ordering::Relaxed) >= unit.len() {
                     return;
                 }
                 claim_drr(inner, &mut st, |next| std::ptr::eq(next, &**unit))
@@ -1396,9 +1303,8 @@ fn execute(inner: &Inner, unit: &WorkUnit, index: usize, runner: &mut BatchRunne
     let mut board = unit.board.lock();
     board.slots[index] = Slot::Done(result);
     board.completed += 1;
-    // Only a finished unit lets `wait_all` proceed; per-job handles
-    // (`wait_one`) can proceed on any completion once shared.
-    if board.completed == unit.len() || unit.shared.load(Ordering::Acquire) {
+    // Only a finished unit lets `wait_all` proceed.
+    if board.completed == unit.len() {
         unit.done.notify_all();
     }
 }
@@ -1459,21 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn per_job_handles_resolve_individually() {
-        let service = QueryService::new(ServiceConfig::with_workers(2));
-        let jobs: Vec<QueryJob> = (0..4).map(job).collect();
-        let expected: Vec<_> = jobs.iter().map(|j| j.execute()).collect();
-        let batch = service.submit(jobs).unwrap();
-        let handles = batch.handles();
-        for (h, want) in handles.into_iter().zip(expected).rev() {
-            match h.wait().unwrap() {
-                JobOutput::Report(rep) => assert_eq!(rep, want),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn empty_batch_completes_immediately() {
         let service = QueryService::new(ServiceConfig::with_workers(1));
         let batch = service.submit(Vec::new()).unwrap();
@@ -1503,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_rejects_when_full_and_returns_jobs() {
+    fn a_nonblocking_submit_rejects_when_full_and_returns_jobs() {
         // One worker wedged on a slow task keeps the queue occupied.
         let service = QueryService::new(ServiceConfig {
             workers: 1,
@@ -1518,7 +1409,8 @@ mod tests {
         let gate_batch = service.submit_tasks("gate", vec![gate]).unwrap();
         // Fill the queue past capacity while the worker is blocked.
         let fill = service.submit(vec![job(1), job(2)]).unwrap();
-        match service.try_submit(vec![job(3)]) {
+        let nonblocking = SubmitOptions::new().nonblocking();
+        match service.submit_with(vec![job(3)], nonblocking.clone()) {
             Err(SubmitError::QueueFull(jobs)) => assert_eq!(jobs, vec![job(3)]),
             Err(e) => panic!("expected QueueFull, got {e:?}"),
             Ok(_) => panic!("expected QueueFull, got acceptance"),
@@ -1527,7 +1419,7 @@ mod tests {
         gate_batch.wait();
         fill.wait();
         // Queue drained: accepted again.
-        assert!(service.try_submit(vec![job(3)]).is_ok());
+        assert!(service.submit_with(vec![job(3)], nonblocking).is_ok());
     }
 
     #[test]
@@ -1649,14 +1541,14 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::<(usize, tcast::QueryReport)>::new()));
         let sink = seen.clone();
         let batch = service
-            .submit_watched(
+            .submit_with(
                 jobs,
-                Arc::new(move |done: Completion, result| {
+                SubmitOptions::new().watched(Arc::new(move |done: Completion, result| {
                     let Ok(JobOutput::Report(rep)) = result else {
                         panic!("unexpected {result:?}");
                     };
                     sink.lock().push((done.index, rep.clone()));
-                }),
+                })),
             )
             .unwrap();
         // The batch API still works alongside the callback.
@@ -1676,7 +1568,10 @@ mod tests {
     fn a_panicking_watcher_does_not_kill_the_worker() {
         let service = QueryService::new(ServiceConfig::with_workers(1));
         let batch = service
-            .submit_watched(vec![job(1)], Arc::new(|_, _| panic!("watcher bug")))
+            .submit_with(
+                vec![job(1)],
+                SubmitOptions::new().watched(Arc::new(|_, _| panic!("watcher bug"))),
+            )
             .unwrap();
         // The result board still resolves, and the single worker survives
         // to run a second batch.
@@ -1706,7 +1601,7 @@ mod tests {
         assert_eq!(reports(batch.wait()), expected);
         assert_eq!(hits.load(Ordering::Relaxed), 8);
 
-        // Non-blocking admission surfaces QueueFull like try_submit.
+        // Non-blocking admission surfaces QueueFull.
         let service = QueryService::new(ServiceConfig {
             workers: 1,
             queue_capacity: 1,
@@ -1792,34 +1687,6 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_batch_dropped_before_it_completes_still_yields_full_reports() {
-        let service = QueryService::new(ServiceConfig::with_workers(1));
-        let hits = Arc::new(AtomicUsize::new(0));
-        let sink = hits.clone();
-        let watcher: CompletionWatcher = Arc::new(move |_, _| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        });
-        for round in 0..20u64 {
-            let jobs: Vec<QueryJob> = (0..3).map(|i| job(round * 3 + i)).collect();
-            let expected: Vec<_> = jobs.iter().map(QueryJob::execute).collect();
-            let (gate, release) = hold_the_worker(&service);
-            let batch = service.submit_watched(jobs, watcher.clone()).unwrap();
-            let handles = batch.handles();
-            drop(batch);
-            release.send(()).unwrap();
-            gate.wait();
-            for (handle, want) in handles.into_iter().zip(&expected) {
-                let Ok(JobOutput::Report(report)) = handle.wait() else {
-                    panic!("round {round}: expected a report");
-                };
-                assert!(!report.trace.is_empty());
-                assert_eq!(&report, want, "round {round}");
-            }
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 60);
-    }
-
-    #[test]
     fn metrics_report_per_algorithm_activity() {
         let service = QueryService::new(ServiceConfig::with_workers(4));
         let mut jobs = Vec::new();
@@ -1868,7 +1735,10 @@ mod tests {
     ) -> Batch {
         let order = order.clone();
         service
-            .submit_watched(vec![job], Arc::new(move |_, _| order.lock().push(tag)))
+            .submit_with(
+                vec![job],
+                SubmitOptions::new().watched(Arc::new(move |_, _| order.lock().push(tag))),
+            )
             .unwrap()
     }
 

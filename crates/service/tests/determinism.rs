@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 
 use tcast::{CaptureModel, ChannelSpec, CollisionModel, QueryReport};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitError};
+use tcast_service::{
+    AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitError, SubmitOptions,
+};
 
 const MODELS: [CollisionModel; 3] = [
     CollisionModel::OnePlus,
@@ -59,16 +61,15 @@ fn batch_len_and_is_empty_track_the_submitted_jobs() {
     let batch = service.submit(jobs).expect("service open");
     assert_eq!(batch.len(), n);
     assert!(!batch.is_empty());
-    assert_eq!(batch.handles().len(), n);
     assert_eq!(batch.wait().len(), n);
 }
 
 #[test]
-fn shutdown_after_try_submit_rejection_loses_no_jobs() {
-    // Regression: a batch bounced by `try_submit` must leave no residue in
-    // the queue accounting — after the service drains and shuts down, the
-    // metrics must account for exactly the accepted jobs, and the rejected
-    // jobs must come back intact for resubmission elsewhere.
+fn shutdown_after_a_nonblocking_rejection_loses_no_jobs() {
+    // Regression: a batch bounced by a non-blocking submit must leave no
+    // residue in the queue accounting — after the service drains and shuts
+    // down, the metrics must account for exactly the accepted jobs, and the
+    // rejected jobs must come back intact for resubmission elsewhere.
     let service = QueryService::new(ServiceConfig::with_workers(1).with_queue_capacity(2));
     let (tx, rx) = std::sync::mpsc::channel::<()>();
     let gate: Box<dyn FnOnce() -> tcast_service::JobOutput + Send> = Box::new(move || {
@@ -82,7 +83,8 @@ fn shutdown_after_try_submit_rejection_loses_no_jobs() {
     let accepted_batch = service.submit(accepted).expect("open");
 
     let rejected_jobs = full_coverage_batch(16, 8, 2, 8);
-    let handed_back = match service.try_submit(rejected_jobs.clone()) {
+    let nonblocking = SubmitOptions::new().nonblocking();
+    let handed_back = match service.submit_with(rejected_jobs.clone(), nonblocking) {
         Err(SubmitError::QueueFull(jobs)) => jobs,
         Err(other) => panic!("expected QueueFull, got {other:?}"),
         Ok(_) => panic!("expected QueueFull, got acceptance"),

@@ -2,12 +2,12 @@
 
 //! # tcast-sim — deterministic discrete-event simulation kernel
 //!
-//! The substrate under the radio/MAC/mote stack: a virtual clock, a
-//! cancellable event queue with strict deterministic ordering, and a tiny
-//! world-driver loop. The kernel is generic over the event type so the
-//! layers above define their own vocabularies (`tcast-radio` uses
-//! `PhyEvent`, the mote runtime uses timer/task events) without any dynamic
-//! typing in the hot path.
+//! The substrate under the radio/MAC/mote stack: a virtual clock and a
+//! cancellable event queue with strict deterministic ordering. The queue is
+//! generic over the event type so the layers above define their own
+//! vocabularies (`tcast-rcd` schedules `Phase`s, the full-stack baselines in
+//! `tcast-motes` their own mote events) without any dynamic typing in the
+//! hot path.
 //!
 //! Determinism guarantees:
 //!
@@ -28,8 +28,6 @@
 
 mod queue;
 mod time;
-mod world;
 
 pub use queue::{EventId, EventQueue};
 pub use time::{SimDuration, SimTime};
-pub use world::{run_until, run_until_idle, StepResult, World};

@@ -3,8 +3,9 @@
 //! plots. (Shape assertions live next to each figure module; these tests
 //! guard the harness plumbing end to end.)
 
-use tcast_experiments::figures::{fig1, fig11, fig2, fig5, fig8, fig9};
+use tcast_experiments::figures::{fig1, fig11, fig2, fig4, fig5, fig8, fig9};
 use tcast_experiments::SweepSpec;
+use tcast_motes::TestbedConfig;
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -33,6 +34,20 @@ fn fig2_has_both_models_per_algorithm() {
     assert!(fig.series("2tBins 1+").is_some());
     assert!(fig.series("2tBins 2+").is_some());
     assert!(fig.series("ExpIncrease 2+").is_some());
+}
+
+/// The committed Figure 4 and its error table come out byte for byte
+/// from the testbed harness at the default configuration and seed.
+#[test]
+fn fig4_and_the_error_table_reproduce_the_committed_results() {
+    let (fig, table) = fig4::build(&TestbedConfig::default(), 20_110_516);
+    assert_eq!(fig.to_csv(), include_str!("../results/fig4.csv"));
+    assert_eq!(fig.to_markdown(), include_str!("../results/fig4.md"));
+    assert_eq!(table.to_csv(), include_str!("../results/error-table.csv"));
+    assert_eq!(
+        table.to_markdown(),
+        include_str!("../results/error-table.md")
+    );
 }
 
 #[test]

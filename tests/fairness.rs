@@ -19,7 +19,9 @@
 use std::sync::{Arc, Mutex};
 
 use tcast::{ChannelSpec, CollisionModel};
-use tcast_service::{AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig};
+use tcast_service::{
+    AlgorithmSpec, JobOutput, QueryJob, QueryService, ServiceConfig, SubmitOptions,
+};
 use tcast_tenant::{TenantRegistry, TenantSpec};
 
 const NOISY_JOBS: usize = 40;
@@ -60,9 +62,10 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
         let order = order.clone();
         batches.push(
             service
-                .submit_watched(
+                .submit_with(
                     vec![job(i as u64).with_tenant(noisy)],
-                    Arc::new(move |_, _| order.lock().unwrap().push("noisy")),
+                    SubmitOptions::new()
+                        .watched(Arc::new(move |_, _| order.lock().unwrap().push("noisy"))),
                 )
                 .expect("open"),
         );
@@ -71,9 +74,10 @@ fn quiet_tenant_is_never_starved_by_a_noisy_backlog() {
         let order = order.clone();
         batches.push(
             service
-                .submit_watched(
+                .submit_with(
                     vec![job(1000 + i as u64).with_tenant(quiet)],
-                    Arc::new(move |_, _| order.lock().unwrap().push("quiet")),
+                    SubmitOptions::new()
+                        .watched(Arc::new(move |_, _| order.lock().unwrap().push("quiet"))),
                 )
                 .expect("open"),
         );

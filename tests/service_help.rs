@@ -1,10 +1,10 @@
 //! A thread waiting on a batch runs that batch's jobs itself.
 //!
 //! The service's only worker is held inside a gate task. Query jobs
-//! submitted behind it still complete, through `Batch::wait` and through
-//! per-job `JobHandle::wait`, because the waiting thread claims and runs
-//! them — with reports bit-identical to `QueryJob::execute`. Without
-//! that, each wait blocks until a watchdog opens the gate.
+//! submitted behind it still complete through `Batch::wait`, because the
+//! waiting thread claims and runs them — with reports bit-identical to
+//! `QueryJob::execute`. Without that, the wait blocks until a watchdog
+//! opens the gate.
 
 #[path = "support/gated.rs"]
 mod gated;
@@ -42,17 +42,5 @@ fn a_batch_wait_runs_the_batch_while_the_worker_is_busy() {
     let batch = gated.service.submit(jobs()).expect("service open");
     let got: Vec<QueryReport> = batch.wait().into_iter().map(report).collect();
     assert!(!gated.open(), "the wait blocked on the gate");
-    assert_eq!(got, expected);
-}
-
-#[test]
-fn job_handle_waits_run_the_batch_while_the_worker_is_busy() {
-    let gated = Gated::start();
-    let expected: Vec<QueryReport> = jobs().iter().map(QueryJob::execute).collect();
-    let batch = gated.service.submit(jobs()).expect("service open");
-    let handles = batch.handles();
-    drop(batch);
-    let got: Vec<QueryReport> = handles.into_iter().map(|h| report(h.wait())).collect();
-    assert!(!gated.open(), "a handle wait blocked on the gate");
     assert_eq!(got, expected);
 }
