@@ -11,8 +11,8 @@ use tcast_experiments::figures::{
     fig1, fig10, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9,
 };
 use tcast_experiments::SweepSpec;
+use tcast_motes::rcd::{Primitive, RcdConfig};
 use tcast_motes::TestbedConfig;
-use tcast_rcd::{Primitive, RcdConfig};
 
 /// Samples per arm; each sample regenerates its artifact `iters` times.
 const SAMPLES: usize = 11;

@@ -16,8 +16,8 @@ use tcast::{
     ThresholdQuerier, TwoTBins,
 };
 use tcast_bench::{median_ns, Report};
-use tcast_radio::{Frame, ShortAddr};
-use tcast_rcd::{RcdConfig, RcdStack};
+use tcast_motes::radio::{Frame, ShortAddr};
+use tcast_motes::rcd::{RcdConfig, RcdStack};
 
 /// Samples per arm; each sample is many calls.
 const SAMPLES: usize = 21;

@@ -15,8 +15,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use tcast::{population, ThresholdQuerier, TwoTBins};
+use tcast_motes::rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 use tcast_motes::{MoteNetwork, NetworkConfig};
-use tcast_rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 
 use crate::output::Table;
 use crate::seeding::derive;

@@ -9,7 +9,7 @@
 //! HACKs cannot be faked — while pollcast's energy detection is fooled;
 //! both can suffer false negatives under heavy interference.
 
-use tcast_rcd::{InterferenceSpec, RcdConfig, RcdOutcome, RcdStack};
+use tcast_motes::rcd::{InterferenceSpec, RcdConfig, RcdOutcome, RcdStack};
 
 use crate::output::Table;
 

@@ -81,7 +81,7 @@ fn error_table_from(report: &TestbedReport, cfg: &TestbedConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcast_rcd::{Primitive, RcdConfig};
+    use tcast_motes::rcd::{Primitive, RcdConfig};
 
     fn tiny() -> TestbedConfig {
         TestbedConfig {

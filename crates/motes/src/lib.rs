@@ -14,7 +14,11 @@
 //!   between runs, and ground-truth error accounting (false negatives per
 //!   group size — the paper's 102-out-of-7200 analysis).
 
+pub mod mac;
 pub mod network;
+pub mod radio;
+pub mod rcd;
+pub mod sim;
 pub mod testbed;
 
 pub use network::{FullStackReport, MoteNetwork, NetworkConfig};

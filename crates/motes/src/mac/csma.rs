@@ -17,8 +17,8 @@
 //! receives the CCA verdict the caller sampled from the medium. This keeps
 //! the protocol deterministic, synchronous and directly unit-testable.
 
+use crate::sim::SimDuration;
 use rand::{Rng, RngCore};
-use tcast_sim::SimDuration;
 
 /// 802.15.4 CSMA-CA parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # tcast-mac — MAC substrate for the mote stack
 //!
 //! Two medium-access strategies, matching the paper's baselines and the

@@ -8,8 +8,8 @@
 //! we keep the same convention and expose the clock-error model so the
 //! favourable assumption can be relaxed in experiments.
 
+use crate::sim::{SimDuration, SimTime};
 use rand::{Rng, RngCore};
-use tcast_sim::{SimDuration, SimTime};
 
 /// TDMA parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,7 +10,7 @@
 //! nodes programmed into their radios, so all of them (and only they)
 //! HACK simultaneously.
 
-use crate::frame::{Frame, FrameType, ShortAddr, BROADCAST_ADDR};
+use crate::radio::frame::{Frame, FrameType, ShortAddr, BROADCAST_ADDR};
 
 /// Static radio configuration (the register file, in CC2420 terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

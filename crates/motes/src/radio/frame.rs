@@ -8,7 +8,7 @@
 //! their simultaneous transmissions superpose non-destructively on the
 //! medium.
 
-use tcast_sim::SimDuration;
+use crate::sim::SimDuration;
 
 /// 16-bit short address (CC2420 hardware address recognition operates on
 /// these; backcast reprograms them with ephemeral group identifiers).

@@ -28,10 +28,10 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use tcast_sim::SimTime;
+use crate::sim::SimTime;
 
-use crate::frame::Frame;
-use crate::units::{dbm_to_mw, mw_to_dbm};
+use crate::radio::frame::Frame;
+use crate::radio::units::{dbm_to_mw, mw_to_dbm};
 
 /// Node position in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -449,8 +449,8 @@ fn gaussian(rng: &mut SmallRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Frame, ShortAddr};
-    use tcast_sim::SimDuration;
+    use crate::radio::frame::{Frame, ShortAddr};
+    use crate::sim::SimDuration;
 
     fn line_medium(n: usize, spacing: f64, cfg: MediumConfig) -> Medium {
         let positions = (0..n)

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # tcast-radio — 802.15.4 / CC2420-like PHY substrate
 //!
 //! The physical layer under the tcast mote experiments, modelled after the

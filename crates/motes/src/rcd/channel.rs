@@ -9,7 +9,7 @@
 use tcast::channel::PairedGroupQueryChannel;
 use tcast::{CaptureModel, CollisionModel, GroupQueryChannel, NodeId, Observation};
 
-use crate::stack::{RcdOutcome, RcdStack};
+use crate::rcd::stack::{RcdOutcome, RcdStack};
 
 /// Which RCD primitive backs the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +110,7 @@ impl PairedGroupQueryChannel for RcdChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::RcdConfig;
+    use crate::rcd::stack::RcdConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tcast::{population, ThresholdQuerier, TwoTBins};

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # tcast-rcd — receiver-side collision detection primitives
 //!
 //! The two single-hop feedback primitives the paper builds on, implemented

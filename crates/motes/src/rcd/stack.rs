@@ -5,10 +5,10 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use tcast_radio::{
+use crate::radio::{
     frame::TURNAROUND, Frame, Medium, MediumConfig, RadioDevice, ShortAddr, BROADCAST_ADDR,
 };
-use tcast_sim::{EventQueue, SimDuration, SimTime};
+use crate::sim::{EventQueue, SimDuration, SimTime};
 
 /// Foreign traffic from a neighboring region (Section III-B): independent
 /// transmitters outside the deployment that the initiator cannot silence.
@@ -150,10 +150,10 @@ impl GroupQueryStats {
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)] // phases *are* all frame-end instants
 enum Phase {
-    AnnounceEnd(tcast_radio::TxId),
-    PollEnd(tcast_radio::TxId),
-    HackWindowEnd(Vec<tcast_radio::TxId>),
-    RepliesEnd(Vec<(usize, tcast_radio::TxId)>),
+    AnnounceEnd(crate::radio::TxId),
+    PollEnd(crate::radio::TxId),
+    HackWindowEnd(Vec<crate::radio::TxId>),
+    RepliesEnd(Vec<(usize, crate::radio::TxId)>),
 }
 
 /// One initiator plus `participants` nodes sharing a medium.
@@ -213,7 +213,7 @@ impl RcdStack {
         &mut self,
         from: SimTime,
         window: SimDuration,
-    ) -> Vec<tcast_radio::TxId> {
+    ) -> Vec<crate::radio::TxId> {
         let Some(spec) = self.interference else {
             return Vec::new();
         };

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # tcast-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the radio/MAC/mote stack: a virtual clock and a
@@ -17,7 +15,7 @@
 //!   itself is RNG-free.
 //!
 //! ```
-//! use tcast_sim::{EventQueue, SimDuration, SimTime};
+//! use tcast_motes::sim::{EventQueue, SimDuration, SimTime};
 //!
 //! let mut q: EventQueue<&'static str> = EventQueue::new();
 //! q.schedule_in(SimDuration::micros(320), "backoff expired");

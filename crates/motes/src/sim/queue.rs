@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use crate::time::{SimDuration, SimTime};
+use crate::sim::time::{SimDuration, SimTime};
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

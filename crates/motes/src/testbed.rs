@@ -14,8 +14,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 use tcast::{population, QueryReport, ThresholdQuerier, TwoTBins};
-use tcast_rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 use tcast_stats::Summary;
 
 /// Testbed sweep configuration.

@@ -6,9 +6,5 @@
 
 pub use tcast;
 pub use tcast_experiments;
-pub use tcast_mac;
 pub use tcast_motes;
-pub use tcast_radio;
-pub use tcast_rcd;
-pub use tcast_sim;
 pub use tcast_stats;

@@ -9,8 +9,8 @@ use rand::SeedableRng;
 use tcast::{
     population, Abns, CollisionModel, ExpIncrease, IdealChannel, ThresholdQuerier, TwoTBins,
 };
+use tcast_motes::rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 use tcast_motes::{MoteNetwork, NetworkConfig};
-use tcast_rcd::{Primitive, RcdChannel, RcdConfig, RcdStack};
 
 const PARTICIPANTS: usize = 12;
 

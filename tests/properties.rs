@@ -142,7 +142,7 @@ proptest! {
         ar in any::<bool>(),
         payload in proptest::collection::vec(any::<u8>(), 0..80),
     ) {
-        use tcast_radio::{Frame, ShortAddr};
+        use tcast_motes::radio::{Frame, ShortAddr};
         let frame = if ar {
             Frame::data_with_ack_request(ShortAddr(src), ShortAddr(dest), seq, payload)
         } else {
@@ -159,7 +159,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..24),
         flip_bit in 0usize..64,
     ) {
-        use tcast_radio::{Frame, ShortAddr};
+        use tcast_motes::radio::{Frame, ShortAddr};
         let frame = Frame::data(ShortAddr(1), ShortAddr(2), seq, payload);
         let mut bytes = frame.encode();
         let bit = flip_bit % (bytes.len() * 8);
@@ -171,7 +171,7 @@ proptest! {
     /// insertion order, with FIFO tie-breaks.
     #[test]
     fn event_queue_is_chronological(delays in proptest::collection::vec(0u64..10_000, 1..64)) {
-        use tcast_sim::{EventQueue, SimTime};
+        use tcast_motes::sim::{EventQueue, SimTime};
         let mut q = EventQueue::new();
         for (i, &d) in delays.iter().enumerate() {
             q.schedule_at(SimTime::from_nanos(d), i);
