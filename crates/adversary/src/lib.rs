@@ -117,11 +117,6 @@ impl<C: GroupQueryChannel, L: AsRef<[u64]>> AdversaryChannel<C, L> {
         self.stats
     }
 
-    /// The wrapped honest channel.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
     /// Number of recruited lying nodes (false responders / colluders).
     pub fn liar_count(&self) -> usize {
         let liars = self.liars.as_ref();

@@ -4,7 +4,7 @@
 //! Both are *slot-level* models: their cost unit is one reply slot, plotted
 //! on the same axis as one tcast query (one poll + simultaneous-reply
 //! exchange), exactly as in the paper's figures. The full packet-level
-//! versions over the simulated PHY live in `tcast-mac`; these abstract
+//! versions over the simulated PHY live in `tcast-motes` (`network`); these abstract
 //! models are what the per-`x` sweeps use.
 
 mod csma;

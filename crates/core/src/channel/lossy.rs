@@ -10,7 +10,7 @@
 //! probability `reply_miss_prob^k` — exponentially vanishing in `k`.
 //!
 //! The full-PHY version of the same effect (power summation under SINR)
-//! lives in `tcast-radio`; this one exists so the abstract algorithm
+//! lives in `tcast-motes`' radio module; this one exists so the abstract algorithm
 //! simulations can inject faults without paying for the event-driven PHY.
 
 use rand::rngs::SmallRng;

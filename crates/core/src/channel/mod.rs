@@ -8,7 +8,7 @@
 //! * the abstract channels in this module ([`IdealChannel`],
 //!   [`LossyChannel`]) — the direct analogue of the paper's simulator, used
 //!   for Figures 1–3 and 5–7 and 9–10;
-//! * the full-stack adapter in the `tcast-rcd` crate, which realizes the
+//! * the full-stack adapter in `tcast-motes` (`rcd::RcdChannel`), which realizes the
 //!   same trait on top of backcast/pollcast over the simulated CC2420 PHY,
 //!   used for Figure 4 and the error-rate table.
 //!

@@ -42,7 +42,7 @@
 //!
 //! The abstract channels in [`channel`] mirror the paper's simulator; the
 //! same algorithms run unmodified over the full CC2420-level PHY through
-//! the adapter in the `tcast-rcd` crate.
+//! the adapter in the `tcast-motes` crate's `rcd` module.
 
 pub mod abns;
 pub mod baselines;

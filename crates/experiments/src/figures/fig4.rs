@@ -3,7 +3,7 @@
 //!
 //! Full-stack reproduction: 12 participant motes + initiator over the
 //! simulated CC2420 PHY (backcast HACKs, fading, superposition), 2tBins
-//! with thresholds {2, 4, 6}, 100 runs per (t, x), reboots between runs.
+//! with thresholds {2, 4, 6}, 100 runs per (t, x).
 //! The paper reports 0 false positives and 102 false negatives out of 7200
 //! queries (1.4%), concentrated at single-HACK groups.
 

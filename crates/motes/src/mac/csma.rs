@@ -17,8 +17,9 @@
 //! receives the CCA verdict the caller sampled from the medium. This keeps
 //! the protocol deterministic, synchronous and directly unit-testable.
 
-use crate::sim::SimDuration;
 use rand::{Rng, RngCore};
+
+use crate::sim::SimDuration;
 
 /// 802.15.4 CSMA-CA parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,11 +129,6 @@ impl CsmaCa {
         self.state != State::Idle
     }
 
-    /// Current backoff exponent (observable for tests/stats).
-    pub fn backoff_exponent(&self) -> u8 {
-        self.be
-    }
-
     fn draw_backoff(&mut self, rng: &mut dyn RngCore) -> SimDuration {
         let slots = rng.random_range(0..(1u64 << self.be));
         self.cfg.unit * slots
@@ -167,13 +163,13 @@ mod tests {
         let mut mac = CsmaCa::new(CsmaCaConfig::default());
         let mut rng = SmallRng::seed_from_u64(2);
         mac.request(&mut rng);
-        assert_eq!(mac.backoff_exponent(), 3);
+        assert_eq!(mac.be, 3);
         mac.timer_fired(true, &mut rng);
-        assert_eq!(mac.backoff_exponent(), 4);
+        assert_eq!(mac.be, 4);
         mac.timer_fired(true, &mut rng);
-        assert_eq!(mac.backoff_exponent(), 5);
+        assert_eq!(mac.be, 5);
         mac.timer_fired(true, &mut rng);
-        assert_eq!(mac.backoff_exponent(), 5, "capped at macMaxBE");
+        assert_eq!(mac.be, 5, "capped at macMaxBE");
     }
 
     #[test]
@@ -206,7 +202,7 @@ mod tests {
             if !mac.busy() {
                 mac.request(&mut rng);
             }
-            let window = 1u64 << mac.backoff_exponent();
+            let window = 1u64 << mac.be;
             match mac.timer_fired(true, &mut rng) {
                 CsmaStep::Backoff(d) => {
                     assert!(d < cfg.unit * window.max(1) * 2);

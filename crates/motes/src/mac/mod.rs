@@ -1,7 +1,6 @@
-//! # tcast-mac — MAC substrate for the mote stack
+//! MAC substrate for the full-stack baselines.
 //!
-//! Two medium-access strategies, matching the paper's baselines and the
-//! needs of the tcast implementation itself:
+//! Two medium-access strategies, matching the paper's baselines:
 //!
 //! * [`csma`] — unslotted 802.15.4 CSMA-CA as a pure state machine
 //!   (`request` / `timer_fired` steps), so it can be driven by any event
@@ -10,8 +9,8 @@
 //!   a configurable guard time and a clock-error model, the "broadcast a
 //!   schedule and listen" baseline of Section IV-C.
 
-pub mod csma;
-pub mod tdma;
+mod csma;
+mod tdma;
 
 pub use csma::{CsmaCa, CsmaCaConfig, CsmaStep};
 pub use tdma::{TdmaConfig, TdmaSchedule};

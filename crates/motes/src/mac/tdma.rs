@@ -8,8 +8,10 @@
 //! we keep the same convention and expose the clock-error model so the
 //! favourable assumption can be relaxed in experiments.
 
+use rand::RngCore;
+use tcast_stats::normal::sample_standard_normal;
+
 use crate::sim::{SimDuration, SimTime};
-use rand::{Rng, RngCore};
 
 /// TDMA parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +71,7 @@ impl TdmaSchedule {
                 if cfg.clock_sigma_ns == 0.0 {
                     0
                 } else {
-                    (gaussian(rng) * cfg.clock_sigma_ns).round() as i64
+                    (sample_standard_normal(rng) * cfg.clock_sigma_ns).round() as i64
                 }
             })
             .collect();
@@ -85,16 +87,6 @@ impl TdmaSchedule {
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.order.len()
-    }
-
-    /// True when the schedule has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The node owning slot `slot`.
-    pub fn owner(&self, slot: usize) -> usize {
-        self.order[slot]
     }
 
     /// The slot assigned to `node`, if any.
@@ -130,29 +122,6 @@ impl TdmaSchedule {
             }
         })
     }
-
-    /// Whether `node`'s actual transmission lands inside its own slot
-    /// (false = the clock error defeated the guard time).
-    pub fn tx_within_slot(&self, node: usize) -> bool {
-        match (self.slot_of(node), self.tx_time(node)) {
-            (Some(slot), Some(t)) => {
-                let lo = self.start + self.cfg.slot_len * slot as u64;
-                t >= lo && t < self.slot_end(slot)
-            }
-            _ => false,
-        }
-    }
-}
-
-fn gaussian(rng: &mut dyn RngCore) -> f64 {
-    loop {
-        let u = 2.0 * rng.random::<f64>() - 1.0;
-        let v = 2.0 * rng.random::<f64>() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,11 +139,23 @@ mod tests {
         TdmaSchedule::new(cfg, SimTime::ZERO, order, n, &mut rng)
     }
 
+    /// Whether `node`'s actual transmission lands inside its own slot
+    /// (false = the clock error defeated the guard time).
+    fn tx_within_slot(s: &TdmaSchedule, node: usize) -> bool {
+        match (s.slot_of(node), s.tx_time(node)) {
+            (Some(slot), Some(t)) => {
+                let lo = s.start + s.cfg.slot_len * slot as u64;
+                t >= lo && t < s.slot_end(slot)
+            }
+            _ => false,
+        }
+    }
+
     #[test]
     fn slots_are_contiguous_and_ordered() {
         let s = sched(vec![2, 0, 1], 3, 0.0);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.owner(0), 2);
+        assert_eq!(s.order[0], 2);
         assert_eq!(s.slot_of(0), Some(1));
         assert_eq!(s.slot_of(1), Some(2));
         assert_eq!(
@@ -200,15 +181,15 @@ mod tests {
             s.tx_time(1),
             Some(SimTime::ZERO + SimDuration::micros(1100))
         );
-        assert!(s.tx_within_slot(0));
-        assert!(s.tx_within_slot(1));
+        assert!(tx_within_slot(&s, 0));
+        assert!(tx_within_slot(&s, 1));
     }
 
     #[test]
     fn small_clock_error_stays_within_guard() {
         // sigma 10 µs against a 100 µs guard: virtually always in-slot.
         let s = sched((0..20).collect(), 20, 10_000.0);
-        let in_slot = (0..20).filter(|&n| s.tx_within_slot(n)).count();
+        let in_slot = (0..20).filter(|&n| tx_within_slot(&s, n)).count();
         assert!(in_slot >= 19, "{in_slot}/20 in slot");
     }
 
@@ -216,7 +197,7 @@ mod tests {
     fn large_clock_error_defeats_the_guard() {
         // sigma 2 ms against 100 µs guard and 1 ms slots: chaos.
         let s = sched((0..50).collect(), 50, 2_000_000.0);
-        let out_of_slot = (0..50).filter(|&n| !s.tx_within_slot(n)).count();
+        let out_of_slot = (0..50).filter(|&n| !tx_within_slot(&s, n)).count();
         assert!(out_of_slot > 10, "{out_of_slot}/50 out of slot");
     }
 
@@ -229,7 +210,6 @@ mod tests {
     #[test]
     fn empty_schedule() {
         let s = sched(vec![], 3, 0.0);
-        assert!(s.is_empty());
         assert_eq!(s.len(), 0);
     }
 }

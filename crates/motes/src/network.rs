@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::mac::{CsmaCa, CsmaCaConfig, CsmaStep, TdmaConfig, TdmaSchedule};
-use crate::radio::{Frame, Medium, MediumConfig, RadioDevice, ShortAddr};
+use crate::radio::{Frame, Medium, MediumConfig, RadioDevice, ShortAddr, TxId, TURNAROUND};
 use crate::sim::{EventQueue, SimDuration, SimTime};
 
 /// Deployment and protocol parameters for the full-stack baselines.
@@ -80,7 +80,7 @@ enum Ev {
     /// A contender's backoff timer expired (CCA is sampled now).
     BackoffDone { node: usize },
     /// A vote frame left the air.
-    TxEnd { node: usize, tx: crate::radio::TxId },
+    TxEnd { node: usize, tx: TxId },
     /// A failed contender retries its whole attempt.
     Retry { node: usize },
 }
@@ -196,7 +196,7 @@ impl MoteNetwork {
                             // Rx/tx turnaround: energy reaches the air 192 us
                             // after the clear CCA (the vulnerability window).
                             let frame = self.vote_frame(node);
-                            let at = now + crate::radio::frame::TURNAROUND;
+                            let at = now + TURNAROUND;
                             let (tx, end) = self.medium.begin_tx(node + 1, &frame, at);
                             frames_sent += 1;
                             queue.schedule_at(end, Ev::TxEnd { node, tx });
@@ -296,7 +296,7 @@ impl MoteNetwork {
 
         // Begin all transmissions in chronological order so overlapping
         // slots (clock error) interfere correctly on the medium.
-        let mut txs: Vec<(usize, SimTime, crate::radio::TxId, SimTime)> = Vec::new();
+        let mut txs: Vec<(usize, SimTime, TxId, SimTime)> = Vec::new();
         let mut planned: Vec<(SimTime, usize)> = (0..n)
             .filter(|&p| self.predicate[p])
             .map(|p| (schedule.tx_time(p).expect("every node has a slot"), p))

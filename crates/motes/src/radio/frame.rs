@@ -16,7 +16,7 @@ use crate::sim::SimDuration;
 pub struct ShortAddr(pub u16);
 
 /// The 802.15.4 broadcast address.
-pub const BROADCAST_ADDR: ShortAddr = ShortAddr(0xFFFF);
+pub(crate) const BROADCAST_ADDR: ShortAddr = ShortAddr(0xFFFF);
 
 /// Frame kinds (subset of the 802.15.4 FCF frame types).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,7 +74,7 @@ impl Frame {
     /// Builds the hardware acknowledgement for sequence number `seq`.
     /// Every radio generates the *same bytes* for a given `seq` — the
     /// superposition property backcast relies on.
-    pub fn hack(seq: u8) -> Self {
+    pub(crate) fn hack(seq: u8) -> Self {
         Self {
             frame_type: FrameType::Ack,
             ack_request: false,
@@ -150,7 +150,7 @@ impl Frame {
     }
 
     /// MPDU length in bytes (what goes into the PHY header length field).
-    pub fn mpdu_len(&self) -> usize {
+    pub(crate) fn mpdu_len(&self) -> usize {
         match self.frame_type {
             FrameType::Ack => 5,
             FrameType::Data => 3 + 4 + self.payload.len() + 2,
@@ -159,19 +159,14 @@ impl Frame {
 
     /// Time on air, including the synchronization header (4-byte preamble +
     /// SFD) and PHY length byte, at 802.15.4's 250 kbps (32 µs/byte).
-    pub fn airtime(&self) -> SimDuration {
-        airtime(self.mpdu_len())
+    pub(crate) fn airtime(&self) -> SimDuration {
+        const SHR_PHR_BYTES: u64 = 4 + 1 + 1;
+        SimDuration::micros((SHR_PHR_BYTES + self.mpdu_len() as u64) * 32)
     }
 }
 
-/// On-air duration for an MPDU of `mpdu_len` bytes.
-pub fn airtime(mpdu_len: usize) -> SimDuration {
-    const SHR_PHR_BYTES: u64 = 4 + 1 + 1;
-    SimDuration::micros((SHR_PHR_BYTES + mpdu_len as u64) * 32)
-}
-
 /// 802.15.4 rx/tx turnaround (12 symbols at 16 µs).
-pub const TURNAROUND: SimDuration = SimDuration::micros(192);
+pub(crate) const TURNAROUND: SimDuration = SimDuration::micros(192);
 
 /// Decode failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +193,7 @@ impl std::error::Error for FrameError {}
 
 /// CRC-16/KERMIT (ITU-T polynomial 0x1021 reflected, init 0) — the FCS
 /// computation used by 802.15.4.
-pub fn crc16_itu(data: &[u8]) -> u16 {
+pub(crate) fn crc16_itu(data: &[u8]) -> u16 {
     let mut crc: u16 = 0;
     for &byte in data {
         crc ^= byte as u16;

@@ -27,15 +27,16 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use tcast_stats::normal::sample_standard_normal;
 
 use crate::sim::SimTime;
 
-use crate::radio::frame::Frame;
-use crate::radio::units::{dbm_to_mw, mw_to_dbm};
+use super::frame::Frame;
+use super::units::{dbm_to_mw, mw_to_dbm};
 
 /// Node position in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Position {
+pub(crate) struct Position {
     /// x coordinate (m).
     pub x: f64,
     /// y coordinate (m).
@@ -95,7 +96,7 @@ impl MediumConfig {
     /// A noiseless configuration: no shadowing, no fading, generous margins
     /// — every in-range frame is received. Used by tests that need
     /// deterministic PHY behaviour.
-    pub fn lossless() -> Self {
+    pub(crate) fn lossless() -> Self {
         Self {
             shadowing_sigma_db: 0.0,
             fading_sigma_db: 0.0,
@@ -106,7 +107,7 @@ impl MediumConfig {
 
 /// Handle to an in-flight transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TxId(u64);
+pub(crate) struct TxId(u64);
 
 #[derive(Debug, Clone)]
 struct ActiveTx {
@@ -115,14 +116,13 @@ struct ActiveTx {
     start: SimTime,
     end: SimTime,
     bytes: Vec<u8>,
-    power_dbm: f64,
     superposable: bool,
     completed: bool,
 }
 
 /// A successful reception at one node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Reception {
+pub(crate) struct Reception {
     /// Receiving node index.
     pub receiver: usize,
     /// Received signal strength (dBm) including fading.
@@ -137,7 +137,7 @@ pub struct Reception {
 
 /// The shared single-channel medium over a fixed set of node positions.
 #[derive(Debug, Clone)]
-pub struct Medium {
+pub(crate) struct Medium {
     cfg: MediumConfig,
     positions: Vec<Position>,
     /// Symmetric per-link shadowing (dB), row-major `n x n`.
@@ -157,7 +157,7 @@ impl Medium {
         let mut shadow = vec![0.0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let x = gaussian(&mut rng) * cfg.shadowing_sigma_db;
+                let x = sample_standard_normal(&mut rng) * cfg.shadowing_sigma_db;
                 shadow[i * n + j] = x;
                 shadow[j * n + i] = x;
             }
@@ -219,7 +219,7 @@ impl Medium {
         let mut shadow = vec![0.0; total * total];
         for i in 0..total {
             for j in (i + 1)..total {
-                let x = gaussian(&mut base.rng) * cfg.shadowing_sigma_db;
+                let x = sample_standard_normal(&mut base.rng) * cfg.shadowing_sigma_db;
                 shadow[i * total + j] = x;
                 shadow[j * total + i] = x;
             }
@@ -229,16 +229,6 @@ impl Medium {
             shadow,
             ..base
         }
-    }
-
-    /// Number of nodes sharing the medium.
-    pub fn node_count(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &MediumConfig {
-        &self.cfg
     }
 
     /// Mean received power (dBm) on link `sender -> receiver`, i.e. path
@@ -287,7 +277,6 @@ impl Medium {
             start: now,
             end,
             bytes: frame.encode(),
-            power_dbm: self.cfg.tx_power_dbm,
             superposable,
             completed: false,
         });
@@ -363,7 +352,7 @@ impl Medium {
                 .map(|&i| dbm_to_mw(self.mean_rx_power_dbm(self.txs[i].sender, receiver)))
                 .sum();
             // Per-frame fading on the aggregate.
-            let fade_db = gaussian(&mut self.rng) * self.cfg.fading_sigma_db;
+            let fade_db = sample_standard_normal(&mut self.rng) * self.cfg.fading_sigma_db;
             let rssi_dbm = mw_to_dbm(signal_mw) + fade_db;
             // Interference: all foreign transmissions overlapping in time.
             let interference_mw: f64 = self
@@ -374,10 +363,7 @@ impl Medium {
                         && t.sender != receiver
                         && overlaps(t.start, t.end, me.start, me.end)
                 })
-                .map(|t| {
-                    let _ = t.power_dbm;
-                    dbm_to_mw(self.mean_rx_power_dbm(t.sender, receiver))
-                })
+                .map(|t| dbm_to_mw(self.mean_rx_power_dbm(t.sender, receiver)))
                 .sum();
             let sinr_db = rssi_dbm - mw_to_dbm(noise_mw + interference_mw);
             if rssi_dbm >= self.cfg.sensitivity_dbm && sinr_db >= self.cfg.demod_snr_db {
@@ -431,19 +417,6 @@ impl Medium {
 #[inline]
 fn overlaps(a_start: SimTime, a_end: SimTime, b_start: SimTime, b_end: SimTime) -> bool {
     a_start < b_end && b_start < a_end
-}
-
-/// Standard normal draw (Marsaglia polar; local copy to keep this crate
-/// independent of `tcast-stats`).
-fn gaussian(rng: &mut SmallRng) -> f64 {
-    loop {
-        let u = 2.0 * rng.random::<f64>() - 1.0;
-        let v = 2.0 * rng.random::<f64>() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -629,7 +602,7 @@ mod tests {
     #[test]
     fn interferer_layout_and_energy() {
         let m = Medium::single_hop_with_interferers(4, 5.0, 3, 30.0, MediumConfig::lossless(), 9);
-        assert_eq!(m.node_count(), 7);
+        assert_eq!(m.positions.len(), 7);
         // Interferers sit on the 30 m circle.
         for i in 4..7 {
             let d = m.positions[i].distance(&Position { x: 0.0, y: 0.0 });

@@ -6,14 +6,14 @@
 
 /// Converts a power level in dBm to linear milliwatts.
 #[inline]
-pub fn dbm_to_mw(dbm: f64) -> f64 {
+pub(crate) fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
 
 /// Converts linear milliwatts to dBm. Zero (or negative) input maps to
 /// negative infinity, which orders correctly in comparisons.
 #[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
+pub(crate) fn mw_to_dbm(mw: f64) -> f64 {
     if mw <= 0.0 {
         f64::NEG_INFINITY
     } else {

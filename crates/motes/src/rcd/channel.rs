@@ -9,7 +9,7 @@
 use tcast::channel::PairedGroupQueryChannel;
 use tcast::{CaptureModel, CollisionModel, GroupQueryChannel, NodeId, Observation};
 
-use crate::rcd::stack::{RcdOutcome, RcdStack};
+use super::stack::{RcdOutcome, RcdStack};
 
 /// Which RCD primitive backs the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,7 @@ impl RcdChannel {
     }
 
     /// Mutable access (predicate reconfiguration between runs).
-    pub fn stack_mut(&mut self) -> &mut RcdStack {
+    pub(crate) fn stack_mut(&mut self) -> &mut RcdStack {
         &mut self.stack
     }
 }
@@ -110,7 +110,7 @@ impl PairedGroupQueryChannel for RcdChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rcd::stack::RcdConfig;
+    use crate::rcd::RcdConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tcast::{population, ThresholdQuerier, TwoTBins};

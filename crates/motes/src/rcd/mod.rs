@@ -1,4 +1,4 @@
-//! # tcast-rcd — receiver-side collision detection primitives
+//! Receiver-side collision detection (RCD) primitives.
 //!
 //! The two single-hop feedback primitives the paper builds on, implemented
 //! over the simulated CC2420 PHY:
@@ -23,8 +23,8 @@
 //! [`GroupQueryChannel`](tcast::GroupQueryChannel) trait, so every
 //! threshold-querying algorithm runs unmodified over the full PHY.
 
-pub mod channel;
-pub mod stack;
+mod channel;
+mod stack;
 
 pub use channel::{Primitive, RcdChannel};
 pub use stack::{GroupQueryStats, InterferenceSpec, RcdConfig, RcdOutcome, RcdStack};

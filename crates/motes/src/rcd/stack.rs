@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::radio::{
-    frame::TURNAROUND, Frame, Medium, MediumConfig, RadioDevice, ShortAddr, BROADCAST_ADDR,
+    Frame, Medium, MediumConfig, RadioDevice, ShortAddr, TxId, BROADCAST_ADDR, TURNAROUND,
 };
 use crate::sim::{EventQueue, SimDuration, SimTime};
 
@@ -22,18 +22,6 @@ pub struct InterferenceSpec {
     pub duty_cycle: f64,
     /// Payload length of each interfering burst (bytes).
     pub frame_len: usize,
-}
-
-impl InterferenceSpec {
-    /// A moderate neighboring-region load: 2 sources at 30 m.
-    pub fn moderate() -> Self {
-        Self {
-            sources: 2,
-            distance_m: 30.0,
-            duty_cycle: 0.2,
-            frame_len: 32,
-        }
-    }
 }
 
 /// Stack configuration.
@@ -135,25 +123,16 @@ impl GroupQueryStats {
             _ => {}
         }
     }
-
-    /// Aggregate error rate (false decisions per query).
-    pub fn error_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            (self.false_negatives + self.false_positives) as f64 / self.queries as f64
-        }
-    }
 }
 
 /// Events inside one exchange.
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)] // phases *are* all frame-end instants
 enum Phase {
-    AnnounceEnd(crate::radio::TxId),
-    PollEnd(crate::radio::TxId),
-    HackWindowEnd(Vec<crate::radio::TxId>),
-    RepliesEnd(Vec<(usize, crate::radio::TxId)>),
+    AnnounceEnd(TxId),
+    PollEnd(TxId),
+    HackWindowEnd(Vec<TxId>),
+    RepliesEnd(Vec<(usize, TxId)>),
 }
 
 /// One initiator plus `participants` nodes sharing a medium.
@@ -209,11 +188,7 @@ impl RcdStack {
     /// Injects neighboring-region bursts over `[from, from + window)`.
     /// Returns the transmission handles; they must be completed (and
     /// discarded) once the exchange's own frames are resolved.
-    fn inject_interference(
-        &mut self,
-        from: SimTime,
-        window: SimDuration,
-    ) -> Vec<crate::radio::TxId> {
+    fn inject_interference(&mut self, from: SimTime, window: SimDuration) -> Vec<TxId> {
         let Some(spec) = self.interference else {
             return Vec::new();
         };
@@ -250,7 +225,7 @@ impl RcdStack {
     }
 
     /// Number of participants (excludes the initiator).
-    pub fn participants(&self) -> usize {
+    pub(crate) fn participants(&self) -> usize {
         self.predicate.len()
     }
 
@@ -280,26 +255,8 @@ impl RcdStack {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Reboots every mote: radio registers return to their permanent
-    /// addresses and the sequence counters restart, as the paper does
-    /// between consecutive testbed runs "to remove the effect of the
-    /// previous run". The deployment (positions, shadowing) and the
-    /// accumulated statistics survive — only mote state resets.
-    pub fn reboot(&mut self) {
-        for (node, dev) in self.devices.iter_mut().enumerate() {
-            *dev = RadioDevice::new(ShortAddr(node as u16));
-        }
-        self.seq = 0;
-        self.next_ephemeral = 0x8000;
-    }
-
     /// Ground truth: number of positive members in a participant group.
-    pub fn count_positive(&self, group: &[usize]) -> usize {
+    pub(crate) fn count_positive(&self, group: &[usize]) -> usize {
         group.iter().filter(|&&p| self.predicate[p]).count()
     }
 
@@ -309,9 +266,10 @@ impl RcdStack {
     }
 
     fn fresh_ephemeral(&mut self) -> ShortAddr {
-        // Cycle through the high half of the address space, away from the
-        // permanent per-node addresses.
-        self.next_ephemeral = 0x8000 | (self.next_ephemeral.wrapping_add(1) & 0x7FFF);
+        // Cycle through 0x8000..=0xFFFE: the high half of the address space,
+        // away from the permanent per-node addresses, without the broadcast
+        // address, which every radio accepts and none acknowledges.
+        self.next_ephemeral = 0x8000 | (((self.next_ephemeral & 0x7FFF) + 1) % 0x7FFF);
         ShortAddr(self.next_ephemeral)
     }
 
@@ -701,12 +659,12 @@ mod tests {
     #[test]
     fn exchanges_advance_time() {
         let mut s = stack(4, &[0], 8);
-        let t0 = s.now();
+        let t0 = s.now;
         s.backcast(&[0, 1]);
-        let t1 = s.now();
+        let t1 = s.now;
         assert!(t1 > t0);
         s.pollcast(&[0, 1]);
-        assert!(s.now() > t1);
+        assert!(s.now > t1);
         assert!(s.stats.elapsed.as_micros() > 0);
     }
 
@@ -717,7 +675,7 @@ mod tests {
         s.backcast(&[4, 5]); // k = 0
         assert_eq!(s.stats.by_k[2].0, 1);
         assert_eq!(s.stats.by_k[0].0, 1);
-        assert_eq!(s.stats.error_rate(), 0.0);
+        assert_eq!(s.stats.false_negatives + s.stats.false_positives, 0);
     }
 
     #[test]
@@ -763,6 +721,39 @@ mod tests {
             paired < singles,
             "pair {paired} should beat two singles {singles}"
         );
+    }
+
+    #[test]
+    fn ephemeral_addresses_never_hit_broadcast() {
+        let mut s = stack(4, &[], 24);
+        let mut wrapped = false;
+        for _ in 0..2 * 0x8000 + 2 {
+            let addr = s.fresh_ephemeral();
+            assert_ne!(addr, BROADCAST_ADDR);
+            assert!(
+                addr.0 >= 0x8000,
+                "{addr:?} collides with a permanent address"
+            );
+            wrapped |= addr.0 == 0x8000;
+        }
+        assert!(wrapped, "the cycle should come back to 0x8000");
+    }
+
+    #[test]
+    fn backcast_detects_positives_across_the_ephemeral_wrap() {
+        // A long sweep on one stack carries the counter to the top of the
+        // ephemeral range; the queries there must still be answered.
+        let mut s = stack(12, &[5], 25);
+        s.next_ephemeral = 0xFFFC;
+        for _ in 0..4 {
+            assert_eq!(s.backcast(&[4, 5, 6]), RcdOutcome::NonEmpty);
+        }
+        s.next_ephemeral = 0xFFFC;
+        for _ in 0..2 {
+            let (a, b) = s.backcast_pair(&[5], &[4, 5]);
+            assert_eq!(a, RcdOutcome::NonEmpty);
+            assert_eq!(b, RcdOutcome::NonEmpty);
+        }
     }
 
     #[test]

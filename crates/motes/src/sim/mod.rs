@@ -1,11 +1,10 @@
-//! # tcast-sim — deterministic discrete-event simulation kernel
+//! Deterministic discrete-event kernel: a virtual clock and an event queue
+//! with strict deterministic ordering.
 //!
-//! The substrate under the radio/MAC/mote stack: a virtual clock and a
-//! cancellable event queue with strict deterministic ordering. The queue is
-//! generic over the event type so the layers above define their own
-//! vocabularies (`tcast-rcd` schedules `Phase`s, the full-stack baselines in
-//! `tcast-motes` their own mote events) without any dynamic typing in the
-//! hot path.
+//! The queue is generic over the event type, so each layer above defines
+//! its own vocabulary ([`rcd`](crate::rcd) schedules exchange phases, the
+//! full-stack baselines in [`network`](crate::network) their own mote
+//! events) without any dynamic typing in the hot path.
 //!
 //! Determinism guarantees:
 //!
@@ -27,5 +26,5 @@
 mod queue;
 mod time;
 
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,9 @@
-//! The event queue: a binary heap keyed on `(time, sequence)` with lazy
-//! cancellation.
+//! The event queue: a binary heap keyed on `(time, sequence)`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use crate::sim::time::{SimDuration, SimTime};
-
-/// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+use super::time::{SimDuration, SimTime};
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -45,7 +40,6 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    cancelled: HashSet<u64>,
     now: SimTime,
     next_seq: u64,
 }
@@ -56,15 +50,11 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-// `is_empty` deliberately takes `&mut self` (it prunes cancelled heads), so
-// clippy's len/is_empty signature pairing does not apply.
-#[allow(clippy::len_without_is_empty)]
 impl<E> EventQueue<E> {
     /// Empty queue at time zero.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -77,7 +67,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at the absolute instant `time`.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduling into the past: {time} < {}",
@@ -87,65 +77,34 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Scheduled { time, seq, event }));
-        EventId(seq)
     }
 
     /// Schedules `event` after `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a pending event. Returns `true` if the event had not yet
-    /// fired (or been cancelled). O(1); storage is reclaimed lazily at pop.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
     /// Removes and returns the earliest pending event, advancing the clock
-    /// to its timestamp. Cancelled events are skipped silently.
+    /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(s)) = self.heap.pop() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            debug_assert!(s.time >= self.now);
-            self.now = s.time;
-            return Some((s.time, s.event));
-        }
-        None
+        let Reverse(s) = self.heap.pop()?;
+        debug_assert!(s.time >= self.now);
+        self.now = s.time;
+        Some((s.time, s.event))
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled heads eagerly so the answer reflects a live event.
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if self.cancelled.contains(&s.seq) {
-                let seq = s.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(s.time);
-            }
-        }
-        None
-    }
-
-    /// Number of scheduled (possibly cancelled) entries still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
+        self.heap.len()
     }
 
-    /// True when no live event remains. Takes `&mut self` because it
-    /// prunes cancelled heads to give an exact answer.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
+    /// True when no event remains.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Advances the clock with no event (for deadline-driven drivers).
-    pub fn advance_to(&mut self, time: SimTime) {
+    pub(crate) fn advance_to(&mut self, time: SimTime) {
         debug_assert!(time >= self.now);
         self.now = self.now.max(time);
     }
@@ -184,9 +143,9 @@ mod tests {
         q.schedule_in(SimDuration::micros(7), ());
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
-        assert_eq!(q.now().as_micros(), 5);
+        assert_eq!(q.now(), SimTime::from_nanos(5_000));
         q.pop();
-        assert_eq!(q.now().as_micros(), 7);
+        assert_eq!(q.now(), SimTime::from_nanos(7_000));
     }
 
     #[test]
@@ -196,46 +155,16 @@ mod tests {
         q.pop();
         q.schedule_in(SimDuration::micros(10), "second");
         let (t, _) = q.pop().unwrap();
-        assert_eq!(t.as_micros(), 20);
-    }
-
-    #[test]
-    fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_in(SimDuration::micros(1), "a");
-        let b = q.schedule_in(SimDuration::micros(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports false");
-        let _ = b;
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(999)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled_heads() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_in(SimDuration::micros(1), "a");
-        q.schedule_in(SimDuration::micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time().unwrap().as_micros(), 2);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
+        assert_eq!(t, SimTime::from_nanos(20_000));
     }
 
     #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
-        let a = q.schedule_in(SimDuration::micros(1), ());
+        q.schedule_in(SimDuration::micros(1), ());
         q.schedule_in(SimDuration::micros(2), ());
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.pop();
         assert_eq!(q.len(), 1);
     }
 

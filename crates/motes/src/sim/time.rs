@@ -18,24 +18,16 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant (used as an "infinite" deadline).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Raw nanoseconds since start.
     #[inline]
-    pub const fn as_nanos(self) -> u64 {
+    pub(crate) const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds since start.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds since start as a float (for reporting).
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -51,7 +43,7 @@ impl SimTime {
     ///
     /// Panics (in debug) if `earlier` is later than `self`.
     #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn since(self, earlier: SimTime) -> SimDuration {
         debug_assert!(earlier.0 <= self.0, "time went backwards");
         SimDuration(self.0 - earlier.0)
     }
@@ -59,11 +51,11 @@ impl SimTime {
 
 impl SimDuration {
     /// The zero-length span.
-    pub const ZERO: SimDuration = SimDuration(0);
+    pub(crate) const ZERO: SimDuration = SimDuration(0);
 
     /// Span from nanoseconds.
     #[inline]
-    pub const fn nanos(ns: u64) -> Self {
+    pub(crate) const fn nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
@@ -75,19 +67,13 @@ impl SimDuration {
 
     /// Span from milliseconds.
     #[inline]
-    pub const fn millis(ms: u64) -> Self {
+    pub(crate) const fn millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Span from seconds.
-    #[inline]
-    pub const fn secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Raw nanoseconds.
     #[inline]
-    pub const fn as_nanos(self) -> u64 {
+    pub(crate) const fn as_nanos(self) -> u64 {
         self.0
     }
 
@@ -95,12 +81,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Seconds as a float.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
     }
 }
 
@@ -179,7 +159,6 @@ mod tests {
     fn arithmetic_roundtrips() {
         let t = SimTime::ZERO + SimDuration::micros(250);
         assert_eq!(t.as_nanos(), 250_000);
-        assert_eq!(t.as_micros(), 250);
         let later = t + SimDuration::millis(1);
         assert_eq!(later - t, SimDuration::millis(1));
         assert_eq!(later.since(SimTime::ZERO), SimDuration::micros(1250));
@@ -189,13 +168,13 @@ mod tests {
     fn duration_scaling() {
         assert_eq!(SimDuration::micros(320) * 3, SimDuration::micros(960));
         assert_eq!(SimDuration::millis(10) / 4, SimDuration::micros(2500));
-        assert_eq!(SimDuration::secs(1).as_nanos(), 1_000_000_000);
+        assert_eq!(SimDuration::millis(1000).as_nanos(), 1_000_000_000);
     }
 
     #[test]
     fn saturating_add_at_the_horizon() {
-        let t = SimTime::MAX + SimDuration::secs(1);
-        assert_eq!(t, SimTime::MAX);
+        let horizon = SimTime::from_nanos(u64::MAX);
+        assert_eq!(horizon + SimDuration::millis(1000), horizon);
     }
 
     #[test]

@@ -1206,15 +1206,6 @@ impl NetClient {
         fetch_metrics(self.conns[0].addr, &self.conns[0].config)
     }
 
-    /// Drains up to `max_traces` completed, tail-sampled trace trees
-    /// from the server's trace collector (empty unless the server was
-    /// configured with `NetServerConfig::with_trace_export`). Uses a
-    /// fresh short-lived connection like
-    /// [`server_metrics`](Self::server_metrics).
-    pub fn trace_export(&self, max_traces: u32) -> Result<Vec<tcast_obs::ExportedTrace>, NetError> {
-        fetch_trace_export(self.conns[0].addr, &self.conns[0].config, max_traces)
-    }
-
     /// Says `Goodbye` on every connection and joins its fallback reader.
     pub fn close(self) {
         self.stop();

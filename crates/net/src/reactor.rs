@@ -78,11 +78,6 @@ impl PollFd {
         Self::new(fd, true, false)
     }
 
-    /// The fd this entry polls.
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
     /// Whether the last [`poll_fds`] reported the fd readable.
     ///
     /// Error and hang-up conditions count as readable on purpose: the

@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::{Record, RecordKind, TraceId, TraceSink};
@@ -222,8 +221,6 @@ struct CollectorState {
 pub struct TraceCollector {
     config: TraceCollectorConfig,
     state: Mutex<CollectorState>,
-    /// Lock-free mirror of `stats.completed` for cheap health probes.
-    completed_hint: AtomicU64,
 }
 
 impl TraceCollector {
@@ -232,7 +229,6 @@ impl TraceCollector {
         TraceCollector {
             config,
             state: Mutex::new(CollectorState::default()),
-            completed_hint: AtomicU64::new(0),
         }
     }
 
@@ -258,11 +254,6 @@ impl TraceCollector {
         self.state.lock().unwrap().stats
     }
 
-    /// Traces completed so far (lock-free; may trail `stats()` briefly).
-    pub fn completed_hint(&self) -> u64 {
-        self.completed_hint.load(Ordering::Relaxed)
-    }
-
     fn quantile_threshold(durations: &VecDeque<u64>, q: f64) -> u64 {
         if durations.is_empty() || q <= 0.0 {
             return 0;
@@ -282,7 +273,6 @@ impl TraceCollector {
             records: pending.records,
         };
         state.stats.completed += 1;
-        self.completed_hint.fetch_add(1, Ordering::Relaxed);
 
         let dur = trace.duration_ns();
         let keep = if trace.is_error() {

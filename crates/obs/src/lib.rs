@@ -275,11 +275,6 @@ impl MemorySink {
         MemorySink::default()
     }
 
-    /// Copy of every record consumed so far.
-    pub fn records(&self) -> Vec<Record> {
-        self.records.lock().unwrap().clone()
-    }
-
     /// Records belonging to `trace`, in consumption order.
     pub fn for_trace(&self, trace: TraceId) -> Vec<Record> {
         self.records

@@ -1,7 +1,7 @@
 //! The Section IV-D mote testbed, end to end over the simulated PHY.
 //!
 //! 12 participant TelosB-style motes plus an initiator; 2tBins over
-//! backcast hardware ACKs; thresholds {2, 4, 6}; reboots between runs.
+//! backcast hardware ACKs; thresholds {2, 4, 6}.
 //! Prints the Figure 4 query-cost curves and the error-rate table
 //! (the paper reports 0 false positives and 1.4% false negatives,
 //! concentrated at single-HACK groups).

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the whole workspace for the runnable examples (`examples/`)
 //! and the cross-crate integration tests (`tests/`). Library users should
-//! depend on the individual crates (`tcast`, `tcast-rcd`, ...) directly.
+//! depend on the individual crates (`tcast`, `tcast-motes`, ...) directly.
 
 pub use tcast;
 pub use tcast_experiments;

@@ -3,6 +3,7 @@
 //! plots. (Shape assertions live next to each figure module; these tests
 //! guard the harness plumbing end to end.)
 
+use tcast_experiments::extensions::interference::{self, InterferenceSweep};
 use tcast_experiments::figures::{fig1, fig11, fig2, fig4, fig5, fig8, fig9};
 use tcast_experiments::SweepSpec;
 use tcast_motes::TestbedConfig;
@@ -47,6 +48,26 @@ fn fig4_and_the_error_table_reproduce_the_committed_results() {
     assert_eq!(
         table.to_markdown(),
         include_str!("../results/error-table.md")
+    );
+}
+
+/// The committed interference extension (backcast and pollcast under
+/// foreign traffic) comes out byte for byte at the CLI's full-scale
+/// settings and default seed.
+#[test]
+fn interference_reproduces_the_committed_results() {
+    let table = interference::build(&InterferenceSweep {
+        queries_per_cell: 400,
+        seed: 20_110_516,
+        ..Default::default()
+    });
+    assert_eq!(
+        table.to_csv(),
+        include_str!("../results/ext-interference.csv")
+    );
+    assert_eq!(
+        table.to_markdown(),
+        include_str!("../results/ext-interference.md")
     );
 }
 
